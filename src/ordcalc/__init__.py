@@ -19,7 +19,7 @@ from .calculus import (
     group_valid,
 )
 from .freegroup import ReducedWord, abelianize, ball, conjugate, inv, mul, reduce
-from .membership import build_flower, contains_identity, saturate
+from .membership import contains_identity
 from .rightorder import (
     cis,
     close_truncated,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import freegroup
 from .freegroup import ReducedWord
@@ -110,11 +110,8 @@ class Derivation:
 
 class CalculusId(Enum):
     GA = "GA"
-    GLG = "GLG"
     GLGSTAR = "GLGstar"
-    GRG = "GRG"
     GRGSTAR = "GRGstar"
-    GLG_ANALYTIC = "GLGanalytic"
 
 
 # rule -> (certificate fields, premise count)
@@ -123,21 +120,14 @@ RULE_SHAPES: dict[str, tuple[tuple[str, ...], int]] = {
     "ex": (("pi", "gamma", "delta"), 1),
     "split": (("gamma", "delta"), 1),
     "gv": (("gamma",), 0),
-    "em": (("delta",), 0),
-    "cut": (("gamma", "delta", "sigma"), 2),
     "star": (("delta",), 2),
     "cycle": (("gamma", "delta"), 1),
-    "mix": (("gamma", "delta"), 2),
-    "com": (("gamma", "delta", "pi", "sigma"), 2),
 }
 
 CALCULUS_RULES: dict[CalculusId, frozenset[str]] = {
     CalculusId.GA: frozenset({"id", "ex", "split"}),
     CalculusId.GLGSTAR: frozenset({"gv", "split", "star"}),
-    CalculusId.GLG: frozenset({"gv", "em", "cut"}),
     CalculusId.GRGSTAR: frozenset({"gv", "split", "star", "cycle"}),
-    CalculusId.GRG: frozenset({"gv", "em", "cut", "cycle"}),
-    CalculusId.GLG_ANALYTIC: frozenset({"gv", "mix", "com"}),
 }
 
 
@@ -181,13 +171,12 @@ def _check_node(rules: frozenset[str], node: Derivation) -> str | None:
         )
 
     cert = {name: inst.cert(name) for name in fields}
-    bar = freegroup.bar
     concl_exact: list[Raw] = []
     prem_exact: list[list[Raw]] = [[] for _ in range(n_premises)]
     prem_canonical: list[list[ReducedWord]] = [[] for _ in range(n_premises)]
 
     if inst.rule == "id":
-        concl_exact = [cert["delta"] + bar(cert["delta"])]
+        concl_exact = [cert["delta"] + freegroup.bar(cert["delta"])]
     elif inst.rule == "ex":
         concl_exact = [cert["pi"] + cert["gamma"] + cert["delta"]]
         prem_exact[0] = [cert["pi"] + cert["delta"] + cert["gamma"]]
@@ -198,29 +187,15 @@ def _check_node(rules: frozenset[str], node: Derivation) -> str | None:
         if not _red(cert["gamma"]).is_identity:
             return "side condition failed: certificate sequent is not group valid"
         concl_exact = [cert["gamma"]]
-    elif inst.rule == "em":
-        concl_exact = [cert["delta"], bar(cert["delta"])]
-    elif inst.rule == "cut":
-        concl_exact = [cert["gamma"] + cert["sigma"]]
-        prem_exact[0] = [cert["gamma"] + cert["delta"]]
-        prem_exact[1] = [bar(cert["delta"]) + cert["sigma"]]
     elif inst.rule == "star":
         pivot = _red(cert["delta"])
         if pivot.is_identity:
             return "side condition failed: discharged sequent is group valid"
         prem_canonical[0] = [pivot]
         prem_canonical[1] = [freegroup.inv(pivot)]
-    elif inst.rule == "cycle":
+    else:  # cycle
         concl_exact = [cert["gamma"] + cert["delta"]]
         prem_exact[0] = [cert["delta"] + cert["gamma"]]
-    elif inst.rule == "mix":
-        concl_exact = [cert["gamma"] + cert["delta"]]
-        prem_exact[0] = [cert["gamma"]]
-        prem_exact[1] = [cert["delta"]]
-    else:  # com
-        concl_exact = [cert["gamma"] + cert["delta"], cert["pi"] + cert["sigma"]]
-        prem_exact[0] = [cert["gamma"] + cert["sigma"]]
-        prem_exact[1] = [cert["pi"] + cert["delta"]]
 
     for raw in concl_exact:
         if not node.conclusion.has_raw(raw):
@@ -278,24 +253,12 @@ def check(
     return CheckResult(True)
 
 
-def evaluate(hyper: Hypersequent, assignment: Sequence[int]) -> int:
-    """Max of the component evaluations in Z."""
-    return max(freegroup.evaluate_word(s.word, assignment) for s in hyper.sequents)
-
-
 # ---------------------------------------------------------------------------
 # extractors
 
 
 def _canonical_targets(words: Sequence[ReducedWord]) -> list[Sequent]:
-    seen: dict[ReducedWord, Sequent] = {}
-    for w in words:
-        seen.setdefault(w, canonical_sequent(w))
-    return list(seen.values())
-
-
-def _signed(word: ReducedWord, sign: int) -> ReducedWord:
-    return word if sign > 0 else freegroup.inv(word)
+    return [canonical_sequent(w) for w in freegroup.dedupe(words)]
 
 
 def _ga_token_key(code: int) -> tuple[int, int]:
@@ -424,16 +387,20 @@ def derive_ga(words: Sequence[ReducedWord], multipliers: Sequence[int]) -> Deriv
     return node
 
 
+_Path = tuple[tuple[ReducedWord, int], ...]
+
+
 def _leaf_glgstar(
-    factors: Sequence[int],
-    generators: tuple[ReducedWord, ...],
+    witness: Factorization,
+    words: tuple[ReducedWord, ...],
+    path: _Path,
     context: list[Sequent],
-) -> Derivation:
-    goal = Hypersequent.of(context)
-    factor_words = {generators[i] for i in factors}
+) -> Iterator[Derivation]:
+    assert isinstance(witness, Factorization)
+    generators = words + tuple(freegroup.signed(p, s) for p, s in path)
+    factor_words = {generators[i] for i in witness.factors}
     base_context = [s for s in context if s.word not in factor_words]
-    ordered = [generators[i].letters for i in factors]
-    last_error = "empty factorization"
+    ordered = [generators[i].letters for i in witness.factors]
     for factor_raws in _plan_rotation(ordered):
         if _splits_collide(factor_raws):
             continue
@@ -443,68 +410,28 @@ def _leaf_glgstar(
             rule_instance("gv", gamma=raw),
             (),
         )
-        node = _split_chain(axiom, factor_raws, base_context)
-        result = check(CalculusId.GLGSTAR, node, goal)
-        if result:
-            return node
-        last_error = result.message
-    raise DerivationError(f"leaf extraction failed: {last_error}")
-
-
-def derive_glgstar(
-    words: Sequence[ReducedWord], tree: RefutationTree
-) -> Derivation:
-    """Star-calculus derivation from a sign-branching refutation tree."""
-    words = tuple(dict.fromkeys(words))
-    if not words:
-        raise DerivationError("at least one joinand is required")
-    error = verify_refutation_tree(words, tree, conjugate=False)
-    if error is not None:
-        raise DerivationError(f"refutation tree does not verify: {error}")
-    targets = _canonical_targets(words)
-
-    def build(
-        node: RefutationTree, path: tuple[tuple[ReducedWord, int], ...]
-    ) -> Derivation:
-        context = targets + [
-            canonical_sequent(_signed(p, s)) for p, s in path
-        ]
-        if isinstance(node, RefutationBranch):
-            positive = build(node.positive, path + ((node.pivot, 1),))
-            negative = build(node.negative, path + ((node.pivot, -1),))
-            return Derivation(
-                Hypersequent.of(context),
-                rule_instance("star", delta=node.pivot.letters),
-                (positive, negative),
-            )
-        generators = words + tuple(_signed(p, s) for p, s in path)
-        assert isinstance(node.witness, Factorization)
-        return _leaf_glgstar(node.witness.factors, generators, context)
-
-    derivation = build(tree, ())
-    result = check(CalculusId.GLGSTAR, derivation, Hypersequent.of(targets))
-    if not result:
-        raise AssertionError(f"extracted derivation failed: {result.message}")
-    return derivation
+        yield _split_chain(axiom, factor_raws, base_context)
 
 
 def _leaf_grgstar(
     product: ConjugateProduct,
-    generators: tuple[ReducedWord, ...],
+    words: tuple[ReducedWord, ...],
+    path: _Path,
     context: list[Sequent],
-) -> Derivation:
-    goal = Hypersequent.of(context)
+) -> Iterator[Derivation]:
+    assert isinstance(product, ConjugateProduct)
+    # Conjugate entries address unsigned base words and carry the sign.
+    generators = words + tuple(p for p, _ in path)
     exposed = {
-        _signed(generators[e.base], e.sign) for e in product.entries
+        freegroup.signed(generators[e.base], e.sign) for e in product.entries
     }
     base_context = [s for s in context if s.word not in exposed]
-    last_error = "empty conjugate product"
     for entries in _plan_rotation(list(product.entries)):
         blocks: list[Raw] = []
         rotations: list[tuple[Raw, Raw] | None] = []
         effectives: list[ReducedWord] = []
         for entry in entries:
-            effective = _signed(generators[entry.base], entry.sign)
+            effective = freegroup.signed(generators[entry.base], entry.sign)
             effectives.append(effective)
             q = entry.conjugator
             blocks.append(q.letters + effective.letters + freegroup.bar(q.letters))
@@ -543,30 +470,30 @@ def _leaf_grgstar(
                     (node,),
                 )
             accumulated.append(canonical_sequent(effectives[j]))
-        result = check(CalculusId.GRGSTAR, node, goal)
-        if result:
-            return node
-        last_error = result.message
-    raise DerivationError(f"conjugate leaf extraction failed: {last_error}")
+        yield node
 
 
-def derive_grgstar(
-    words: Sequence[ReducedWord], tree: RefutationTree
+def _derive_star(
+    words: Sequence[ReducedWord],
+    tree: RefutationTree,
+    calculus: CalculusId,
+    leaf: Callable[..., Iterator[Derivation]],
 ) -> Derivation:
-    """Cycle-extended derivation from a refutation with conjugate-product leaves."""
-    words = tuple(dict.fromkeys(words))
+    """One star node per branch of the tree.  At a leaf, ``leaf(witness,
+    words, path, context)`` yields candidate derivations of the context;
+    the first one the calculus accepts is kept."""
+    words = freegroup.dedupe(words)
     if not words:
         raise DerivationError("at least one joinand is required")
-    error = verify_refutation_tree(words, tree, conjugate=True)
+    conjugate = calculus is CalculusId.GRGSTAR
+    error = verify_refutation_tree(words, tree, conjugate=conjugate)
     if error is not None:
         raise DerivationError(f"refutation tree does not verify: {error}")
     targets = _canonical_targets(words)
 
-    def build(
-        node: RefutationTree, path: tuple[tuple[ReducedWord, int], ...]
-    ) -> Derivation:
+    def build(node: RefutationTree, path: _Path) -> Derivation:
         context = targets + [
-            canonical_sequent(_signed(p, s)) for p, s in path
+            canonical_sequent(freegroup.signed(p, s)) for p, s in path
         ]
         if isinstance(node, RefutationBranch):
             positive = build(node.positive, path + ((node.pivot, 1),))
@@ -576,20 +503,38 @@ def derive_grgstar(
                 rule_instance("star", delta=node.pivot.letters),
                 (positive, negative),
             )
-        generators = words + tuple(p for p, _ in path)
-        assert isinstance(node.witness, ConjugateProduct)
-        return _leaf_grgstar(node.witness, generators, context)
+        goal, last_error = Hypersequent.of(context), "no candidate"
+        for candidate in leaf(node.witness, words, path, context):
+            result = check(calculus, candidate, goal)
+            if result:
+                return candidate
+            last_error = result.message
+        raise DerivationError(f"leaf extraction failed: {last_error}")
 
     derivation = build(tree, ())
-    result = check(CalculusId.GRGSTAR, derivation, Hypersequent.of(targets))
+    result = check(calculus, derivation, Hypersequent.of(targets))
     if not result:
         raise AssertionError(f"extracted derivation failed: {result.message}")
     return derivation
 
 
+def derive_glgstar(
+    words: Sequence[ReducedWord], tree: RefutationTree
+) -> Derivation:
+    """Star-calculus derivation from a sign-branching refutation tree."""
+    return _derive_star(words, tree, CalculusId.GLGSTAR, _leaf_glgstar)
+
+
+def derive_grgstar(
+    words: Sequence[ReducedWord], tree: RefutationTree
+) -> Derivation:
+    """Cycle-extended derivation from a refutation with conjugate-product leaves."""
+    return _derive_star(words, tree, CalculusId.GRGSTAR, _leaf_grgstar)
+
+
 def gv_axiom(words: Sequence[ReducedWord], calculus: CalculusId) -> Derivation:
     """Single-node derivation for a goal containing a group-valid component."""
-    targets = _canonical_targets(tuple(dict.fromkeys(words)))
+    targets = _canonical_targets(words)
     identity_raws = [s.raw for s in targets if s.word.is_identity]
     if not identity_raws:
         raise DerivationError("no group-valid component in the goal")
@@ -601,28 +546,3 @@ def gv_axiom(words: Sequence[ReducedWord], calculus: CalculusId) -> Derivation:
         raise AssertionError(result.message)
     return node
 
-
-def admissible_ew_expand(
-    calculus: CalculusId, derivation: Derivation, extra: Hypersequent
-) -> Derivation:
-    """Weaken every node by the extra components; admissible in GLG and GRG."""
-    if calculus not in (CalculusId.GLG, CalculusId.GRG):
-        raise DerivationError(
-            "external weakening is implemented for GLG and GRG only"
-        )
-    result = check(calculus, derivation, derivation.conclusion)
-    if not result:
-        raise DerivationError(f"input derivation does not check: {result.message}")
-
-    def weaken(node: Derivation) -> Derivation:
-        return Derivation(
-            Hypersequent.of([*node.conclusion.sequents, *extra.sequents]),
-            node.instance,
-            tuple(weaken(p) for p in node.premises),
-        )
-
-    expanded = weaken(derivation)
-    confirm = check(calculus, expanded, expanded.conclusion)
-    if not confirm:
-        raise AssertionError(f"weakened derivation failed: {confirm.message}")
-    return expanded

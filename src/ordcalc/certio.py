@@ -7,9 +7,10 @@ newline) so golden certificate files can be compared byte for byte.
 from __future__ import annotations
 
 import json
+import re
 from typing import Any, Sequence
 
-from . import freegroup
+from . import freegroup, membership, rightorder
 from .calculus import (
     CalculusId,
     Derivation,
@@ -39,13 +40,94 @@ class CertificateFormatError(ValueError):
 
 
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """The bytes of json.dumps(doc, sort_keys=True, indent=2) and a newline,
+    written from an explicit stack so that no proof is too deep to write."""
+    out: list[str] = []
+    todo: list = [(doc, "")]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        value, pad = item
+        if not isinstance(value, (dict, list, tuple)) or not value:
+            out.append(json.dumps(value))
+            continue
+        is_dict = isinstance(value, dict)
+        entries = sorted(value.items()) if is_dict else [(None, v) for v in value]
+        inner = pad + "  "
+        out.append("{" if is_dict else "[")
+        todo.append("\n" + pad + ("}" if is_dict else "]"))
+        for i in range(len(entries) - 1, -1, -1):
+            key, child = entries[i]
+            todo.append((child, inner))
+            label = "" if key is None else json.dumps(key) + ": "
+            todo.append(("," if i else "") + "\n" + inner + label)
+    return "".join(out) + "\n"
+
+
+_SPACE = re.compile(r"[ \t\n\r]*")
+
+
+def _loads_nested(text: str) -> Any:
+    """json.loads with an explicit stack of open containers, for documents
+    nested deeper than the recursive scanner allows."""
+    scan = json.JSONDecoder().scan_once
+    stack: list[list] = []  # [container, pending key]
+
+    def expect(token: str, pos: int) -> int:
+        pos = _SPACE.match(text, pos).end()
+        if not text.startswith(token, pos):
+            raise ValueError(f"expected {token!r} at position {pos}")
+        return _SPACE.match(text, pos + len(token)).end()
+
+    def key(pos: int) -> int:
+        if not text.startswith('"', pos):
+            raise ValueError(f"expected a key at position {pos}")
+        stack[-1][1], pos = scan(text, pos)
+        return expect(":", pos)
+
+    pos = _SPACE.match(text).end()
+    while True:
+        if text[pos : pos + 1] in ("{", "["):
+            is_dict = text[pos] == "{"
+            pos = _SPACE.match(text, pos + 1).end()
+            if not text.startswith("}" if is_dict else "]", pos):
+                stack.append([{} if is_dict else [], None])
+                pos = key(pos) if is_dict else pos
+                continue
+            value, pos = ({} if is_dict else []), pos + 1
+        else:
+            try:
+                value, pos = scan(text, pos)
+            except StopIteration:
+                raise ValueError(f"expected a value at position {pos}") from None
+        while True:
+            pos = _SPACE.match(text, pos).end()
+            if not stack:
+                if pos != len(text):
+                    raise ValueError(f"extra data at position {pos}")
+                return value
+            container, pending = stack[-1]
+            if isinstance(container, dict):
+                container[pending] = value
+            else:
+                container.append(value)
+            if text.startswith(",", pos):
+                pos = _SPACE.match(text, pos + 1).end()
+                pos = key(pos) if isinstance(container, dict) else pos
+                break
+            pos = expect("}" if isinstance(container, dict) else "]", pos)
+            value = stack.pop()[0]
 
 
 def loads(text: str) -> dict:
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        try:
+            doc = json.loads(text)
+        except RecursionError:
+            doc = _loads_nested(text)
+    except ValueError as exc:
         raise CertificateFormatError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise CertificateFormatError("certificate file must hold one object")
@@ -59,6 +141,11 @@ def _require(doc: dict, key: str, kind: type) -> Any:
     if not isinstance(value, kind):
         raise CertificateFormatError(f"field {key!r} has the wrong type")
     return value
+
+
+def _doc(kind: str, **fields: Any) -> dict:
+    """A document of the given kind: the schema header, then the fields."""
+    return {"schema_version": SCHEMA_VERSION, "kind": kind, **fields}
 
 
 def _check_schema(doc: dict, kind: str) -> None:
@@ -89,56 +176,73 @@ def _word_list(words) -> list[str]:
     return [freegroup.word_to_text(w) for w in words]
 
 
+def _parse_hypersequent(texts: list) -> Hypersequent:
+    try:
+        return Hypersequent.of(Sequent(_parse_raw(s)) for s in texts)
+    except ValueError as exc:
+        raise CertificateFormatError(str(exc)) from None
+
+
 # ---------------------------------------------------------------------------
 # derivations
 
 
 def derivation_to_node(derivation: Derivation) -> dict:
-    return {
-        "rule": derivation.instance.rule,
-        "certificates": {
-            name: _raw_text(raw) for name, raw in derivation.instance.certificates
-        },
-        "conclusion": [_raw_text(s.raw) for s in derivation.conclusion.sequents],
-        "premises": [derivation_to_node(p) for p in derivation.premises],
-    }
+    root: dict = {}
+    stack = [(derivation, root)]
+    while stack:
+        current, node = stack.pop()
+        node["rule"] = current.instance.rule
+        node["certificates"] = {
+            name: _raw_text(raw) for name, raw in current.instance.certificates
+        }
+        node["conclusion"] = [_raw_text(s.raw) for s in current.conclusion.sequents]
+        node["premises"] = [{} for _ in current.premises]
+        stack.extend(zip(current.premises, node["premises"]))
+    return root
 
 
 def node_to_derivation(node: dict) -> Derivation:
-    if not isinstance(node, dict):
-        raise CertificateFormatError("derivation nodes must be objects")
-    rule = _require(node, "rule", str)
-    certs = _require(node, "certificates", dict)
-    conclusion = _require(node, "conclusion", list)
-    premises = _require(node, "premises", list)
-    instance = RuleInstance(
-        rule, tuple(sorted((k, _parse_raw(v)) for k, v in certs.items()))
-    )
-    try:
-        hyper = Hypersequent.of(Sequent(_parse_raw(s)) for s in conclusion)
-    except ValueError as exc:
-        raise CertificateFormatError(str(exc)) from None
-    return Derivation(
-        hyper, instance, tuple(node_to_derivation(p) for p in premises)
-    )
+    # Parse in preorder, then build bottom-up: no recursion, any depth.
+    parsed: list[tuple[int, Hypersequent, RuleInstance, list]] = []
+    stack = [node]
+    while stack:
+        current = stack.pop()
+        if not isinstance(current, dict):
+            raise CertificateFormatError("derivation nodes must be objects")
+        rule = _require(current, "rule", str)
+        certs = _require(current, "certificates", dict)
+        conclusion = _require(current, "conclusion", list)
+        premises = _require(current, "premises", list)
+        instance = RuleInstance(
+            rule, tuple(sorted((k, _parse_raw(v)) for k, v in certs.items()))
+        )
+        hyper = _parse_hypersequent(conclusion)
+        parsed.append((id(current), hyper, instance, premises))
+        stack.extend(reversed(premises))
+    built: dict[int, Derivation] = {}
+    for key, hyper, instance, premises in reversed(parsed):
+        built[key] = Derivation(
+            hyper, instance, tuple(built[id(p)] for p in premises)
+        )
+    return built[id(node)]
 
 
 def proof_doc(
     calculus: CalculusId,
     conjuncts: Sequence[tuple[Hypersequent, Derivation]],
 ) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "proof",
-        "calculus": calculus.value,
-        "conjuncts": [
+    return _doc(
+        "proof",
+        calculus=calculus.value,
+        conjuncts=[
             {
                 "goal": [_raw_text(s.raw) for s in goal.sequents],
                 "derivation": derivation_to_node(derivation),
             }
             for goal, derivation in conjuncts
         ],
-    }
+    )
 
 
 def load_proof(doc: dict) -> tuple[CalculusId, list[tuple[Hypersequent, Derivation]]]:
@@ -152,11 +256,7 @@ def load_proof(doc: dict) -> tuple[CalculusId, list[tuple[Hypersequent, Derivati
     for entry in _require(doc, "conjuncts", list):
         if not isinstance(entry, dict):
             raise CertificateFormatError("conjunct entries must be objects")
-        goal_raws = [_parse_raw(s) for s in _require(entry, "goal", list)]
-        try:
-            goal = Hypersequent.of(Sequent(raw) for raw in goal_raws)
-        except ValueError as exc:
-            raise CertificateFormatError(str(exc)) from None
+        goal = _parse_hypersequent(_require(entry, "goal", list))
         conjuncts.append((goal, node_to_derivation(_require(entry, "derivation", dict))))
     if not conjuncts:
         raise CertificateFormatError("proof file has no conjuncts")
@@ -168,55 +268,42 @@ def load_proof(doc: dict) -> tuple[CalculusId, list[tuple[Hypersequent, Derivati
 
 
 def truncated_order_doc(witness: TruncatedRightOrder) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "truncated_right_order",
-        "arity": witness.arity,
-        "level": witness.level,
-        "elements": sorted(_word_list(witness.elements)),
-    }
+    return _doc(
+        "truncated_right_order",
+        arity=witness.arity,
+        level=witness.level,
+        elements=sorted(_word_list(witness.elements)),
+    )
 
 
 def separator_doc(words, arity: int, functional: Sequence[int]) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "separator",
-        "arity": arity,
-        "functional": list(functional),
-        "words": _word_list(words),
-    }
+    return _doc(
+        "separator", arity=arity, functional=list(functional), words=_word_list(words)
+    )
 
 
 def abelian_order_doc(words, arity: int, functional: Sequence[int]) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "abelian_order_witness",
-        "arity": arity,
-        "functional": list(functional),
-        "words": _word_list(words),
-    }
+    return _doc(
+        "abelian_order_witness",
+        arity=arity,
+        functional=list(functional),
+        words=_word_list(words),
+    )
 
 
 def sign_assignment_doc(words, arity: int, assignment: SignAssignment) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "sign_assignment",
-        "arity": arity,
-        "words": _word_list(words),
-        "signs": [
-            {"pivot": freegroup.word_to_text(p), "sign": s}
-            for p, s in assignment.signs
-        ],
-    }
+    signs = [
+        {"pivot": freegroup.word_to_text(p), "sign": s} for p, s in assignment.signs
+    ]
+    return _doc("sign_assignment", arity=arity, words=_word_list(words), signs=signs)
 
 
 def bounds_doc(report: BoundsReport) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "bounds_exhausted",
-        "conjugator_bound": report.conjugator_bound,
-        "pivots": _word_list(report.pivots),
-    }
+    return _doc(
+        "bounds_exhausted",
+        conjugator_bound=report.conjugator_bound,
+        pivots=_word_list(report.pivots),
+    )
 
 
 def _tree_to_node(tree: RefutationTree, conjugate: bool) -> dict:
@@ -277,18 +364,20 @@ def _node_to_tree(node: dict, conjugate: bool) -> RefutationTree:
 def refutation_doc(words, arity: int, tree: RefutationTree, flavor: str) -> dict:
     if flavor not in ("right_order", "order"):
         raise ValueError("flavor must be right_order or order")
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "refutation",
-        "flavor": flavor,
-        "arity": arity,
-        "words": _word_list(words),
-        "tree": _tree_to_node(tree, conjugate=flavor == "order"),
-    }
+    return _doc(
+        "refutation",
+        flavor=flavor,
+        arity=arity,
+        words=_word_list(words),
+        tree=_tree_to_node(tree, conjugate=flavor == "order"),
+    )
 
 
 # ---------------------------------------------------------------------------
 # verification of loaded witness files
+
+
+_FUNCTIONAL_SIDE = {"separator": -1, "abelian_order_witness": 1}
 
 
 def verify_witness_doc(doc: dict) -> list[str]:
@@ -302,37 +391,37 @@ def verify_witness_doc(doc: dict) -> list[str]:
             frozenset(_parse_word(w) for w in _require(doc, "elements", list)),
         )
         return witness.violations()
-    if kind == "separator":
+    if kind in _FUNCTIONAL_SIDE:
+        # a separator is negative on every word, an order witness positive
         _check_schema(doc, kind)
         arity = _require(doc, "arity", int)
         y = _require(doc, "functional", list)
+        if not all(isinstance(c, int) for c in y):
+            raise CertificateFormatError("functional entries must be integers")
+        side = _FUNCTIONAL_SIDE[kind]
         issues = []
         for text in _require(doc, "words", list):
             vector = freegroup.abelianize(_parse_word(text), arity)
-            if sum(a * b for a, b in zip(y, vector)) >= 0:
-                issues.append(f"functional is not negative on {text!r}")
-        return issues
-    if kind == "abelian_order_witness":
-        _check_schema(doc, kind)
-        arity = _require(doc, "arity", int)
-        y = _require(doc, "functional", list)
-        issues = []
-        for text in _require(doc, "words", list):
-            vector = freegroup.abelianize(_parse_word(text), arity)
-            if sum(a * b for a, b in zip(y, vector)) <= 0:
-                issues.append(f"functional is not positive on {text!r}")
+            if side * sum(a * b for a, b in zip(y, vector)) <= 0:
+                name = "positive" if side > 0 else "negative"
+                issues.append(f"functional is not {name} on {text!r}")
         return issues
     if kind == "sign_assignment":
         _check_schema(doc, kind)
-        from . import membership
-
-        words = [_parse_word(w) for w in _require(doc, "words", list)]
-        signed = []
+        words = tuple(_parse_word(w) for w in _require(doc, "words", list))
+        path = []
         for item in _require(doc, "signs", list):
+            if not isinstance(item, dict):
+                raise CertificateFormatError("sign entries must be objects")
             pivot = _parse_word(_require(item, "pivot", str))
-            sign = _require(item, "sign", int)
-            signed.append(pivot if sign > 0 else freegroup.inv(pivot))
-        found, _ = membership.contains_identity(tuple(words) + tuple(signed))
+            path.append((pivot, _require(item, "sign", int)))
+        # the witness must sign every pivot the search branches on
+        if tuple(p for p, _ in path) != rightorder.sign_pivots(words):
+            return ["pivots are not the representatives of cis(words)"]
+        if any(s not in (1, -1) for _, s in path):
+            return ["every sign must be 1 or -1"]
+        signed = tuple(freegroup.signed(p, s) for p, s in path)
+        found, _ = membership.contains_identity(words + signed)
         return ["signed generators reach the identity"] if found else []
     if kind == "refutation":
         _check_schema(doc, kind)

@@ -156,55 +156,44 @@ def _cmd_decide(args) -> int:
     return exit_code_for(overall)
 
 
+def _order_witness_doc(words, arity: int, outcome, flavor: str) -> dict:
+    if isinstance(outcome, TruncatedRightOrder):
+        return certio.truncated_order_doc(outcome)
+    if isinstance(outcome, abelian.Separator):
+        functional = tuple(-c for c in outcome.functional)
+        return certio.abelian_order_doc(words, arity, functional)
+    if isinstance(outcome, BoundsReport):
+        return certio.bounds_doc(outcome)
+    return certio.refutation_doc(words, arity, outcome, flavor)
+
+
 def _cmd_order_extend(args) -> int:
     if args.verify_witness and not args.witness:
         raise UsageError("--verify-witness requires --witness")
     words, arity = _parse_words(args.words, args.arity)
     if any(w.is_identity for w in words):
         raise UsageError("the identity cannot be ordered strictly positive")
-    words = list(dict.fromkeys(words))
+    words = freegroup.dedupe(words)
     if args.kind == "right":
         outcome = rightorder.extend_right_order(words, arity)
-        if isinstance(outcome, TruncatedRightOrder):
-            print("YES: the set extends to a right order")
-            if args.witness:
-                _write(args.witness, certio.truncated_order_doc(outcome))
-                if args.verify_witness:
-                    _verify_witness_file(args.witness)
-            return 0
-        print("NO: the set does not extend to a right order")
-        if args.witness:
-            _write(
-                args.witness,
-                certio.refutation_doc(words, arity, outcome, "right_order"),
-            )
-            if args.verify_witness:
-                _verify_witness_file(args.witness)
-        return 1
-
-    tree = rightorder.rg_refute_bounded(words, arity, args.bound_L)
-    if tree is not None:
-        print("NO: the set does not extend to an order")
-        if args.witness:
-            _write(args.witness, certio.refutation_doc(words, arity, tree, "order"))
-            if args.verify_witness:
-                _verify_witness_file(args.witness)
-        return 1
-    vectors = [freegroup.abelianize(w, arity) for w in words]
-    separator = abelian.find_separator(vectors)
-    if separator is not None:
-        functional = tuple(-c for c in separator)
-        print("YES: the set extends to an order (abelian-quotient witness)")
-        if args.witness:
-            _write(args.witness, certio.abelian_order_doc(words, arity, functional))
-            if args.verify_witness:
-                _verify_witness_file(args.witness)
-        return 0
-    print("UNKNOWN: search bounds exhausted")
+        noun, flavor = "a right order", "right_order"
+    else:
+        outcome = rightorder.extend_order(words, arity, args.bound_L)
+        noun, flavor = "an order", "order"
+    if isinstance(outcome, TruncatedRightOrder):
+        code, answer = 0, f"YES: the set extends to {noun}"
+    elif isinstance(outcome, abelian.Separator):
+        code, answer = 0, f"YES: the set extends to {noun} (abelian-quotient witness)"
+    elif isinstance(outcome, BoundsReport):
+        code, answer = 2, "UNKNOWN: search bounds exhausted"
+    else:
+        code, answer = 1, f"NO: the set does not extend to {noun}"
+    print(answer)
     if args.witness:
-        reps = rightorder._pivot_representatives(rightorder.cis(words))
-        _write(args.witness, certio.bounds_doc(BoundsReport(args.bound_L, reps)))
-    return 2
+        _write(args.witness, _order_witness_doc(words, arity, outcome, flavor))
+        if args.verify_witness:
+            _verify_witness_file(args.witness)
+    return code
 
 
 def _cmd_check_proof(args) -> int:
@@ -215,13 +204,7 @@ def _cmd_check_proof(args) -> int:
     except (OSError, certio.CertificateFormatError) as exc:
         print(f"proof file rejected: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.calculus:
-        try:
-            effective = CalculusId(args.calculus)
-        except ValueError:
-            raise UsageError(f"unknown calculus {args.calculus!r}") from None
-    else:
-        effective = declared
+    effective = CalculusId(args.calculus) if args.calculus else declared
     for index, (goal, derivation) in enumerate(conjuncts):
         result = calculus.check(effective, derivation, goal)
         if not result:
@@ -373,7 +356,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     checkp = sub.add_parser("check-proof", help="verify a derivation file")
     checkp.add_argument("file")
-    checkp.add_argument("--calculus", help="check under this calculus instead")
+    checkp.add_argument(
+        "--calculus",
+        choices=[c.value for c in CalculusId],
+        help="check under this calculus instead",
+    )
     checkp.set_defaults(handler=_cmd_check_proof)
 
     cross = sub.add_parser("crosscheck", help="run the procedure-agreement corpus")

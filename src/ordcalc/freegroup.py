@@ -9,25 +9,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 _GEN_NAMES = "xyzuvw"
-
-
-class Literal(NamedTuple):
-    """A generator or inverse generator occurrence."""
-
-    generator: int
-    sign: int
-
-    def encoded(self) -> int:
-        return self.generator * self.sign
-
-
-def literal_of(code: int) -> Literal:
-    if code == 0:
-        raise ValueError("literal code must be nonzero")
-    return Literal(abs(code), 1 if code > 0 else -1)
 
 
 def literal_rank(code: int) -> int:
@@ -119,8 +103,14 @@ def conjugate(q: ReducedWord, t: ReducedWord) -> ReducedWord:
     return mul(mul(q, t), inv(q))
 
 
-def length(a: ReducedWord) -> int:
-    return len(a.letters)
+def signed(word: ReducedWord, sign: int) -> ReducedWord:
+    """The word itself for a positive sign, its inverse otherwise."""
+    return word if sign > 0 else inv(word)
+
+
+def dedupe(words: Iterable[ReducedWord]) -> tuple[ReducedWord, ...]:
+    """The words in first-occurrence order, repeats dropped."""
+    return tuple(dict.fromkeys(words))
 
 
 def product(words: Iterable[ReducedWord]) -> ReducedWord:

@@ -60,7 +60,6 @@ class WordAutomaton:
         self.epsilon: dict[tuple[int, int], tuple] = {}
         self._by_first: dict[int, list[int]] = {}
         self._by_second: dict[int, list[int]] = {}
-        self.saturated = False
 
     def epsilon_pairs(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.epsilon)
@@ -97,7 +96,6 @@ class WordAutomaton:
                 self._add((q, u), (_CONCAT, (q, r), (r, u)), queue)
             for p in tuple(self._by_second.get(q, ())):
                 self._add((p, r), (_CONCAT, (p, q), (q, r)), queue)
-        self.saturated = stop_pair is None or stop_pair not in self.epsilon or self.saturated
         return self
 
     def expand_pair(self, pair: tuple[int, int]) -> list[int]:
@@ -139,14 +137,6 @@ class WordAutomaton:
         return factors
 
 
-def build_flower(words: Sequence[ReducedWord]) -> WordAutomaton:
-    return WordAutomaton(words)
-
-
-def saturate(automaton: WordAutomaton) -> WordAutomaton:
-    return automaton.saturate()
-
-
 def contains_identity(
     words: Iterable[ReducedWord],
 ) -> tuple[bool, Factorization | None]:
@@ -161,7 +151,7 @@ def contains_identity(
             return True, Factorization((i,))
     if not gens:
         return False, None
-    automaton = build_flower(gens)
+    automaton = WordAutomaton(gens)
     target = (automaton.base, automaton.base)
     automaton.saturate(stop_pair=target)
     if target not in automaton.epsilon:

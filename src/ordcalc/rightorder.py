@@ -10,7 +10,7 @@ to a conjugator length bound before testing membership.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from . import abelian, biorder, calculus, freegroup, membership
 from .calculus import CalculusId
@@ -31,15 +31,15 @@ from .witnesses import (
 DEFAULT_CONJUGATOR_BOUND = 3
 
 _Prov = tuple
+_Path = tuple[tuple[ReducedWord, int], ...]
 _GEN, _PROD = "gen", "prod"
 
 
-def _dedupe(words: Iterable[ReducedWord]) -> tuple[ReducedWord, ...]:
-    return tuple(dict.fromkeys(words))
-
-
-def _signed(word: ReducedWord, sign: int) -> ReducedWord:
-    return word if sign > 0 else freegroup.inv(word)
+def _joinands(words: Iterable[ReducedWord]) -> tuple[ReducedWord, ...]:
+    words = freegroup.dedupe(words)
+    if not words:
+        raise ValueError("at least one joinand is required")
+    return words
 
 
 def initial_subterms(words: Iterable[ReducedWord]) -> frozenset[ReducedWord]:
@@ -50,22 +50,48 @@ def initial_subterms(words: Iterable[ReducedWord]) -> frozenset[ReducedWord]:
     return frozenset(out)
 
 
+def _ranks(word: ReducedWord) -> tuple[int, ...]:
+    """The literal ranks of a word: two rank tuples of one length compare as
+    the words do in ShortLex order, and inverting a literal flips bit 0."""
+    return tuple(map(freegroup.literal_rank, word.letters))
+
+
+def _unrank(ranks: tuple[int, ...]) -> ReducedWord:
+    """The word with these literal ranks; undoes _ranks."""
+    return ReducedWord(tuple(-(r // 2 + 1) if r % 2 else r // 2 + 1 for r in ranks))
+
+
+def _inverse_pairs(words: Iterable[ReducedWord]):
+    """Rank tuples of s' * t and of its inverse t' * s, once for each pair of
+    distinct initial subterms s and t: together, all of cis(words)."""
+    prefixes = [_ranks(p) for p in initial_subterms(words)]
+    inverses = [tuple(r ^ 1 for r in reversed(p)) for p in prefixes]
+    for i, s in enumerate(prefixes):
+        for j in range(i + 1, len(prefixes)):
+            t = prefixes[j]
+            # past the common stem s' * t is reduced as written
+            k = 0
+            while k < len(s) and k < len(t) and s[k] == t[k]:
+                k += 1
+            yield inverses[i][: len(s) - k] + t[k:], inverses[j][: len(t) - k] + s[k:]
+
+
 def cis(words: Iterable[ReducedWord]) -> frozenset[ReducedWord]:
     """Nonidentity quotients s' * t of initial subterms; closed under inversion."""
-    prefixes = initial_subterms(words)
-    out = set()
-    for s in prefixes:
-        s_inv = freegroup.inv(s)
-        for t in prefixes:
-            w = freegroup.mul(s_inv, t)
-            if not w.is_identity:
-                out.add(w)
-    return frozenset(out)
+    return frozenset(_unrank(r) for pair in _inverse_pairs(words) for r in pair)
 
 
-def _pivot_representatives(pool: Iterable[ReducedWord]) -> tuple[ReducedWord, ...]:
-    reps = {min(w, freegroup.inv(w)) for w in pool}
-    return tuple(sorted(reps))
+def sign_pivots(
+    words: Iterable[ReducedWord], pivots: Iterable[ReducedWord] | None = None
+) -> tuple[ReducedWord, ...]:
+    """One representative per inverse pair of cis(words), or of the given
+    pivot words: the ShortLex smaller one, in ShortLex order."""
+    if pivots is None:
+        pairs = _inverse_pairs(words)
+    else:
+        pairs = ((_ranks(w), _ranks(freegroup.inv(w))) for w in pivots)
+    reps = {min(pair) for pair in pairs}
+    return tuple(_unrank(r) for r in sorted(reps, key=lambda r: (len(r), r)))
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +148,7 @@ def close_truncated(
     words: Iterable[ReducedWord], max_length: int
 ) -> frozenset[ReducedWord]:
     """Least superset closed under products that stay within the length bound."""
-    words = _dedupe(words)
+    words = freegroup.dedupe(words)
     for w in words:
         if w.is_identity:
             raise ValueError("the identity cannot generate a truncated cone")
@@ -142,7 +168,7 @@ def extend_right_order(
     never changes the verdict.  Pivots run over the shorter ball in
     ShortLex order, positive sign first.
     """
-    words = _dedupe(words)
+    words = freegroup.dedupe(words)
     if not words:
         raise ValueError("at least one word is required")
     for i, w in enumerate(words):
@@ -154,16 +180,12 @@ def extend_right_order(
     elif level < natural:
         raise ValueError("truncation level is below the longest input word")
     pivot_space = [w for w in freegroup.ball(arity, level - 1) if not w.is_identity]
-    witness_memo: dict[frozenset[ReducedWord], TruncatedRightOrder] = {}
 
     outcome = _close({}, [(w, (_GEN, i)) for i, w in enumerate(words)], level)
     if outcome[0] == "dead":
         return RefutationLeaf(_death_factors(outcome[2], outcome[1]))
 
     def search(elems: dict[ReducedWord, _Prov], depth: int):
-        key = frozenset(elems)
-        if key in witness_memo:
-            return ("witness", witness_memo[key])
         pivot = next(
             (
                 w
@@ -173,12 +195,10 @@ def extend_right_order(
             None,
         )
         if pivot is None:
-            witness = TruncatedRightOrder(arity, level, frozenset(elems))
-            witness_memo[key] = witness
-            return ("witness", witness)
+            return TruncatedRightOrder(arity, level, frozenset(elems))
         subtrees = {}
         for sign in (1, -1):
-            candidate = _signed(pivot, sign)
+            candidate = freegroup.signed(pivot, sign)
             result = _close(
                 elems, [(candidate, (_GEN, len(words) + depth))], level
             )
@@ -187,14 +207,12 @@ def extend_right_order(
                     _death_factors(result[2], result[1])
                 )
                 continue
-            deeper = search(result[1], depth + 1)
-            if deeper[0] == "witness":
-                return deeper
-            subtrees[sign] = deeper[1]
-        return ("tree", RefutationBranch(pivot, subtrees[1], subtrees[-1]))
+            subtrees[sign] = search(result[1], depth + 1)
+            if isinstance(subtrees[sign], TruncatedRightOrder):
+                return subtrees[sign]
+        return RefutationBranch(pivot, subtrees[1], subtrees[-1])
 
-    verdict = search(outcome[1], 0)
-    return verdict[1]
+    return search(outcome[1], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +247,15 @@ def _refinement_positive(
     return True
 
 
-def _one_sided(
+def _excludes_identity(
     generators, arity: int, functional: tuple[int, ...] | None
 ) -> bool:
     """Sound negative certificate: the set sits inside the cone of a
-    bi-invariant order, so no nonempty product (of conjugates) reduces to e."""
+    bi-invariant order, so no nonempty product (of conjugates) reduces to e.
+
+    Conjugation preserves the bi-order sign and the abelianization, so
+    every certificate here transfers to the conjugate-closed set.
+    """
     if biorder.uniform_sign(generators) is not None:
         return True
     if functional is not None:
@@ -243,7 +265,9 @@ def _one_sided(
             flipped = tuple(-c for c in functional)
             if _refinement_positive(generators, arity, flipped, tie):
                 return True
-    return False
+    # a separating functional for this very set also settles it
+    vectors = [freegroup.abelianize(w, arity) for w in generators]
+    return abelian.find_separator(vectors) is not None
 
 
 def _guided_sign(
@@ -263,21 +287,46 @@ def _guided_sign(
     return side * biorder.magnus_sign(pivot)
 
 
-def _semigroup_identity(
-    generators: tuple[ReducedWord, ...],
+def _sign_search(
+    words: tuple[ReducedWord, ...],
     arity: int,
-    functional: tuple[int, ...] | None = None,
-) -> tuple[bool, Factorization | None]:
-    for i, w in enumerate(generators):
-        if w.is_identity:
-            return True, Factorization((i,))
-    if _one_sided(generators, arity, functional):
-        return False, None
-    # a separating functional for this very set also settles it
-    vectors = [freegroup.abelianize(w, arity) for w in generators]
-    if abelian.find_separator(vectors) is not None:
-        return False, None
-    return membership.contains_identity(generators)
+    pivots: tuple[ReducedWord, ...],
+    leaf: Callable[[_Path, tuple[ReducedWord, ...]], object],
+) -> Union[RefutationTree, _Path]:
+    """Depth-first search over the signs of the pivots, in order.
+
+    A node's generators are the words and the signed pivots on its path;
+    ``leaf(path, generators)`` returns a witness that they reach the
+    identity, which closes the branch, or None.  It is skipped where a
+    bi-order or abelian certificate already excludes the identity.
+    Returns a refutation tree, or the first path that signs every pivot
+    and stays open.
+    """
+    side = biorder.uniform_sign(words) or 1
+    functional = _root_functional(words, arity)
+
+    def search(path: _Path):
+        generators = words + tuple(freegroup.signed(p, s) for p, s in path)
+        if not _excludes_identity(generators, arity, functional):
+            witness = leaf(path, generators)
+            if witness is not None:
+                return RefutationLeaf(witness)
+        if len(path) == len(pivots):
+            return path
+        pivot = pivots[len(path)]
+        # explore the branch consistent with the words' side of the
+        # order first: on invalid instances it is the failing one
+        guided = _guided_sign(pivot, arity, functional, side)
+        first = search(path + ((pivot, guided),))
+        if isinstance(first, tuple):
+            return first
+        second = search(path + ((pivot, -guided),))
+        if isinstance(second, tuple):
+            return second
+        positive, negative = (first, second) if guided > 0 else (second, first)
+        return RefutationBranch(pivot, positive, negative)
+
+    return search(())
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +335,7 @@ def _semigroup_identity(
 
 def decide_lg_cs(words: Iterable[ReducedWord], arity: int) -> Verdict:
     """l-group validity via right-order extension of the joinand set."""
-    words = _dedupe(words)
-    if not words:
-        raise ValueError("at least one joinand is required")
+    words = _joinands(words)
     if any(w.is_identity for w in words):
         return Verdict(VALID, calculus.gv_axiom(words, CalculusId.GLGSTAR))
     outcome = extend_right_order(words, arity)
@@ -308,38 +355,16 @@ def decide_lg_hm(words: Iterable[ReducedWord], arity: int) -> Verdict:
     closed as soon as the signed generators already reach the identity,
     and a full assignment that never does is the invalid-side witness.
     """
-    words = _dedupe(words)
-    if not words:
-        raise ValueError("at least one joinand is required")
+    words = _joinands(words)
     if any(w.is_identity for w in words):
         return Verdict(VALID, calculus.gv_axiom(words, CalculusId.GLGSTAR))
-    reps = _pivot_representatives(cis(words))
-    side = biorder.uniform_sign(words) or 1
-    functional = _root_functional(words, arity)
 
-    def search(path: tuple[tuple[ReducedWord, int], ...]):
-        generators = words + tuple(_signed(p, s) for p, s in path)
-        found, factorization = _semigroup_identity(generators, arity, functional)
-        if found:
-            return RefutationLeaf(factorization)
-        if len(path) == len(reps):
-            return SignAssignment(path)
-        pivot = reps[len(path)]
-        # explore the branch consistent with the words' side of the
-        # order first: on invalid instances it is the failing one
-        guided = _guided_sign(pivot, arity, functional, side)
-        first = search(path + ((pivot, guided),))
-        if isinstance(first, SignAssignment):
-            return first
-        second = search(path + ((pivot, -guided),))
-        if isinstance(second, SignAssignment):
-            return second
-        positive, negative = (first, second) if guided > 0 else (second, first)
-        return RefutationBranch(pivot, positive, negative)
+    def leaf(path, generators):
+        return membership.contains_identity(generators)[1]
 
-    result = search(())
-    if isinstance(result, SignAssignment):
-        return Verdict(INVALID, result)
+    result = _sign_search(words, arity, sign_pivots(words), leaf)
+    if isinstance(result, tuple):
+        return Verdict(INVALID, SignAssignment(result))
     return Verdict(VALID, calculus.derive_glgstar(words, result))
 
 
@@ -355,7 +380,7 @@ def _conjugate_generators(
     meta: list[tuple[ReducedWord, int, int]] = []
     seen: set[ReducedWord] = set()
     for index, (word, sign) in enumerate(base):
-        effective = _signed(word, sign)
+        effective = freegroup.signed(word, sign)
         for q in conjugators:
             value = freegroup.conjugate(q, effective)
             if value in seen:
@@ -364,33 +389,6 @@ def _conjugate_generators(
             generators.append(value)
             meta.append((q, index, sign))
     return tuple(generators), meta
-
-
-def _normal_identity(
-    base: Sequence[tuple[ReducedWord, int]],
-    arity: int,
-    bound: int,
-    functional: tuple[int, ...] | None = None,
-) -> tuple[bool, ConjugateProduct | None]:
-    for index, (word, sign) in enumerate(base):
-        if word.is_identity:
-            entry = ConjugateEntry(freegroup.IDENTITY, index, sign)
-            return True, ConjugateProduct((entry,))
-    effective = tuple(_signed(w, s) for w, s in base)
-    # Conjugation preserves the bi-order sign and the abelianization, so
-    # the one-sided and separating certificates transfer to the whole
-    # conjugate-closed set.
-    if _one_sided(effective, arity, functional):
-        return False, None
-    vectors = [freegroup.abelianize(w, arity) for w in effective]
-    if abelian.find_separator(vectors) is not None:
-        return False, None
-    generators, meta = _conjugate_generators(base, arity, bound)
-    found, factorization = membership.contains_identity(generators)
-    if not found:
-        return False, None
-    entries = tuple(ConjugateEntry(*meta[i]) for i in factorization.factors)
-    return True, ConjugateProduct(entries)
 
 
 def rg_refute_bounded(
@@ -406,43 +404,46 @@ def rg_refute_bounded(
     """
     if conjugator_bound < 0:
         raise ValueError("conjugator bound must be >= 0")
-    words = _dedupe(words)
-    if not words:
-        raise ValueError("at least one joinand is required")
+    words = _joinands(words)
     for i, w in enumerate(words):
         if w.is_identity:
             entry = ConjugateEntry(freegroup.IDENTITY, i, 1)
             return RefutationLeaf(ConjugateProduct((entry,)))
     if pivots is not None and any(p.is_identity for p in pivots):
         raise ValueError("pivot words must be nonidentity")
-    reps = (
-        _pivot_representatives(pivots)
-        if pivots is not None
-        else _pivot_representatives(cis(words))
-    )
-    roots = [(w, 1) for w in words]
-    side = biorder.uniform_sign(words) or 1
-    functional = _root_functional(words, arity)
+    roots = tuple((w, 1) for w in words)
 
-    def search(path: tuple[tuple[ReducedWord, int], ...]):
-        base = roots + list(path)
-        found, witness = _normal_identity(base, arity, conjugator_bound, functional)
-        if found:
-            return RefutationLeaf(witness)
-        if len(path) == len(reps):
+    def leaf(path, generators):
+        conjugates, meta = _conjugate_generators(roots + path, arity, conjugator_bound)
+        factorization = membership.contains_identity(conjugates)[1]
+        if factorization is None:
             return None
-        pivot = reps[len(path)]
-        guided = _guided_sign(pivot, arity, functional, side)
-        first = search(path + ((pivot, guided),))
-        if first is None:
-            return None
-        second = search(path + ((pivot, -guided),))
-        if second is None:
-            return None
-        positive, negative = (first, second) if guided > 0 else (second, first)
-        return RefutationBranch(pivot, positive, negative)
+        return ConjugateProduct(
+            tuple(ConjugateEntry(*meta[i]) for i in factorization.factors)
+        )
 
-    return search(())
+    result = _sign_search(words, arity, sign_pivots(words, pivots), leaf)
+    return None if isinstance(result, tuple) else result
+
+
+def extend_order(
+    words: Iterable[ReducedWord],
+    arity: int,
+    conjugator_bound: int = DEFAULT_CONJUGATOR_BOUND,
+    pivots: Sequence[ReducedWord] | None = None,
+) -> Union[RefutationTree, abelian.Separator, BoundsReport]:
+    """A refutation tree (no order makes every word positive), else a
+    functional negative on every word (its negation orders them all
+    positive), else the bounds the search exhausted."""
+    words = freegroup.dedupe(words)
+    tree = rg_refute_bounded(words, arity, conjugator_bound, pivots)
+    if tree is not None:
+        return tree
+    vectors = [freegroup.abelianize(w, arity) for w in words]
+    separator = abelian.find_separator(vectors)
+    if separator is not None:
+        return abelian.Separator(separator)
+    return BoundsReport(conjugator_bound, sign_pivots(words, pivots))
 
 
 def decide_rg(
@@ -452,21 +453,12 @@ def decide_rg(
     pivots: Sequence[ReducedWord] | None = None,
 ) -> Verdict:
     """Three-valued verdict for the representable variety."""
-    words = _dedupe(words)
-    if not words:
-        raise ValueError("at least one joinand is required")
+    words = _joinands(words)
     if any(w.is_identity for w in words):
         return Verdict(VALID, calculus.gv_axiom(words, CalculusId.GRGSTAR))
-    tree = rg_refute_bounded(words, arity, conjugator_bound, pivots)
-    if tree is not None:
-        return Verdict(VALID, calculus.derive_grgstar(words, tree))
-    vectors = [freegroup.abelianize(w, arity) for w in words]
-    separator = abelian.find_separator(vectors)
-    if separator is not None:
-        return Verdict(INVALID, abelian.Separator(separator))
-    reps = (
-        _pivot_representatives(pivots)
-        if pivots is not None
-        else _pivot_representatives(cis(words))
-    )
-    return Verdict(UNKNOWN, BoundsReport(conjugator_bound, reps))
+    outcome = extend_order(words, arity, conjugator_bound, pivots)
+    if isinstance(outcome, abelian.Separator):
+        return Verdict(INVALID, outcome)
+    if isinstance(outcome, BoundsReport):
+        return Verdict(UNKNOWN, outcome)
+    return Verdict(VALID, calculus.derive_grgstar(words, outcome))

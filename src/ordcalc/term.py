@@ -10,7 +10,7 @@ Grammar (whitespace insensitive, inverse binds tightest)::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from . import freegroup
 from .freegroup import ReducedWord
@@ -87,10 +87,6 @@ class _Parser:
     def _skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
-
-    def _peek(self) -> str:
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def _take(self, token: str) -> bool:
         self._skip_ws()
@@ -197,13 +193,6 @@ def push_inverses(t: Term) -> Term:
     return Meet(push_inverses(Inverse(inner.left)), push_inverses(Inverse(inner.right)))
 
 
-def _dedupe(words: Iterable[ReducedWord]) -> tuple[ReducedWord, ...]:
-    seen: dict[ReducedWord, None] = {}
-    for w in words:
-        seen.setdefault(w)
-    return tuple(seen)
-
-
 def normalize(t: Term) -> NormalForm:
     """Distribute to a meet of joins of reduced words.
 
@@ -212,7 +201,7 @@ def normalize(t: Term) -> NormalForm:
     lattice layers are flattened.
     """
     conjuncts = _normalize(push_inverses(t))
-    return NormalForm(tuple(_dedupe(joins) for joins in conjuncts))
+    return NormalForm(tuple(freegroup.dedupe(joins) for joins in conjuncts))
 
 
 def _normalize(t: Term) -> tuple[tuple[ReducedWord, ...], ...]:
@@ -296,12 +285,3 @@ def evaluate_normal_form(nf: NormalForm, assignment: Sequence[int]) -> int:
         for joins in nf.conjuncts
     )
 
-
-def term_max_generator(t: Term) -> int:
-    if isinstance(t, Identity):
-        return 0
-    if isinstance(t, Literal):
-        return t.generator
-    if isinstance(t, Inverse):
-        return term_max_generator(t.arg)
-    return max(term_max_generator(t.left), term_max_generator(t.right))

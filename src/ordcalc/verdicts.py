@@ -24,10 +24,6 @@ class Verdict:
         if self.status not in _EXIT_CODES:
             raise ValueError(f"unknown verdict status {self.status!r}")
 
-    @property
-    def exit_code(self) -> int:
-        return _EXIT_CODES[self.status]
-
 
 def exit_code_for(status: str) -> int:
     return _EXIT_CODES[status]

@@ -122,10 +122,6 @@ class TruncatedRightOrder:
         return not self.violations()
 
 
-def _signed(word: ReducedWord, sign: int) -> ReducedWord:
-    return word if sign > 0 else freegroup.inv(word)
-
-
 def verify_refutation_tree(
     words: tuple[ReducedWord, ...],
     tree: RefutationTree,
@@ -159,7 +155,7 @@ def verify_refutation_tree(
                 elif entry.sign != path[entry.base - len(words)][1]:
                     return "pivot sign disagrees with the branch path"
         else:
-            generators = words + tuple(_signed(p, s) for p, s in path)
+            generators = words + tuple(freegroup.signed(p, s) for p, s in path)
             if not isinstance(witness, Factorization):
                 return "leaf carries no factorization"
             if any(not 0 <= i < len(generators) for i in witness.factors):

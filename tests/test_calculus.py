@@ -50,58 +50,9 @@ def test_hand_built_ga_derivation_accepted():
         goal, rule_instance("split", gamma=(1,), delta=(-1,)), (axiom,)
     )
     assert ca.check(CalculusId.GA, split, goal).ok
-    # the same tree is not a derivation in the analytic system
-    result = ca.check(CalculusId.GLG_ANALYTIC, split, goal)
+    # the same tree is not a derivation in the star system
+    result = ca.check(CalculusId.GLGSTAR, split, goal)
     assert not result.ok and "not part of this calculus" in result.message
-
-
-def test_em_axiom_in_glg():
-    goal = _goal("x", "x'")
-    node = Derivation(goal, rule_instance("em", delta=(1,)))
-    assert ca.check(CalculusId.GLG, node, goal).ok
-
-
-def test_cut_rule_instance():
-    premise = Hypersequent.of([Sequent((1, 2)), Sequent((-2, -1))])
-    left = Derivation(premise, rule_instance("em", delta=(1, 2)))
-    right = Derivation(premise, rule_instance("em", delta=(1, 2)))
-    conclusion = Hypersequent.of([Sequent((1, -1)), Sequent((1, 2)), Sequent((-2, -1))])
-    node = Derivation(
-        conclusion,
-        rule_instance("cut", gamma=(1,), delta=(2,), sigma=(-1,)),
-        (left, right),
-    )
-    assert ca.check(CalculusId.GLG, node, conclusion).ok
-
-
-def test_mix_and_com_in_analytic_calculus():
-    premise1 = Derivation(
-        Hypersequent.of([Sequent((1, -1))]), rule_instance("gv", gamma=(1, -1))
-    )
-    premise2 = Derivation(
-        Hypersequent.of([Sequent((2, -2))]), rule_instance("gv", gamma=(2, -2))
-    )
-    conclusion = Hypersequent.of([Sequent((1, -1, 2, -2))])
-    node = Derivation(
-        conclusion,
-        rule_instance("mix", gamma=(1, -1), delta=(2, -2)),
-        (premise1, premise2),
-    )
-    assert ca.check(CalculusId.GLG_ANALYTIC, node, conclusion).ok
-
-    com_p1 = Derivation(
-        Hypersequent.of([Sequent((1, -1))]), rule_instance("gv", gamma=(1, -1))
-    )
-    com_p2 = Derivation(
-        Hypersequent.of([Sequent((2, -2))]), rule_instance("gv", gamma=(2, -2))
-    )
-    com_conclusion = Hypersequent.of([Sequent((1, -2)), Sequent((2, -1))])
-    com_node = Derivation(
-        com_conclusion,
-        rule_instance("com", gamma=(1,), delta=(-2,), pi=(2,), sigma=(-1,)),
-        (com_p1, com_p2),
-    )
-    assert ca.check(CalculusId.GLG_ANALYTIC, com_node, com_conclusion).ok
 
 
 def test_gv_side_condition_enforced():
@@ -228,22 +179,6 @@ def test_derive_grgstar_examples():
     assert not result.ok and "cycle" in result.message
 
 
-def test_ew_expansion():
-    base = Derivation(_goal("x", "x'"), rule_instance("em", delta=(1,)))
-    widened = ca.admissible_ew_expand(
-        CalculusId.GLG, base, ca.hypersequent_of_words(words("yy"))
-    )
-    assert widened.conclusion.words == _goal("x", "x'", "yy").words
-    assert ca.check(CalculusId.GLG, widened, widened.conclusion).ok
-
-    unchanged = ca.admissible_ew_expand(CalculusId.GLG, base, Hypersequent.of([]))
-    assert unchanged.conclusion.words == base.conclusion.words
-
-    ga = ca.derive_ga(words("x", "x'"), (1, 1))
-    with pytest.raises(DerivationError):
-        ca.admissible_ew_expand(CalculusId.GA, ga, _goal("yy"))
-
-
 def test_wrong_premise_count_rejected():
     goal = _goal("x", "x'")
     node = Derivation(goal, rule_instance("split", gamma=(1,), delta=(-1,)), ())
@@ -252,12 +187,8 @@ def test_wrong_premise_count_rejected():
 
 
 def test_root_must_match_goal():
-    node = Derivation(_goal("x", "x'"), rule_instance("em", delta=(1,)))
-    result = ca.check(CalculusId.GLG, node, _goal("x"))
+    conclusion = Hypersequent.of([Sequent((1, -1)), Sequent((1,))])
+    node = Derivation(conclusion, rule_instance("gv", gamma=(1, -1)))
+    assert ca.check(CalculusId.GLGSTAR, node, conclusion).ok
+    result = ca.check(CalculusId.GLGSTAR, node, _goal("x"))
     assert not result.ok and "goal" in result.message
-
-
-def test_evaluate_hypersequent():
-    hyper = _goal("x", "y'")
-    assert ca.evaluate(hyper, [2, 5]) == 2
-    assert ca.evaluate(hyper, [-3, 4]) == -3

@@ -29,20 +29,36 @@ def test_proof_document_round_trip():
     assert ca.check(calculus, loaded_derivation, loaded_goal).ok
 
 
+GOLDEN_PROOFS = (
+    ("branch_example_valid", CalculusId.GLGSTAR, S_WORDS, ro.decide_lg_cs),
+    ("hm_example_valid", CalculusId.GLGSTAR, S_WORDS, ro.decide_lg_hm),
+    (
+        "rg_conjugate_valid",
+        CalculusId.GRGSTAR,
+        ("x y x'", "y'"),
+        lambda joins, arity: ro.decide_rg(joins, arity, 1),
+    ),
+)
+
+
 def test_golden_proof_is_bit_exact():
-    joins = words(*S_WORDS)
-    verdict = ro.decide_lg_cs(joins, 2)
-    goal = ca.hypersequent_of_words(joins)
-    doc = certio.proof_doc(CalculusId.GLGSTAR, [(goal, verdict.certificate)])
-    expected = (GOLDEN / "branch_example_valid.proof.json").read_bytes()
-    assert certio.dumps(doc).encode() == expected
+    for name, calculus, texts, decide in GOLDEN_PROOFS:
+        joins = words(*texts)
+        verdict = decide(joins, 2)
+        goal = ca.hypersequent_of_words(joins)
+        doc = certio.proof_doc(calculus, [(goal, verdict.certificate)])
+        expected = (GOLDEN / f"{name}.proof.json").read_bytes()
+        assert certio.dumps(doc).encode() == expected, name
+        assert certio.loads(expected.decode()) == doc, name
 
 
 def test_golden_witness_is_bit_exact():
-    verdict = ro.decide_lg_cs(words(*T_WORDS), 2)
-    doc = certio.truncated_order_doc(verdict.certificate)
-    expected = (GOLDEN / "branch_example_invalid.witness.json").read_bytes()
-    assert certio.dumps(doc).encode() == expected
+    joins = words(*T_WORDS)
+    cs = certio.truncated_order_doc(ro.decide_lg_cs(joins, 2).certificate)
+    hm = certio.sign_assignment_doc(joins, 2, ro.decide_lg_hm(joins, 2).certificate)
+    for name, doc in (("branch_example_invalid", cs), ("hm_example_invalid", hm)):
+        expected = (GOLDEN / f"{name}.witness.json").read_bytes()
+        assert certio.dumps(doc).encode() == expected, name
 
 
 def test_witness_documents_verify():
@@ -86,6 +102,31 @@ def test_sign_assignment_document():
     assert certio.verify_witness_doc(doc)
 
 
+def test_forged_sign_assignment_rejected():
+    # xx | yy | x'y' is valid, so no sign assignment may verify for it
+    forged = {
+        "schema_version": 1,
+        "kind": "sign_assignment",
+        "arity": 2,
+        "words": ["x x", "y y", "x' y'"],
+        "signs": [],
+    }
+    assert certio.verify_witness_doc(forged)
+
+    genuine = certio.sign_assignment_doc(
+        words(*T_WORDS), 2, ro.decide_lg_hm(words(*T_WORDS), 2).certificate
+    )
+    assert certio.verify_witness_doc(genuine) == []
+    for forge in (
+        lambda signs: signs.pop(),  # a pivot left unsigned
+        lambda signs: signs.reverse(),  # pivots out of search order
+        lambda signs: signs[0].update(sign=2),  # a sign outside 1, -1
+    ):
+        doc = certio.loads(certio.dumps(genuine))
+        forge(doc["signs"])
+        assert certio.verify_witness_doc(doc)
+
+
 def test_malformed_documents_rejected():
     with pytest.raises(certio.CertificateFormatError):
         certio.loads("not json")
@@ -99,3 +140,11 @@ def test_malformed_documents_rejected():
         )
     with pytest.raises(certio.CertificateFormatError):
         certio.verify_witness_doc({"kind": "mystery"})
+    header = {"schema_version": 1, "arity": 2, "words": ["x"]}
+    for doc in (
+        {**header, "kind": "sign_assignment", "signs": [1]},
+        {**header, "kind": "separator", "functional": ["a"]},
+        {**header, "kind": "abelian_order_witness", "functional": ["a", 1]},
+    ):
+        with pytest.raises(certio.CertificateFormatError):
+            certio.verify_witness_doc(doc)

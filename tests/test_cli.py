@@ -1,8 +1,9 @@
 import json
+import sys
 
 import pytest
 
-from ordcalc import cli
+from ordcalc import certio, cli
 
 
 def run(*argv):
@@ -119,8 +120,26 @@ def test_check_proof_calculus_override(tmp_path):
     assert run(
         "prove", "--variety", "lgroup", "xx | yy | x'y'", "--proof", str(proof)
     ) == 0
-    assert run("check-proof", str(proof), "--calculus", "GLG") == 1
+    assert run("check-proof", str(proof), "--calculus", "GA") == 1
     assert run("check-proof", str(proof), "--calculus", "GLGstar") == 0
+
+
+def test_deep_cs_proof_writes_and_checks(capsys, tmp_path):
+    # The cs proof of this set is hundreds of nodes deep: deeper than a
+    # writer or reader that recurses once per node gets under the
+    # interpreter's default recursion limit.
+    proof = tmp_path / "proof.json"
+    code = run(
+        "prove", "--variety", "lgroup", "--procedure", "cs",
+        "x'y'xy'x' | x'yy | xy'x", "--proof", str(proof),
+    )
+    assert code == 0
+    assert run("check-proof", str(proof)) == 0
+    doc = certio.loads(proof.read_text())
+    node, depth = doc["conjuncts"][0]["derivation"], 0
+    while node["premises"]:
+        node, depth = node["premises"][0], depth + 1
+    assert depth > sys.getrecursionlimit() / 2
 
 
 def test_usage_errors_exit_three(capsys):

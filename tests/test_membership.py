@@ -8,42 +8,42 @@ from ordcalc import membership as mb
 
 
 def test_flower_shapes():
-    single = mb.build_flower(words("x"))
+    single = mb.WordAutomaton(words("x"))
     assert single.n_states == 1
     assert len(single.sources) == 1
 
-    two = mb.build_flower(words("xy", "y'"))
+    two = mb.WordAutomaton(words("xy", "y'"))
     # one interior state for the length-2 cycle, base shared
     assert two.n_states == 2
     assert len(two.sources) == 3
 
-    empty = mb.build_flower([])
+    empty = mb.WordAutomaton([])
     assert empty.n_states == 1
     assert mb.contains_identity([]) == (False, None)
 
 
 def test_flower_rejects_identity_generator():
     with pytest.raises(ValueError):
-        mb.build_flower(words("x", "e"))
+        mb.WordAutomaton(words("x", "e"))
 
 
 def test_saturate_examples():
-    auto = mb.saturate(mb.build_flower(words("x", "x'")))
+    auto = mb.WordAutomaton(words("x", "x'")).saturate()
     assert (auto.base, auto.base) in auto.epsilon
 
-    auto = mb.saturate(mb.build_flower(words("x")))
+    auto = mb.WordAutomaton(words("x")).saturate()
     assert not auto.epsilon
 
-    auto = mb.saturate(mb.build_flower(words("xxy", "y'x'", "x'")))
+    auto = mb.WordAutomaton(words("xxy", "y'x'", "x'")).saturate()
     assert (auto.base, auto.base) in auto.epsilon
     # cross-check: a bounded product search also reaches the identity
     assert mb.identity_products_upto(words("xxy", "y'x'", "x'"), 4) is not None
 
 
 def test_saturate_is_a_fixpoint():
-    auto = mb.saturate(mb.build_flower(words("xy", "y'x'", "xx")))
+    auto = mb.WordAutomaton(words("xy", "y'x'", "xx")).saturate()
     pairs = auto.epsilon_pairs()
-    assert mb.saturate(auto).epsilon_pairs() == pairs
+    assert auto.saturate().epsilon_pairs() == pairs
 
 
 def test_contains_identity_examples():
@@ -96,6 +96,6 @@ def test_monotonicity_under_superset(rng):
 
 
 def test_walk_factors_rejects_garbage():
-    auto = mb.build_flower(words("xy", "y'x'"))
+    auto = mb.WordAutomaton(words("xy", "y'x'"))
     with pytest.raises(AssertionError):
         auto.walk_factors([0])  # stops mid-cycle, not at the base state
