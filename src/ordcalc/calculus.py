@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from . import freegroup
 from .freegroup import ReducedWord
@@ -267,36 +267,45 @@ def _ga_token_key(code: int) -> tuple[int, int]:
 
 def _split_chain(
     start: Derivation,
-    factor_raws: Sequence[Raw],
+    blocks: Sequence[tuple[Raw, Raw]],
     base_context: Sequence[Sequent],
 ) -> Derivation:
-    """Apply split repeatedly to pull the factors of the active sequent apart.
+    """Pull the factors ``q e q'`` of the active sequent apart, in order.
 
-    Contexts are accumulated: a node carries only the base context plus the
-    factors already split off, so every stored sequent is forced by a
-    neighbouring node and nothing in the tree is dead weight.
+    ``blocks`` holds one ``(q, e)`` pair per factor.  Each factor is split
+    off the remaining suffix, and a nontrivial conjugator is then cycled
+    away, leaving ``e``.  Contexts are accumulated: a node carries only the
+    base context plus the factors already split off, so every stored
+    sequent is forced by a neighbouring node and nothing in the tree is
+    dead weight.
     """
+    raws = [q + e + freegroup.bar(q) for q, e in blocks]
     node = start
     accumulated: list[Sequent] = list(base_context)
-    for j in range(len(factor_raws) - 1):
-        gamma = factor_raws[j]
-        delta = tuple(itertools.chain.from_iterable(factor_raws[j + 1 :]))
-        conclusion = Hypersequent.of(
-            [Sequent(gamma), Sequent(delta), *accumulated]
-        )
-        node = Derivation(
-            conclusion, rule_instance("split", gamma=gamma, delta=delta), (node,)
-        )
-        accumulated.append(Sequent(gamma))
+    for j, (q, e) in enumerate(blocks):
+        pending: list[Sequent] = []
+        if j < len(raws) - 1:
+            suffix = tuple(itertools.chain.from_iterable(raws[j + 1 :]))
+            pending = [Sequent(suffix)]
+            node = Derivation(
+                Hypersequent.of([Sequent(raws[j]), *pending, *accumulated]),
+                rule_instance("split", gamma=raws[j], delta=suffix),
+                (node,),
+            )
+        if q:
+            gamma = e + freegroup.bar(q)
+            node = Derivation(
+                Hypersequent.of([Sequent(gamma + q), *pending, *accumulated]),
+                rule_instance("cycle", gamma=gamma, delta=q),
+                (node,),
+            )
+        accumulated.append(Sequent(e))
     return node
 
 
-def _plan_rotation(factor_raws: list[Raw]) -> list[list[Raw]]:
+def _plan_rotation(factors: list) -> list[list]:
     """Candidate factor orders; rotations keep an identity product trivial."""
-    orders = []
-    for shift in range(len(factor_raws)):
-        orders.append(factor_raws[shift:] + factor_raws[:shift])
-    return orders
+    return [factors[shift:] + factors[:shift] for shift in range(len(factors))]
 
 
 def _splits_collide(factor_raws: Sequence[Raw]) -> bool:
@@ -379,7 +388,7 @@ def derive_ga(words: Sequence[ReducedWord], multipliers: Sequence[int]) -> Deriv
             (node,),
         )
 
-    node = _split_chain(node, factor_raws, base_context)
+    node = _split_chain(node, [((), raw) for raw in factor_raws], base_context)
     goal = Hypersequent.of(targets)
     result = check(CalculusId.GA, node, goal)
     if not result:
@@ -390,98 +399,34 @@ def derive_ga(words: Sequence[ReducedWord], multipliers: Sequence[int]) -> Deriv
 _Path = tuple[tuple[ReducedWord, int], ...]
 
 
-def _leaf_glgstar(
-    witness: Factorization,
+def _leaf_blocks(
+    witness: Factorization | ConjugateProduct,
     words: tuple[ReducedWord, ...],
     path: _Path,
-    context: list[Sequent],
-) -> Iterator[Derivation]:
-    assert isinstance(witness, Factorization)
-    generators = words + tuple(freegroup.signed(p, s) for p, s in path)
-    factor_words = {generators[i] for i in witness.factors}
-    base_context = [s for s in context if s.word not in factor_words]
-    ordered = [generators[i].letters for i in witness.factors]
-    for factor_raws in _plan_rotation(ordered):
-        if _splits_collide(factor_raws):
-            continue
-        raw = tuple(itertools.chain.from_iterable(factor_raws))
-        axiom = Derivation(
-            Hypersequent.of([Sequent(raw), *base_context]),
-            rule_instance("gv", gamma=raw),
-            (),
-        )
-        yield _split_chain(axiom, factor_raws, base_context)
-
-
-def _leaf_grgstar(
-    product: ConjugateProduct,
-    words: tuple[ReducedWord, ...],
-    path: _Path,
-    context: list[Sequent],
-) -> Iterator[Derivation]:
-    assert isinstance(product, ConjugateProduct)
-    # Conjugate entries address unsigned base words and carry the sign.
+) -> list[tuple[Raw, Raw]]:
+    """The ``(conjugator, factor)`` raw pairs of a leaf witness, in product
+    order.  A factorization indexes the words and the signed pivots; a
+    conjugate product indexes the unsigned pivots and signs each entry."""
+    if isinstance(witness, Factorization):
+        generators = words + tuple(freegroup.signed(p, s) for p, s in path)
+        return [((), generators[i].letters) for i in witness.factors]
     generators = words + tuple(p for p, _ in path)
-    exposed = {
-        freegroup.signed(generators[e.base], e.sign) for e in product.entries
-    }
-    base_context = [s for s in context if s.word not in exposed]
-    for entries in _plan_rotation(list(product.entries)):
-        blocks: list[Raw] = []
-        rotations: list[tuple[Raw, Raw] | None] = []
-        effectives: list[ReducedWord] = []
-        for entry in entries:
-            effective = freegroup.signed(generators[entry.base], entry.sign)
-            effectives.append(effective)
-            q = entry.conjugator
-            blocks.append(q.letters + effective.letters + freegroup.bar(q.letters))
-            if q.is_identity:
-                rotations.append(None)
-            else:
-                rotations.append(
-                    (effective.letters + freegroup.bar(q.letters), q.letters)
-                )
-        raw = tuple(itertools.chain.from_iterable(blocks))
-        node = Derivation(
-            Hypersequent.of([Sequent(raw), *base_context]),
-            rule_instance("gv", gamma=raw),
-            (),
+    return [
+        (
+            entry.conjugator.letters,
+            freegroup.signed(generators[entry.base], entry.sign).letters,
         )
-        accumulated: list[Sequent] = list(base_context)
-        for j in range(len(blocks)):
-            suffix_seqs: list[Sequent] = []
-            if j < len(blocks) - 1:
-                suffix = tuple(itertools.chain.from_iterable(blocks[j + 1 :]))
-                suffix_seqs = [Sequent(suffix)]
-                node = Derivation(
-                    Hypersequent.of(
-                        [Sequent(blocks[j]), *suffix_seqs, *accumulated]
-                    ),
-                    rule_instance("split", gamma=blocks[j], delta=suffix),
-                    (node,),
-                )
-            if rotations[j] is not None:
-                gamma, delta = rotations[j]
-                node = Derivation(
-                    Hypersequent.of(
-                        [Sequent(gamma + delta), *suffix_seqs, *accumulated]
-                    ),
-                    rule_instance("cycle", gamma=gamma, delta=delta),
-                    (node,),
-                )
-            accumulated.append(canonical_sequent(effectives[j]))
-        yield node
+        for entry in witness.entries
+    ]
 
 
 def _derive_star(
-    words: Sequence[ReducedWord],
-    tree: RefutationTree,
-    calculus: CalculusId,
-    leaf: Callable[..., Iterator[Derivation]],
+    words: Sequence[ReducedWord], tree: RefutationTree, calculus: CalculusId
 ) -> Derivation:
-    """One star node per branch of the tree.  At a leaf, ``leaf(witness,
-    words, path, context)`` yields candidate derivations of the context;
-    the first one the calculus accepts is kept."""
+    """One star node per branch of the tree.  A leaf's factors are split
+    off a ``gv`` axiom in each rotation of their order; the first rotation
+    the calculus accepts is kept.  One whose splits collide always fails,
+    because its split node loses the suffix's raw sequence."""
     words = freegroup.dedupe(words)
     if not words:
         raise DerivationError("at least one joinand is required")
@@ -503,8 +448,20 @@ def _derive_star(
                 rule_instance("star", delta=node.pivot.letters),
                 (positive, negative),
             )
+        blocks = _leaf_blocks(node.witness, words, path)
+        exposed = {_red(e) for _, e in blocks}
+        base_context = [s for s in context if s.word not in exposed]
         goal, last_error = Hypersequent.of(context), "no candidate"
-        for candidate in leaf(node.witness, words, path, context):
+        for rotation in _plan_rotation(blocks):
+            raw = tuple(itertools.chain.from_iterable(
+                q + e + freegroup.bar(q) for q, e in rotation
+            ))
+            axiom = Derivation(
+                Hypersequent.of([Sequent(raw), *base_context]),
+                rule_instance("gv", gamma=raw),
+                (),
+            )
+            candidate = _split_chain(axiom, rotation, base_context)
             result = check(calculus, candidate, goal)
             if result:
                 return candidate
@@ -522,14 +479,14 @@ def derive_glgstar(
     words: Sequence[ReducedWord], tree: RefutationTree
 ) -> Derivation:
     """Star-calculus derivation from a sign-branching refutation tree."""
-    return _derive_star(words, tree, CalculusId.GLGSTAR, _leaf_glgstar)
+    return _derive_star(words, tree, CalculusId.GLGSTAR)
 
 
 def derive_grgstar(
     words: Sequence[ReducedWord], tree: RefutationTree
 ) -> Derivation:
     """Cycle-extended derivation from a refutation with conjugate-product leaves."""
-    return _derive_star(words, tree, CalculusId.GRGSTAR, _leaf_grgstar)
+    return _derive_star(words, tree, CalculusId.GRGSTAR)
 
 
 def gv_axiom(words: Sequence[ReducedWord], calculus: CalculusId) -> Derivation:

@@ -300,33 +300,40 @@ def _sign_search(
     identity, which closes the branch, or None.  It is skipped where a
     bi-order or abelian certificate already excludes the identity.
     Returns a refutation tree, or the first path that signs every pivot
-    and stays open.
+    and stays open.  The search keeps its own stack, so any number of
+    pivots fits.
     """
     side = biorder.uniform_sign(words) or 1
     functional = _root_functional(words, arity)
-
-    def search(path: _Path):
+    # frames[k] is the branch node at depth k of the path: the sign it
+    # explores first, then that branch's subtree once it is closed
+    frames: list[list] = []
+    path: _Path = ()
+    while True:
         generators = words + tuple(freegroup.signed(p, s) for p, s in path)
+        witness = None
         if not _excludes_identity(generators, arity, functional):
             witness = leaf(path, generators)
-            if witness is not None:
-                return RefutationLeaf(witness)
-        if len(path) == len(pivots):
-            return path
-        pivot = pivots[len(path)]
-        # explore the branch consistent with the words' side of the
-        # order first: on invalid instances it is the failing one
-        guided = _guided_sign(pivot, arity, functional, side)
-        first = search(path + ((pivot, guided),))
-        if isinstance(first, tuple):
-            return first
-        second = search(path + ((pivot, -guided),))
-        if isinstance(second, tuple):
-            return second
-        positive, negative = (first, second) if guided > 0 else (second, first)
-        return RefutationBranch(pivot, positive, negative)
-
-    return search(())
+        if witness is None:
+            if len(path) == len(pivots):
+                return path
+            pivot = pivots[len(path)]
+            # explore the branch consistent with the words' side of the
+            # order first: on invalid instances it is the failing one
+            guided = _guided_sign(pivot, arity, functional, side)
+            frames.append([guided, None])
+            path += ((pivot, guided),)
+            continue
+        tree: RefutationTree = RefutationLeaf(witness)
+        while frames and frames[-1][1] is not None:
+            guided, first = frames.pop()
+            positive, negative = (first, tree) if guided > 0 else (tree, first)
+            tree = RefutationBranch(pivots[len(frames)], positive, negative)
+        if not frames:
+            return tree
+        frames[-1][1] = tree
+        depth = len(frames) - 1
+        path = path[:depth] + ((pivots[depth], -frames[-1][0]),)
 
 
 # ---------------------------------------------------------------------------

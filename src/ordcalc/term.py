@@ -5,12 +5,17 @@ Grammar (whitespace insensitive, inverse binds tightest)::
     term := meet ; meet := join ("/\\" join)* ; join := prod ("\\/" prod)* ;
     prod := atom ("*" atom)* ; atom := "e" | lit | "(" term ")" | atom "'" ;
     lit  := letter digit*
+
+Chains of any length are read by loops into left-nested trees, and every
+pass over a term keeps its own stack, so no term is too deep to handle.
+Parentheses may nest at most MAX_NESTING levels, since the parser descends
+once per level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Generator, Sequence, Union
 
 from . import freegroup
 from .freegroup import ReducedWord
@@ -54,6 +59,8 @@ Term = Union[Identity, Literal, Product, Meet, Join, Inverse]
 
 E = Identity()
 
+MAX_NESTING = 100
+
 
 @dataclass(frozen=True)
 class NormalForm:
@@ -83,6 +90,7 @@ class _Parser:
         self.text = text
         self.arity = arity
         self.pos = 0
+        self.depth = 0
 
     def _skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -126,8 +134,14 @@ class _Parser:
             raise TermSyntaxError("unexpected end of input", self.pos)
         ch = self.text[self.pos]
         if ch == "(":
+            if self.depth == MAX_NESTING:
+                raise TermSyntaxError(
+                    f"parentheses nest deeper than {MAX_NESTING} levels", self.pos
+                )
             self.pos += 1
+            self.depth += 1
             node = self.meet()
+            self.depth -= 1
             if not self._take(")"):
                 raise TermSyntaxError("unbalanced parenthesis", self.pos)
         elif ch.isalpha():
@@ -169,28 +183,46 @@ def parse_term(text: str, arity: int | None = None) -> Term:
     return _Parser(text, arity).parse()
 
 
+_Pass = Generator["_Pass", object, object]
+
+
+def _unwind(top: _Pass):
+    """Run a recursive pass on an explicit stack.  A pass is a generator
+    that yields the generator of each recursive call and is sent back its
+    value, so deep terms never nest Python frames."""
+    stack, value = [top], None
+    while stack:
+        try:
+            call = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+        else:
+            stack.append(call)
+            value = None
+    return value
+
+
+_DUAL = {Product: Product, Meet: Join, Join: Meet}
+
+
 def push_inverses(t: Term) -> Term:
     """Push Inverse down to literals using the duality equations."""
-    if isinstance(t, Identity) or isinstance(t, Literal):
+    return _unwind(_push(t, False))
+
+
+def _push(t: Term, inverted: bool) -> _Pass:
+    if isinstance(t, Identity):
         return t
-    if isinstance(t, Product):
-        return Product(push_inverses(t.left), push_inverses(t.right))
-    if isinstance(t, Meet):
-        return Meet(push_inverses(t.left), push_inverses(t.right))
-    if isinstance(t, Join):
-        return Join(push_inverses(t.left), push_inverses(t.right))
-    inner = t.arg
-    if isinstance(inner, Identity):
-        return inner
-    if isinstance(inner, Literal):
-        return Literal(inner.generator, -inner.sign)
-    if isinstance(inner, Inverse):
-        return push_inverses(inner.arg)
-    if isinstance(inner, Product):
-        return Product(push_inverses(Inverse(inner.right)), push_inverses(Inverse(inner.left)))
-    if isinstance(inner, Meet):
-        return Join(push_inverses(Inverse(inner.left)), push_inverses(Inverse(inner.right)))
-    return Meet(push_inverses(Inverse(inner.left)), push_inverses(Inverse(inner.right)))
+    if isinstance(t, Literal):
+        return Literal(t.generator, -t.sign) if inverted else t
+    if isinstance(t, Inverse):
+        return (yield _push(t.arg, not inverted))
+    if not inverted:
+        return type(t)((yield _push(t.left, False)), (yield _push(t.right, False)))
+    # (a b)' = b' a', and inversion swaps meet and join
+    first, second = (t.right, t.left) if isinstance(t, Product) else (t.left, t.right)
+    return _DUAL[type(t)]((yield _push(first, True)), (yield _push(second, True)))
 
 
 def normalize(t: Term) -> NormalForm:
@@ -200,19 +232,19 @@ def normalize(t: Term) -> NormalForm:
     l-group, so products are pushed below joins and meets before the
     lattice layers are flattened.
     """
-    conjuncts = _normalize(push_inverses(t))
+    conjuncts = _unwind(_normalize(push_inverses(t)))
     return NormalForm(tuple(freegroup.dedupe(joins) for joins in conjuncts))
 
 
-def _normalize(t: Term) -> tuple[tuple[ReducedWord, ...], ...]:
+def _normalize(t: Term) -> _Pass:
     if isinstance(t, Identity):
         return ((freegroup.IDENTITY,),)
     if isinstance(t, Literal):
         return ((ReducedWord((t.generator * t.sign,)),),)
     if isinstance(t, Inverse):
         raise AssertionError("inverses were pushed to literals")
-    left = _normalize(t.left)
-    right = _normalize(t.right)
+    left = yield _normalize(t.left)
+    right = yield _normalize(t.right)
     if isinstance(t, Meet):
         return left + right
     if isinstance(t, Join):
@@ -226,39 +258,35 @@ def _normalize(t: Term) -> tuple[tuple[ReducedWord, ...], ...]:
 
 
 _LEVEL_MEET, _LEVEL_JOIN, _LEVEL_PROD, _LEVEL_ATOM = 0, 1, 2, 3
+# a binary operator's own level, one above which its right operand prints
+_OPERATORS = {
+    Meet: (_LEVEL_MEET, "/\\"),
+    Join: (_LEVEL_JOIN, "\\/"),
+    Product: (_LEVEL_PROD, "*"),
+}
 
 
-def _format(t: Term, level: int) -> str:
+def _format(t: Term, level: int) -> _Pass:
     if isinstance(t, Identity):
         return "e"
     if isinstance(t, Literal):
         base = freegroup.generator_name(t.generator)
         return base if t.sign > 0 else base + "'"
     if isinstance(t, Inverse):
-        inner = _format(t.arg, _LEVEL_ATOM)
+        inner = yield _format(t.arg, _LEVEL_ATOM)
         if not isinstance(t.arg, (Identity, Literal, Inverse)):
             inner = f"({inner})"
         return inner + "'"
-    if isinstance(t, Product):
-        text = f"{_format(t.left, _LEVEL_PROD)} * {_format(t.right, _LEVEL_ATOM)}"
-        return f"({text})" if level > _LEVEL_PROD else text
-    if isinstance(t, Join):
-        text = f"{_format(t.left, _LEVEL_JOIN)} \\/ {_format(t.right, _LEVEL_PROD)}"
-        return f"({text})" if level > _LEVEL_JOIN else text
-    text = f"{_format(t.left, _LEVEL_MEET)} /\\ {_format(t.right, _LEVEL_JOIN)}"
-    return f"({text})" if level > _LEVEL_MEET else text
+    own, op = _OPERATORS[type(t)]
+    left = yield _format(t.left, own)
+    right = yield _format(t.right, own + 1)
+    text = f"{left} {op} {right}"
+    return f"({text})" if level > own else text
 
 
 def format_term(t: Term) -> str:
     """Emit grammar text; parse_term(format_term(t)) is structurally t."""
-    return _format(t, _LEVEL_MEET)
-
-
-def sequent_of(w: ReducedWord):
-    """Wrap a word as a single proof-object sequent."""
-    from . import calculus
-
-    return calculus.Sequent(w.letters)
+    return _unwind(_format(t, _LEVEL_MEET))
 
 
 def evaluate_term(t: Term, assignment: Sequence[int]) -> int:

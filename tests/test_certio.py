@@ -4,9 +4,15 @@ import pytest
 
 from conftest import words
 from ordcalc import calculus as ca
-from ordcalc import certio
+from ordcalc import certio, freegroup
 from ordcalc import rightorder as ro
 from ordcalc.calculus import CalculusId
+from ordcalc.witnesses import (
+    ConjugateEntry,
+    ConjugateProduct,
+    Factorization,
+    RefutationLeaf,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -29,24 +35,44 @@ def test_proof_document_round_trip():
     assert ca.check(calculus, loaded_derivation, loaded_goal).ok
 
 
+def _certificate(decide):
+    return lambda joins: decide(joins, 2).certificate
+
+
+# The first rotation of x'x' | x | y | y'x collides at its second split
+# (x against y y'x, which reduces to x), so these two leaves pin the
+# fallback to the next rotation in both star calculi.
+FALLBACK_WORDS = ("x'x'", "x", "y", "y'x")
+
+
+def _fallback_glgstar(joins):
+    return ca.derive_glgstar(joins, RefutationLeaf(Factorization((0, 1, 2, 3))))
+
+
+def _fallback_grgstar(joins):
+    entries = tuple(ConjugateEntry(freegroup.IDENTITY, i, 1) for i in range(4))
+    return ca.derive_grgstar(joins, RefutationLeaf(ConjugateProduct(entries)))
+
+
 GOLDEN_PROOFS = (
-    ("branch_example_valid", CalculusId.GLGSTAR, S_WORDS, ro.decide_lg_cs),
-    ("hm_example_valid", CalculusId.GLGSTAR, S_WORDS, ro.decide_lg_hm),
+    ("branch_example_valid", CalculusId.GLGSTAR, S_WORDS, _certificate(ro.decide_lg_cs)),
+    ("hm_example_valid", CalculusId.GLGSTAR, S_WORDS, _certificate(ro.decide_lg_hm)),
     (
         "rg_conjugate_valid",
         CalculusId.GRGSTAR,
         ("x y x'", "y'"),
-        lambda joins, arity: ro.decide_rg(joins, arity, 1),
+        _certificate(lambda joins, arity: ro.decide_rg(joins, arity, 1)),
     ),
+    ("rotation_fallback_glgstar", CalculusId.GLGSTAR, FALLBACK_WORDS, _fallback_glgstar),
+    ("rotation_fallback_grgstar", CalculusId.GRGSTAR, FALLBACK_WORDS, _fallback_grgstar),
 )
 
 
 def test_golden_proof_is_bit_exact():
-    for name, calculus, texts, decide in GOLDEN_PROOFS:
+    for name, calculus, texts, derive in GOLDEN_PROOFS:
         joins = words(*texts)
-        verdict = decide(joins, 2)
         goal = ca.hypersequent_of_words(joins)
-        doc = certio.proof_doc(calculus, [(goal, verdict.certificate)])
+        doc = certio.proof_doc(calculus, [(goal, derive(joins))])
         expected = (GOLDEN / f"{name}.proof.json").read_bytes()
         assert certio.dumps(doc).encode() == expected, name
         assert certio.loads(expected.decode()) == doc, name

@@ -151,6 +151,17 @@ def test_usage_errors_exit_three(capsys):
     assert run("check-proof", "/nonexistent/path.json") == 3
 
 
+def test_term_input_chains_decide_and_deep_nesting_exits_three(capsys):
+    for op in (" * ", " \\/ ", " /\\ "):
+        text = "e <= " + op.join(["x"] * 1000)
+        assert run("decide", "--variety", "abelian", text) == 1, op
+    capsys.readouterr()
+    nested = "e <= " + "(" * 300 + "x" + ")" * 300
+    assert run("decide", "--variety", "abelian", nested) == 3
+    err = capsys.readouterr().err
+    assert "internal error" not in err and "100 levels" in err
+
+
 def test_crosscheck_small(capsys):
     assert run("crosscheck", "--max-length", "1", "--max-size", "2") == 0
     out = capsys.readouterr().out

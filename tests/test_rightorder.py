@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from conftest import w, words
+from ordcalc import abelian
 from ordcalc import calculus as ca
 from ordcalc import freegroup as fg
 from ordcalc import rightorder as ro
@@ -177,6 +178,14 @@ def test_decide_rg_with_explicit_pivots():
     assert verdict.certificate.pivots == (w("x"), w("y"))
     with pytest.raises(ValueError):
         ro.rg_refute_bounded(words("x"), 1, 1, pivots=[fg.IDENTITY])
+
+
+def test_sign_search_runs_deeper_than_the_recursion_limit():
+    # one search level per pivot: 1,200 levels, all open, then a separator
+    pivots = [fg.ReducedWord((1,) * k) for k in range(1, 1201)]
+    verdict = ro.decide_rg(words("x"), 1, 0, pivots=pivots)
+    assert verdict.status == "INVALID"
+    assert isinstance(verdict.certificate, abelian.Separator)
 
 
 def test_truncated_order_violations_detected():

@@ -63,6 +63,9 @@ def test_push_inverses_examples():
     )
     assert term.push_inverses(Inverse(Inverse(X))) == X
     assert term.push_inverses(Inverse(E)) == E
+    # primes on a group nest one Inverse each, deeper than Python recurses
+    tower = term.parse_term("(x * y)" + "'" * 2001)
+    assert term.push_inverses(tower) == Product(Literal(2, -1), Literal(1, -1))
 
 
 def _random_term(rng, depth, arity):
@@ -154,7 +157,20 @@ def test_format_round_trip_random():
         assert term.parse_term(text) == t
 
 
-def test_sequent_of():
-    sequent = term.sequent_of(w("x y'"))
-    assert sequent.raw == (1, -2)
-    assert sequent.word == w("x y'")
+def test_long_chains_parse_normalize_and_format():
+    # the parser left-nests a chain, so its tree is as deep as it is long
+    for op, conjuncts in ((" * ", 1), (" \\/ ", 1), (" /\\ ", 1000)):
+        text = op.join(["x"] * 1000)
+        t = term.parse_term(text)
+        assert term.format_term(t) == text
+        assert len(term.normalize(t).conjuncts) == conjuncts
+    nf = term.normalize(term.parse_term(" * ".join(["x"] * 1000)))
+    assert nf.conjuncts == ((w("x" * 1000),),)
+
+
+def test_parenthesis_nesting_is_limited():
+    limit = term.MAX_NESTING
+    assert term.parse_term("(" * limit + "x" + ")" * limit) == X
+    with pytest.raises(TermSyntaxError, match=str(limit)) as info:
+        term.parse_term("(" * (limit + 1) + "x" + ")" * (limit + 1))
+    assert info.value.position == limit
