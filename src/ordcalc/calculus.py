@@ -14,10 +14,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import freegroup
-from .freegroup import ReducedWord
+from .freegroup import Pass, ReducedWord
 from .witnesses import (
     ConjugateProduct,
     Factorization,
@@ -303,26 +303,32 @@ def _split_chain(
     return node
 
 
-def _plan_rotation(factors: list) -> list[list]:
-    """Candidate factor orders; rotations keep an identity product trivial."""
-    return [factors[shift:] + factors[:shift] for shift in range(len(factors))]
-
-
-def _splits_collide(factor_raws: Sequence[Raw]) -> bool:
-    # A collision merges the pending suffix with a just-split factor and
-    # loses the raw sequence the next lookup needs.
-    for j in range(len(factor_raws) - 1):
-        suffix = tuple(itertools.chain.from_iterable(factor_raws[j + 1 :]))
-        if factor_raws[j] != suffix and _red(factor_raws[j]) == _red(suffix):
-            return True
-    return False
+def _first_rotation(
+    calculus: CalculusId,
+    goal: Hypersequent,
+    blocks: list[tuple[Raw, Raw]],
+    build: Callable[[list[tuple[Raw, Raw]]], Derivation],
+) -> Derivation:
+    """The first derivation ``build(rotation)`` the calculus accepts, over
+    the rotations of ``blocks``; rotations keep an identity product trivial.
+    One whose splits collide always fails, because its split node loses the
+    suffix's raw sequence."""
+    last_error = "no candidate"
+    for shift in range(len(blocks)):
+        candidate = build(blocks[shift:] + blocks[:shift])
+        result = check(calculus, candidate, goal)
+        if result:
+            return candidate
+        last_error = result.message
+    raise DerivationError(f"no rotation of the factors is accepted: {last_error}")
 
 
 def derive_ga(words: Sequence[ReducedWord], multipliers: Sequence[int]) -> Derivation:
     """Abelian-calculus derivation from balancing multipliers.
 
     An axiom instance on a sorted arrangement, exchange steps permuting it
-    into the multiplier concatenation, then splits at factor boundaries.
+    into the multiplier concatenation, then splits at factor boundaries,
+    in the first rotation of the factors that GA accepts.
     """
     words = tuple(words)
     multipliers = tuple(int(m) for m in multipliers)
@@ -339,61 +345,46 @@ def derive_ga(words: Sequence[ReducedWord], multipliers: Sequence[int]) -> Deriv
         raise DerivationError("multipliers do not balance the join")
 
     targets = _canonical_targets(words)
-    factor_raws = [
-        w.letters for w, m in zip(words, multipliers) for _ in range(m)
-    ]
-    for candidate in _plan_rotation(factor_raws):
-        if not _splits_collide(candidate):
-            factor_raws = candidate
-            break
-    else:
-        raise DerivationError("no collision-free factor order exists")
-
     factor_words = {w for w, m in zip(words, multipliers) if m}
     base_context = [s for s in targets if s.word not in factor_words]
 
-    concatenation = tuple(itertools.chain.from_iterable(factor_raws))
-    positives = tuple(sorted(c for c in concatenation if c > 0))
-    axiom_raw = positives + freegroup.bar(positives)
-
-    node = Derivation(
-        Hypersequent.of([Sequent(axiom_raw), *base_context]),
-        rule_instance("id", delta=positives),
-        (),
-    )
-
-    # Record the selection sort concatenation -> axiom_raw, then emit the
-    # exchange steps from the axiom back down.
-    snapshots: list[tuple[int, tuple[int, ...]]] = []
-    current = list(concatenation)
-    placed = 0
-    for token in sorted(concatenation, key=_ga_token_key):
-        region_end = len(current) - placed
-        position = current.index(token, 0, region_end)
-        if position != len(current) - 1:
-            snapshots.append((position, tuple(current)))
-            current = current[:position] + current[position + 1 :] + [token]
-        placed += 1
-    assert tuple(current) == axiom_raw
-
-    for position, state in reversed(snapshots):
+    def build(blocks: list[tuple[Raw, Raw]]) -> Derivation:
+        concatenation = tuple(itertools.chain.from_iterable(e for _, e in blocks))
+        positives = tuple(sorted(c for c in concatenation if c > 0))
+        axiom_raw = positives + freegroup.bar(positives)
         node = Derivation(
-            Hypersequent.of([Sequent(state), *base_context]),
-            rule_instance(
-                "ex",
-                pi=state[:position],
-                gamma=(state[position],),
-                delta=state[position + 1 :],
-            ),
-            (node,),
+            Hypersequent.of([Sequent(axiom_raw), *base_context]),
+            rule_instance("id", delta=positives),
+            (),
         )
+        # Record the selection sort concatenation -> axiom_raw, then emit
+        # the exchange steps from the axiom back down.
+        snapshots: list[tuple[int, tuple[int, ...]]] = []
+        current = list(concatenation)
+        placed = 0
+        for token in sorted(concatenation, key=_ga_token_key):
+            region_end = len(current) - placed
+            position = current.index(token, 0, region_end)
+            if position != len(current) - 1:
+                snapshots.append((position, tuple(current)))
+                current = current[:position] + current[position + 1 :] + [token]
+            placed += 1
+        assert tuple(current) == axiom_raw
+        for position, state in reversed(snapshots):
+            node = Derivation(
+                Hypersequent.of([Sequent(state), *base_context]),
+                rule_instance(
+                    "ex",
+                    pi=state[:position],
+                    gamma=(state[position],),
+                    delta=state[position + 1 :],
+                ),
+                (node,),
+            )
+        return _split_chain(node, blocks, base_context)
 
-    node = _split_chain(node, [((), raw) for raw in factor_raws], base_context)
-    goal = Hypersequent.of(targets)
-    result = check(CalculusId.GA, node, goal)
-    if not result:
-        raise AssertionError(f"extracted GA derivation failed: {result.message}")
-    return node
+    factors = [((), w.letters) for w, m in zip(words, multipliers) for _ in range(m)]
+    return _first_rotation(CalculusId.GA, Hypersequent.of(targets), factors, build)
 
 
 _Path = tuple[tuple[ReducedWord, int], ...]
@@ -424,9 +415,8 @@ def _derive_star(
     words: Sequence[ReducedWord], tree: RefutationTree, calculus: CalculusId
 ) -> Derivation:
     """One star node per branch of the tree.  A leaf's factors are split
-    off a ``gv`` axiom in each rotation of their order; the first rotation
-    the calculus accepts is kept.  One whose splits collide always fails,
-    because its split node loses the suffix's raw sequence."""
+    off a ``gv`` axiom in the first rotation of their order that the
+    calculus accepts."""
     words = freegroup.dedupe(words)
     if not words:
         raise DerivationError("at least one joinand is required")
@@ -436,13 +426,13 @@ def _derive_star(
         raise DerivationError(f"refutation tree does not verify: {error}")
     targets = _canonical_targets(words)
 
-    def build(node: RefutationTree, path: _Path) -> Derivation:
+    def build(node: RefutationTree, path: _Path) -> Pass:
         context = targets + [
             canonical_sequent(freegroup.signed(p, s)) for p, s in path
         ]
         if isinstance(node, RefutationBranch):
-            positive = build(node.positive, path + ((node.pivot, 1),))
-            negative = build(node.negative, path + ((node.pivot, -1),))
+            positive = yield build(node.positive, path + ((node.pivot, 1),))
+            negative = yield build(node.negative, path + ((node.pivot, -1),))
             return Derivation(
                 Hypersequent.of(context),
                 rule_instance("star", delta=node.pivot.letters),
@@ -451,8 +441,8 @@ def _derive_star(
         blocks = _leaf_blocks(node.witness, words, path)
         exposed = {_red(e) for _, e in blocks}
         base_context = [s for s in context if s.word not in exposed]
-        goal, last_error = Hypersequent.of(context), "no candidate"
-        for rotation in _plan_rotation(blocks):
+
+        def leaf(rotation: list[tuple[Raw, Raw]]) -> Derivation:
             raw = tuple(itertools.chain.from_iterable(
                 q + e + freegroup.bar(q) for q, e in rotation
             ))
@@ -461,14 +451,11 @@ def _derive_star(
                 rule_instance("gv", gamma=raw),
                 (),
             )
-            candidate = _split_chain(axiom, rotation, base_context)
-            result = check(calculus, candidate, goal)
-            if result:
-                return candidate
-            last_error = result.message
-        raise DerivationError(f"leaf extraction failed: {last_error}")
+            return _split_chain(axiom, rotation, base_context)
 
-    derivation = build(tree, ())
+        return _first_rotation(calculus, Hypersequent.of(context), blocks, leaf)
+
+    derivation = freegroup.unwind(build(tree, ()))
     result = check(calculus, derivation, Hypersequent.of(targets))
     if not result:
         raise AssertionError(f"extracted derivation failed: {result.message}")

@@ -18,7 +18,7 @@ from .calculus import (
     RuleInstance,
     Sequent,
 )
-from .freegroup import ReducedWord
+from .freegroup import Pass, ReducedWord
 from .witnesses import (
     BoundsReport,
     ConjugateEntry,
@@ -138,7 +138,8 @@ def _require(doc: dict, key: str, kind: type) -> Any:
     if key not in doc:
         raise CertificateFormatError(f"missing field {key!r}")
     value = doc[key]
-    if not isinstance(value, kind):
+    # JSON true and false are no integers, though Python's bool is an int
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise CertificateFormatError(f"field {key!r} has the wrong type")
     return value
 
@@ -188,26 +189,24 @@ def _parse_hypersequent(texts: list) -> Hypersequent:
 
 
 def derivation_to_node(derivation: Derivation) -> dict:
-    root: dict = {}
-    stack = [(derivation, root)]
-    while stack:
-        current, node = stack.pop()
-        node["rule"] = current.instance.rule
-        node["certificates"] = {
-            name: _raw_text(raw) for name, raw in current.instance.certificates
+    def node(current: Derivation) -> Pass:
+        premises = []
+        for premise in current.premises:
+            premises.append((yield node(premise)))
+        return {
+            "rule": current.instance.rule,
+            "certificates": {
+                name: _raw_text(raw) for name, raw in current.instance.certificates
+            },
+            "conclusion": [_raw_text(s.raw) for s in current.conclusion.sequents],
+            "premises": premises,
         }
-        node["conclusion"] = [_raw_text(s.raw) for s in current.conclusion.sequents]
-        node["premises"] = [{} for _ in current.premises]
-        stack.extend(zip(current.premises, node["premises"]))
-    return root
+
+    return freegroup.unwind(node(derivation))
 
 
 def node_to_derivation(node: dict) -> Derivation:
-    # Parse in preorder, then build bottom-up: no recursion, any depth.
-    parsed: list[tuple[int, Hypersequent, RuleInstance, list]] = []
-    stack = [node]
-    while stack:
-        current = stack.pop()
+    def derivation(current) -> Pass:
         if not isinstance(current, dict):
             raise CertificateFormatError("derivation nodes must be objects")
         rule = _require(current, "rule", str)
@@ -218,14 +217,12 @@ def node_to_derivation(node: dict) -> Derivation:
             rule, tuple(sorted((k, _parse_raw(v)) for k, v in certs.items()))
         )
         hyper = _parse_hypersequent(conclusion)
-        parsed.append((id(current), hyper, instance, premises))
-        stack.extend(reversed(premises))
-    built: dict[int, Derivation] = {}
-    for key, hyper, instance, premises in reversed(parsed):
-        built[key] = Derivation(
-            hyper, instance, tuple(built[id(p)] for p in premises)
-        )
-    return built[id(node)]
+        built = []
+        for premise in premises:
+            built.append((yield derivation(premise)))
+        return Derivation(hyper, instance, tuple(built))
+
+    return freegroup.unwind(derivation(node))
 
 
 def proof_doc(
@@ -306,13 +303,13 @@ def bounds_doc(report: BoundsReport) -> dict:
     )
 
 
-def _tree_to_node(tree: RefutationTree, conjugate: bool) -> dict:
+def _tree_to_node(tree: RefutationTree, conjugate: bool) -> Pass:
     if isinstance(tree, RefutationBranch):
         return {
             "kind": "branch",
             "pivot": freegroup.word_to_text(tree.pivot),
-            "positive": _tree_to_node(tree.positive, conjugate),
-            "negative": _tree_to_node(tree.negative, conjugate),
+            "positive": (yield _tree_to_node(tree.positive, conjugate)),
+            "negative": (yield _tree_to_node(tree.negative, conjugate)),
         }
     if conjugate:
         assert isinstance(tree.witness, ConjugateProduct)
@@ -330,19 +327,21 @@ def _tree_to_node(tree: RefutationTree, conjugate: bool) -> dict:
     return {"kind": "leaf", "factors": factors}
 
 
-def _node_to_tree(node: dict, conjugate: bool) -> RefutationTree:
+def _node_to_tree(node: dict, conjugate: bool) -> Pass:
     if not isinstance(node, dict):
         raise CertificateFormatError("tree nodes must be objects")
     kind = _require(node, "kind", str)
     if kind == "branch":
         return RefutationBranch(
             _parse_word(_require(node, "pivot", str)),
-            _node_to_tree(_require(node, "positive", dict), conjugate),
-            _node_to_tree(_require(node, "negative", dict), conjugate),
+            (yield _node_to_tree(_require(node, "positive", dict), conjugate)),
+            (yield _node_to_tree(_require(node, "negative", dict), conjugate)),
         )
     if kind != "leaf":
         raise CertificateFormatError(f"unknown tree node kind {kind!r}")
     factors = _require(node, "factors", list)
+    if not factors:
+        raise CertificateFormatError("a leaf needs at least one factor")
     if conjugate:
         entries = []
         for item in factors:
@@ -356,7 +355,7 @@ def _node_to_tree(node: dict, conjugate: bool) -> RefutationTree:
                 )
             )
         return RefutationLeaf(ConjugateProduct(tuple(entries)))
-    if not all(isinstance(i, int) for i in factors):
+    if not all(type(i) is int for i in factors):
         raise CertificateFormatError("factor indices must be integers")
     return RefutationLeaf(Factorization(tuple(factors)))
 
@@ -369,7 +368,7 @@ def refutation_doc(words, arity: int, tree: RefutationTree, flavor: str) -> dict
         flavor=flavor,
         arity=arity,
         words=_word_list(words),
-        tree=_tree_to_node(tree, conjugate=flavor == "order"),
+        tree=freegroup.unwind(_tree_to_node(tree, flavor == "order")),
     )
 
 
@@ -396,7 +395,7 @@ def verify_witness_doc(doc: dict) -> list[str]:
         _check_schema(doc, kind)
         arity = _require(doc, "arity", int)
         y = _require(doc, "functional", list)
-        if not all(isinstance(c, int) for c in y):
+        if not all(type(c) is int for c in y):
             raise CertificateFormatError("functional entries must be integers")
         side = _FUNCTIONAL_SIDE[kind]
         issues = []
@@ -426,9 +425,12 @@ def verify_witness_doc(doc: dict) -> list[str]:
     if kind == "refutation":
         _check_schema(doc, kind)
         flavor = _require(doc, "flavor", str)
+        if flavor not in ("right_order", "order"):
+            raise CertificateFormatError(f"unknown refutation flavor {flavor!r}")
+        conjugate = flavor == "order"
         words = tuple(_parse_word(w) for w in _require(doc, "words", list))
-        tree = _node_to_tree(_require(doc, "tree", dict), conjugate=flavor == "order")
-        error = verify_refutation_tree(words, tree, conjugate=flavor == "order")
+        tree = freegroup.unwind(_node_to_tree(_require(doc, "tree", dict), conjugate))
+        error = verify_refutation_tree(words, tree, conjugate=conjugate)
         return [error] if error else []
     if kind == "bounds_exhausted":
         _check_schema(doc, kind)

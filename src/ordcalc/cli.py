@@ -38,6 +38,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{value} is below {minimum}")
+        return value
+
+    return integer
+
+
 def _parse_goals(text: str, arity: int | None):
     """Return (conjunct goals, inferred arity).
 
@@ -83,6 +95,8 @@ def _decide_conjunct(args, words: Sequence[ReducedWord], arity: int) -> Verdict:
     pivots = None
     if args.pivots:
         pivots = [freegroup.word_from_text(p, arity) for p in args.pivots.split(",")]
+        if any(p.is_identity for p in pivots):
+            raise UsageError("--pivots words must not be the identity")
     return rightorder.decide_rg(words, arity, args.bound_L, pivots)
 
 
@@ -201,7 +215,7 @@ def _cmd_check_proof(args) -> int:
         with open(args.file, encoding="utf-8") as handle:
             doc = certio.loads(handle.read())
         declared, conjuncts = certio.load_proof(doc)
-    except (OSError, certio.CertificateFormatError) as exc:
+    except (OSError, UnicodeDecodeError, certio.CertificateFormatError) as exc:
         print(f"proof file rejected: {exc}", file=sys.stderr)
         return EXIT_USAGE
     effective = CalculusId(args.calculus) if args.calculus else declared
@@ -271,9 +285,10 @@ def _crosscheck_instance(payload) -> dict:
 def _cmd_crosscheck(args) -> int:
     from itertools import combinations
 
-    if args.jobs < 1:
-        raise UsageError("--jobs must be >= 1")
-    seed = int(os.environ.get("ORDCALC_SEED", "271828"))
+    try:
+        seed = int(os.environ.get("ORDCALC_SEED", "271828"))
+    except ValueError:
+        raise UsageError("ORDCALC_SEED must be an integer") from None
     pool = [
         w
         for w in freegroup.ball(args.arity, args.max_length)
@@ -317,14 +332,14 @@ def _add_decide_arguments(sub: argparse.ArgumentParser, proof_required: bool) ->
         required=True,
         choices=("abelian", "lgroup", "representable"),
     )
-    sub.add_argument("--arity", type=int, default=None)
+    sub.add_argument("--arity", type=_at_least(1), default=None)
     sub.add_argument("--proof", required=proof_required, help="write the derivation file here")
     sub.add_argument("--witness", help="write the countermodel/witness file here")
     sub.add_argument("--verify-witness", action="store_true")
     sub.add_argument("--procedure", choices=("cs", "hm"), default=None)
     sub.add_argument(
         "--bound-L",
-        type=int,
+        type=_at_least(0),
         default=rightorder.DEFAULT_CONJUGATOR_BOUND,
         help="conjugator length bound (representable only)",
     )
@@ -346,11 +361,11 @@ def build_parser() -> argparse.ArgumentParser:
     extend = sub.add_parser("order-extend", help="order extension queries")
     extend.add_argument("words", help="comma or space separated words")
     extend.add_argument("--kind", required=True, choices=("right", "total"))
-    extend.add_argument("--arity", type=int, default=None)
+    extend.add_argument("--arity", type=_at_least(1), default=None)
     extend.add_argument("--witness", help="write the witness file here")
     extend.add_argument("--verify-witness", action="store_true")
     extend.add_argument(
-        "--bound-L", type=int, default=rightorder.DEFAULT_CONJUGATOR_BOUND
+        "--bound-L", type=_at_least(0), default=rightorder.DEFAULT_CONJUGATOR_BOUND
     )
     extend.set_defaults(handler=_cmd_order_extend)
 
@@ -364,14 +379,14 @@ def build_parser() -> argparse.ArgumentParser:
     checkp.set_defaults(handler=_cmd_check_proof)
 
     cross = sub.add_parser("crosscheck", help="run the procedure-agreement corpus")
-    cross.add_argument("--arity", type=int, default=2)
-    cross.add_argument("--max-length", type=int, default=2)
+    cross.add_argument("--arity", type=_at_least(1), default=2)
+    cross.add_argument("--max-length", type=_at_least(0), default=2)
     cross.add_argument("--max-size", type=int, default=3)
     cross.add_argument(
         "--samples", type=int, default=50, help="soundness samples per valid instance"
     )
     cross.add_argument(
-        "--jobs", type=int, default=1, help="worker processes for the corpus"
+        "--jobs", type=_at_least(1), default=1, help="worker processes for the corpus"
     )
     cross.set_defaults(handler=_cmd_crosscheck)
 
@@ -390,7 +405,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         freegroup.WordSyntaxError,
         term.TermSyntaxError,
         certio.CertificateFormatError,
-        ValueError,
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,9 +9,29 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Generator, Iterable, Iterator
 
 _GEN_NAMES = "xyzuvw"
+
+Pass = Generator["Pass", object, object]
+
+
+def unwind(top: Pass):
+    """Run a recursive pass on an explicit stack.  A pass is a generator
+    that yields the generator of each recursive call and is sent back its
+    value, so deep terms and trees never nest Python frames.  A call's
+    exception is not thrown into its caller: it ends the whole pass."""
+    stack, value = [top], None
+    while stack:
+        try:
+            call = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+        else:
+            stack.append(call)
+            value = None
+    return value
 
 
 def literal_rank(code: int) -> int:
@@ -227,7 +247,7 @@ def scan_literals(text: str, arity: int | None = None) -> tuple[int, ...]:
         start = i
         i += 1
         digits = ""
-        while i < n and text[i].isdigit():
+        while i < n and text[i].isdecimal():
             digits += text[i]
             i += 1
         primes = 0

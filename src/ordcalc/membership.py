@@ -15,7 +15,7 @@ from collections import deque
 from typing import Iterable, Sequence
 
 from . import freegroup
-from .freegroup import ReducedWord
+from .freegroup import Pass, ReducedWord
 from .witnesses import Factorization
 
 _DIRECT, _WRAP, _CONCAT = 0, 1, 2
@@ -101,25 +101,19 @@ class WordAutomaton:
     def expand_pair(self, pair: tuple[int, int]) -> list[int]:
         """Replay provenance records into the underlying transition walk."""
         memo: dict[tuple[int, int], list[int]] = {}
-        stack: list[tuple[tuple[int, int], bool]] = [(pair, False)]
-        while stack:
-            current, ready = stack.pop()
-            if current in memo:
-                continue
-            prov = self.epsilon[current]
-            if prov[0] == _DIRECT:
-                memo[current] = [prov[1], prov[2]]
-                continue
-            children = [prov[2]] if prov[0] == _WRAP else [prov[1], prov[2]]
-            if not ready:
-                stack.append((current, True))
-                stack.extend((child, False) for child in children)
-                continue
-            if prov[0] == _WRAP:
-                memo[current] = [prov[1], *memo[prov[2]], prov[3]]
-            else:
-                memo[current] = memo[prov[1]] + memo[prov[2]]
-        return memo[pair]
+
+        def expand(current: tuple[int, int]) -> Pass:
+            if current not in memo:
+                prov = self.epsilon[current]
+                if prov[0] == _DIRECT:
+                    memo[current] = [prov[1], prov[2]]
+                elif prov[0] == _WRAP:
+                    memo[current] = [prov[1], *(yield expand(prov[2])), prov[3]]
+                else:
+                    memo[current] = (yield expand(prov[1])) + (yield expand(prov[2]))
+            return memo[current]
+
+        return freegroup.unwind(expand(pair))
 
     def walk_factors(self, walk: Sequence[int]) -> list[int]:
         """Read generator indices off a closed base walk (one per full cycle)."""

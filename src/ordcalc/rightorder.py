@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Sequence, Union
 
 from . import abelian, biorder, calculus, freegroup, membership
 from .calculus import CalculusId
-from .freegroup import ReducedWord
+from .freegroup import Pass, ReducedWord
 from .verdicts import INVALID, UNKNOWN, VALID, Verdict
 from .witnesses import (
     BoundsReport,
@@ -132,16 +132,16 @@ def _death_factors(
 ) -> Factorization:
     memo: dict[ReducedWord, tuple[int, ...]] = {}
 
-    def flat(w: ReducedWord) -> tuple[int, ...]:
+    def flat(w: ReducedWord) -> Pass:
         if w not in memo:
             prov = elems[w]
             if prov[0] == _GEN:
                 memo[w] = (prov[1],)
             else:
-                memo[w] = flat(prov[1]) + flat(prov[2])
+                memo[w] = (yield flat(prov[1])) + (yield flat(prov[2]))
         return memo[w]
 
-    return Factorization(flat(pair[0]) + flat(pair[1]))
+    return Factorization(tuple(i for w in pair for i in freegroup.unwind(flat(w))))
 
 
 def close_truncated(
@@ -185,7 +185,7 @@ def extend_right_order(
     if outcome[0] == "dead":
         return RefutationLeaf(_death_factors(outcome[2], outcome[1]))
 
-    def search(elems: dict[ReducedWord, _Prov], depth: int):
+    def search(elems: dict[ReducedWord, _Prov], depth: int) -> Pass:
         pivot = next(
             (
                 w
@@ -207,12 +207,12 @@ def extend_right_order(
                     _death_factors(result[2], result[1])
                 )
                 continue
-            subtrees[sign] = search(result[1], depth + 1)
+            subtrees[sign] = yield search(result[1], depth + 1)
             if isinstance(subtrees[sign], TruncatedRightOrder):
                 return subtrees[sign]
         return RefutationBranch(pivot, subtrees[1], subtrees[-1])
 
-    return search(outcome[1], 0)
+    return freegroup.unwind(search(outcome[1], 0))
 
 
 # ---------------------------------------------------------------------------
@@ -300,40 +300,31 @@ def _sign_search(
     identity, which closes the branch, or None.  It is skipped where a
     bi-order or abelian certificate already excludes the identity.
     Returns a refutation tree, or the first path that signs every pivot
-    and stays open.  The search keeps its own stack, so any number of
-    pivots fits.
+    and stays open.
     """
     side = biorder.uniform_sign(words) or 1
     functional = _root_functional(words, arity)
-    # frames[k] is the branch node at depth k of the path: the sign it
-    # explores first, then that branch's subtree once it is closed
-    frames: list[list] = []
-    path: _Path = ()
-    while True:
+
+    def search(path: _Path) -> Pass:
         generators = words + tuple(freegroup.signed(p, s) for p, s in path)
-        witness = None
         if not _excludes_identity(generators, arity, functional):
             witness = leaf(path, generators)
-        if witness is None:
-            if len(path) == len(pivots):
-                return path
-            pivot = pivots[len(path)]
-            # explore the branch consistent with the words' side of the
-            # order first: on invalid instances it is the failing one
-            guided = _guided_sign(pivot, arity, functional, side)
-            frames.append([guided, None])
-            path += ((pivot, guided),)
-            continue
-        tree: RefutationTree = RefutationLeaf(witness)
-        while frames and frames[-1][1] is not None:
-            guided, first = frames.pop()
-            positive, negative = (first, tree) if guided > 0 else (tree, first)
-            tree = RefutationBranch(pivots[len(frames)], positive, negative)
-        if not frames:
-            return tree
-        frames[-1][1] = tree
-        depth = len(frames) - 1
-        path = path[:depth] + ((pivots[depth], -frames[-1][0]),)
+            if witness is not None:
+                return RefutationLeaf(witness)
+        if len(path) == len(pivots):
+            return path
+        pivot = pivots[len(path)]
+        # explore the branch consistent with the words' side of the
+        # order first: on invalid instances it is the failing one
+        guided = _guided_sign(pivot, arity, functional, side)
+        subtrees = {}
+        for sign in (guided, -guided):
+            subtrees[sign] = yield search(path + ((pivot, sign),))
+            if isinstance(subtrees[sign], tuple):
+                return subtrees[sign]
+        return RefutationBranch(pivot, subtrees[1], subtrees[-1])
+
+    return freegroup.unwind(search(()))
 
 
 # ---------------------------------------------------------------------------

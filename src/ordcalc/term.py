@@ -7,7 +7,7 @@ Grammar (whitespace insensitive, inverse binds tightest)::
     lit  := letter digit*
 
 Chains of any length are read by loops into left-nested trees, and every
-pass over a term keeps its own stack, so no term is too deep to handle.
+pass over a term runs on freegroup.unwind, so no term is too deep to handle.
 Parentheses may nest at most MAX_NESTING levels, since the parser descends
 once per level.
 """
@@ -15,10 +15,10 @@ once per level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Sequence, Union
+from typing import Sequence, Union
 
 from . import freegroup
-from .freegroup import ReducedWord
+from .freegroup import Pass, ReducedWord
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,7 @@ class _Parser:
         ch = self.text[self.pos]
         self.pos += 1
         digits = ""
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             digits += self.text[self.pos]
             self.pos += 1
         if ch == "e" and not digits:
@@ -183,35 +183,15 @@ def parse_term(text: str, arity: int | None = None) -> Term:
     return _Parser(text, arity).parse()
 
 
-_Pass = Generator["_Pass", object, object]
-
-
-def _unwind(top: _Pass):
-    """Run a recursive pass on an explicit stack.  A pass is a generator
-    that yields the generator of each recursive call and is sent back its
-    value, so deep terms never nest Python frames."""
-    stack, value = [top], None
-    while stack:
-        try:
-            call = stack[-1].send(value)
-        except StopIteration as done:
-            stack.pop()
-            value = done.value
-        else:
-            stack.append(call)
-            value = None
-    return value
-
-
 _DUAL = {Product: Product, Meet: Join, Join: Meet}
 
 
 def push_inverses(t: Term) -> Term:
     """Push Inverse down to literals using the duality equations."""
-    return _unwind(_push(t, False))
+    return freegroup.unwind(_push(t, False))
 
 
-def _push(t: Term, inverted: bool) -> _Pass:
+def _push(t: Term, inverted: bool) -> Pass:
     if isinstance(t, Identity):
         return t
     if isinstance(t, Literal):
@@ -232,11 +212,11 @@ def normalize(t: Term) -> NormalForm:
     l-group, so products are pushed below joins and meets before the
     lattice layers are flattened.
     """
-    conjuncts = _unwind(_normalize(push_inverses(t)))
+    conjuncts = freegroup.unwind(_normalize(push_inverses(t)))
     return NormalForm(tuple(freegroup.dedupe(joins) for joins in conjuncts))
 
 
-def _normalize(t: Term) -> _Pass:
+def _normalize(t: Term) -> Pass:
     if isinstance(t, Identity):
         return ((freegroup.IDENTITY,),)
     if isinstance(t, Literal):
@@ -266,7 +246,7 @@ _OPERATORS = {
 }
 
 
-def _format(t: Term, level: int) -> _Pass:
+def _format(t: Term, level: int) -> Pass:
     if isinstance(t, Identity):
         return "e"
     if isinstance(t, Literal):
@@ -286,7 +266,7 @@ def _format(t: Term, level: int) -> _Pass:
 
 def format_term(t: Term) -> str:
     """Emit grammar text; parse_term(format_term(t)) is structurally t."""
-    return _unwind(_format(t, _LEVEL_MEET))
+    return freegroup.unwind(_format(t, _LEVEL_MEET))
 
 
 def evaluate_term(t: Term, assignment: Sequence[int]) -> int:

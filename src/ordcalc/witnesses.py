@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from . import freegroup
-from .freegroup import ReducedWord
+from .freegroup import Pass, ReducedWord
 
 
 @dataclass(frozen=True)
@@ -133,13 +133,13 @@ def verify_refutation_tree(
     by the signed pivots along the path.
     """
 
-    def walk(node: RefutationTree, path: tuple[tuple[ReducedWord, int], ...]) -> str | None:
+    def walk(node: RefutationTree, path: tuple[tuple[ReducedWord, int], ...]) -> Pass:
         if isinstance(node, RefutationBranch):
             if node.pivot.is_identity:
                 return "branch pivot is the identity"
-            if (err := walk(node.positive, path + ((node.pivot, 1),))) is not None:
+            if (err := (yield walk(node.positive, path + ((node.pivot, 1),)))) is not None:
                 return err
-            return walk(node.negative, path + ((node.pivot, -1),))
+            return (yield walk(node.negative, path + ((node.pivot, -1),)))
         witness = node.witness
         if conjugate:
             # Conjugate entries address unsigned base words and carry the sign.
@@ -164,4 +164,4 @@ def verify_refutation_tree(
             return "leaf product does not reduce to the identity"
         return None
 
-    return walk(tree, ())
+    return freegroup.unwind(walk(tree, ()))

@@ -1,17 +1,22 @@
+import itertools
 import pathlib
+import sys
 
 import pytest
 
-from conftest import words
+from conftest import w, words
+from ordcalc import abelian, certio, freegroup
 from ordcalc import calculus as ca
-from ordcalc import certio, freegroup
 from ordcalc import rightorder as ro
 from ordcalc.calculus import CalculusId
 from ordcalc.witnesses import (
     ConjugateEntry,
     ConjugateProduct,
     Factorization,
+    RefutationBranch,
     RefutationLeaf,
+    TruncatedRightOrder,
+    verify_refutation_tree,
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -40,8 +45,8 @@ def _certificate(decide):
 
 
 # The first rotation of x'x' | x | y | y'x collides at its second split
-# (x against y y'x, which reduces to x), so these two leaves pin the
-# fallback to the next rotation in both star calculi.
+# (x against y y'x, which reduces to x), so these leaves and multipliers
+# pin the fallback to the next rotation in all three calculi.
 FALLBACK_WORDS = ("x'x'", "x", "y", "y'x")
 
 
@@ -54,7 +59,19 @@ def _fallback_grgstar(joins):
     return ca.derive_grgstar(joins, RefutationLeaf(ConjugateProduct(entries)))
 
 
+def _fallback_ga(joins):
+    return ca.derive_ga(joins, (1, 1, 1, 1))
+
+
+def _abelian_certificate(joins):
+    # the order the command line hands the words to the decider
+    return abelian.validity_abelian(sorted(joins), 2).certificate
+
+
 GOLDEN_PROOFS = (
+    # xx | yy | x'y' balances with x'y' taken twice
+    ("ga_example_valid", CalculusId.GA, S_WORDS, _abelian_certificate),
+    ("rotation_fallback_ga", CalculusId.GA, FALLBACK_WORDS, _fallback_ga),
     ("branch_example_valid", CalculusId.GLGSTAR, S_WORDS, _certificate(ro.decide_lg_cs)),
     ("hm_example_valid", CalculusId.GLGSTAR, S_WORDS, _certificate(ro.decide_lg_hm)),
     (
@@ -153,6 +170,12 @@ def test_forged_sign_assignment_rejected():
         assert certio.verify_witness_doc(doc)
 
 
+_X_TIMES_INVERSE = RefutationLeaf(Factorization((0, 1)))
+_X_TIMES_INVERSE_CONJUGATES = RefutationLeaf(
+    ConjugateProduct(tuple(ConjugateEntry(freegroup.IDENTITY, i, 1) for i in (0, 1)))
+)
+
+
 def test_malformed_documents_rejected():
     with pytest.raises(certio.CertificateFormatError):
         certio.loads("not json")
@@ -174,3 +197,122 @@ def test_malformed_documents_rejected():
     ):
         with pytest.raises(certio.CertificateFormatError):
             certio.verify_witness_doc(doc)
+    # refutations: an unknown flavor, a leaf without factors, and JSON
+    # true where a sign or an index belongs
+    joins = words("x", "x'")
+    right = certio.refutation_doc(joins, 1, _X_TIMES_INVERSE, "right_order")
+    order = certio.refutation_doc(joins, 1, _X_TIMES_INVERSE_CONJUGATES, "order")
+    assert certio.verify_witness_doc(right) == certio.verify_witness_doc(order) == []
+    for genuine, path, value in (
+        (right, ("flavor",), "banana"),
+        (right, ("tree", "factors"), []),
+        (order, ("tree", "factors"), []),
+        (right, ("tree", "factors", 1), True),
+        (order, ("tree", "factors", 1, "base"), True),
+        (order, ("tree", "factors", 0, "sign"), True),
+    ):
+        doc = certio.loads(certio.dumps(genuine))
+        *head, last = path
+        target = doc
+        for key in head:
+            target = target[key]
+        target[last] = value
+        with pytest.raises(certio.CertificateFormatError):
+            certio.verify_witness_doc(doc)
+
+
+def _deep_chain(depth: int, leaf: RefutationLeaf):
+    """Branches on distinct pivots, each positive side one level deeper; for
+    the words x | x', every leaf multiplies x by x'."""
+    pivots = [
+        p
+        for p in freegroup.ball(2, 7)
+        if not p.is_identity and p < freegroup.inv(p) and p != w("x")
+    ]
+    tree = leaf
+    for pivot in reversed(pivots[:depth]):
+        tree = RefutationBranch(pivot, tree, leaf)
+    return tree
+
+
+def _stack_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_refutation_trees_of_any_depth():
+    joins = words("x", "x'")
+    for leaf, flavor in (
+        (_X_TIMES_INVERSE, "right_order"),
+        (_X_TIMES_INVERSE_CONJUGATES, "order"),
+    ):
+        tree = _deep_chain(1100, leaf)
+        assert verify_refutation_tree(tuple(joins), tree, flavor == "order") is None
+        doc = certio.refutation_doc(joins, 2, tree, flavor)
+        assert certio.verify_witness_doc(certio.loads(certio.dumps(doc))) == []
+
+    # the proof grows quadratically with the depth, so it is not written
+    tree = _deep_chain(300, _X_TIMES_INVERSE)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 150)
+    try:
+        derivation = ca.derive_glgstar(joins, tree)
+    finally:
+        sys.setrecursionlimit(limit)
+    stars = 0
+    while derivation.instance.rule == "star":
+        derivation, stars = derivation.premises[0], stars + 1
+    assert stars == 300
+
+
+def _mutants(doc: dict):
+    """The document with one leaf factor dropped, then with that factor
+    made invalid: for right_order an index one past its leaf's generators,
+    for order the opposite sign.  Every mutant is changed in place."""
+    stack = [(doc["tree"], 0)]
+    while stack:
+        node, depth = stack.pop()
+        if node["kind"] == "branch":
+            stack += [(node["positive"], depth + 1), (node["negative"], depth + 1)]
+            continue
+        factors = node["factors"]
+        for k, factor in enumerate(factors):
+            if doc["flavor"] == "order":
+                broken = {**factor, "sign": -factor["sign"]}
+            else:
+                broken = len(doc["words"]) + depth
+            for mutant in ([], [broken]):
+                node["factors"] = factors[:k] + mutant + factors[k + 1 :]
+                yield doc
+        node["factors"] = factors
+
+
+def test_mutated_refutations_rejected():
+    # Dropping a factor of an identity product leaves a conjugate of its
+    # inverse, and flipping a sign a conjugate of a nontrivial square, so
+    # no mutant multiplies to the identity.
+    pool = [p for p in freegroup.ball(2, 2) if not p.is_identity]
+    docs = []
+    for size in (1, 2, 3):
+        for joins in itertools.combinations(pool, size):
+            tree = ro.extend_right_order(joins, 2)
+            if not isinstance(tree, TruncatedRightOrder):
+                docs.append(certio.refutation_doc(joins, 2, tree, "right_order"))
+            tree = ro.rg_refute_bounded(joins, 2, 1)
+            if tree is not None:
+                docs.append(certio.refutation_doc(joins, 2, tree, "order"))
+    flavors = [doc["flavor"] for doc in docs]
+    assert (flavors.count("right_order"), flavors.count("order")) == (236, 288)
+    mutants = 0
+    for doc in docs:
+        assert certio.verify_witness_doc(doc) == []
+        for mutant in _mutants(doc):
+            mutants += 1
+            try:
+                issues = certio.verify_witness_doc(mutant)
+            except certio.CertificateFormatError:
+                continue
+            assert issues, certio.dumps(mutant)
+    assert mutants == 2944

@@ -142,13 +142,36 @@ def test_deep_cs_proof_writes_and_checks(capsys, tmp_path):
     assert depth > sys.getrecursionlimit() / 2
 
 
-def test_usage_errors_exit_three(capsys):
+def test_usage_errors_exit_three(capsys, monkeypatch, tmp_path):
     assert run("decide", "--variety", "lgroup", "x |! y") == 3
     assert run("decide", "--variety", "abelian", "x", "--procedure", "hm") == 3
     assert run("decide", "--variety", "lgroup", "x", "--bound-L", "1") == 3
     assert run("decide", "--variety", "lgroup", "x", "--verify-witness") == 3
     assert run("order-extend", "--kind", "right", "e") == 3
     assert run("check-proof", "/nonexistent/path.json") == 3
+    assert run("decide", "--variety", "representable", "x", "--bound-L", "-1") == 3
+    assert run("order-extend", "--kind", "total", "x", "--bound-L", "-2") == 3
+    assert run("decide", "--variety", "representable", "x", "--pivots", "x,e") == 3
+    assert run("crosscheck", "--arity", "0") == 3
+    assert run("crosscheck", "--max-length", "-1") == 3
+    # a superscript two is a digit to str.isdigit but not to int
+    assert run("decide", "--variety", "abelian", "x\u00b2") == 3
+    assert run("decide", "--variety", "abelian", "e <= x\u00b2") == 3
+    monkeypatch.setenv("ORDCALC_SEED", "abc")
+    assert run("crosscheck") == 3
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"kind": "proof\u00e9"}'.encode("latin-1"))
+    assert run("check-proof", str(latin1)) == 3
+    assert "internal error" not in capsys.readouterr().err
+
+
+def test_internal_value_error_exits_four(capsys, monkeypatch):
+    def broken(words, arity):
+        raise ValueError("a fault inside the decider")
+
+    monkeypatch.setattr(cli.rightorder, "decide_lg_cs", broken)
+    assert run("decide", "--variety", "lgroup", "x | x'") == 4
+    assert "internal error" in capsys.readouterr().err
 
 
 def test_term_input_chains_decide_and_deep_nesting_exits_three(capsys):
