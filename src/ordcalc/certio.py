@@ -384,9 +384,13 @@ def verify_witness_doc(doc: dict) -> list[str]:
     kind = _require(doc, "kind", str)
     if kind == "truncated_right_order":
         _check_schema(doc, kind)
+        arity = _require(doc, "arity", int)
+        level = _require(doc, "level", int)
+        if arity < 1 or level < 1:
+            raise CertificateFormatError("arity and level must be >= 1")
         witness = TruncatedRightOrder(
-            _require(doc, "arity", int),
-            _require(doc, "level", int),
+            arity,
+            level,
             frozenset(_parse_word(w) for w in _require(doc, "elements", list)),
         )
         return witness.violations()
@@ -394,13 +398,19 @@ def verify_witness_doc(doc: dict) -> list[str]:
         # a separator is negative on every word, an order witness positive
         _check_schema(doc, kind)
         arity = _require(doc, "arity", int)
+        if arity < 1:
+            raise CertificateFormatError("arity must be >= 1")
         y = _require(doc, "functional", list)
         if not all(type(c) is int for c in y):
             raise CertificateFormatError("functional entries must be integers")
         side = _FUNCTIONAL_SIDE[kind]
         issues = []
         for text in _require(doc, "words", list):
-            vector = freegroup.abelianize(_parse_word(text), arity)
+            word = _parse_word(text)
+            try:
+                vector = freegroup.abelianize(word, arity)
+            except ValueError as exc:
+                raise CertificateFormatError(str(exc)) from None
             if side * sum(a * b for a, b in zip(y, vector)) <= 0:
                 name = "positive" if side > 0 else "negative"
                 issues.append(f"functional is not {name} on {text!r}")

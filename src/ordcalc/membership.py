@@ -131,6 +131,160 @@ class WordAutomaton:
         return factors
 
 
+class IdentityClosure:
+    """Growable pair closure of a flower automaton that only decides
+    whether the identity is reached; no provenance is kept.
+
+    The pairs are per-state int bitsets: ``succ[q]`` holds every r with a
+    pair (q, r) and ``pred[r]`` every such q, so CONCAT takes one mask per
+    side, and WRAP reads the transitions per letter as bitsets of their
+    sources (into a state) or targets (out of a state).  ``grow`` adds one
+    petal per new generator and resumes the closure from the new
+    transitions only: a new transition is either the first step of a walk
+    that returns by an old one (stretch {q} | succ[q]) or its last step
+    (stretch {r} | pred[r]); every other new pair follows from new pairs.
+    ``rollback`` undoes the last ``grow`` from a log of the bitsets it
+    changed.  Between grows the closure is at fixpoint, or has reached the
+    identity.  This is Dyck (CFL) reachability, as in Reps, *Program
+    analysis via graph reachability* (1998).
+    """
+
+    def __init__(self) -> None:
+        self.reached = False
+        self._succ: list[int] = [0]
+        self._pred: list[int] = [0]
+        self._in: list[dict[int, int]] = [{}]
+        self._out: list[dict[int, int]] = [{}]
+        self._words: list[ReducedWord] = []
+        self._present: set[ReducedWord] = set()
+        self._marks: list[tuple] = []
+
+    @property
+    def depth(self) -> int:
+        """The number of grows not rolled back."""
+        return len(self._marks)
+
+    def grow(self, words: Iterable[ReducedWord]) -> bool:
+        """Add the words as generators; True when the identity is reached."""
+        succ, pred, ins, outs = self._succ, self._pred, self._in, self._out
+        saved_succ: dict[int, int] = {}
+        saved_pred: dict[int, int] = {}
+        self._marks.append(
+            (len(succ), len(self._words), self.reached, dict(ins[0]), dict(outs[0]),
+             saved_succ, saved_pred)
+        )
+        if self.reached:
+            return True
+        new: list[tuple[int, int, int]] = []
+        for w in words:
+            if w in self._present:
+                continue
+            self._present.add(w)
+            self._words.append(w)
+            if w.is_identity:
+                self.reached = True
+                return True
+            prev = 0
+            for j, code in enumerate(w.letters):
+                nxt = 0 if j == len(w) - 1 else len(succ)
+                if nxt:
+                    succ.append(0)
+                    pred.append(0)
+                    ins.append({})
+                    outs.append({})
+                outs[prev][code] = outs[prev].get(code, 0) | 1 << nxt
+                ins[nxt][code] = ins[nxt].get(code, 0) | 1 << prev
+                new.append((prev, code, nxt))
+                prev = nxt
+
+        queue: list[tuple[int, int]] = []
+
+        def link(p: int, targets: int) -> None:
+            """Add the pairs (p, u) for u in targets."""
+            fresh = targets & ~succ[p]
+            if not fresh:
+                return
+            if p not in saved_succ:
+                saved_succ[p] = succ[p]
+            succ[p] |= fresh
+            bit = 1 << p
+            while fresh:
+                low = fresh & -fresh
+                u = low.bit_length() - 1
+                fresh ^= low
+                if u not in saved_pred:
+                    saved_pred[u] = pred[u]
+                pred[u] |= bit
+                queue.append((p, u))
+
+        def link_back(sources: int, r: int) -> None:
+            """Add the pairs (p, r) for p in sources."""
+            fresh = sources & ~pred[r]
+            if not fresh:
+                return
+            if r not in saved_pred:
+                saved_pred[r] = pred[r]
+            pred[r] |= fresh
+            bit = 1 << r
+            while fresh:
+                low = fresh & -fresh
+                p = low.bit_length() - 1
+                fresh ^= low
+                if p not in saved_succ:
+                    saved_succ[p] = succ[p]
+                succ[p] |= bit
+                queue.append((p, r))
+
+        for p, code, q in new:
+            # p -code-> q as the first step, back out of r by the inverse
+            stretch = 1 << q | succ[q]
+            while stretch:
+                low = stretch & -stretch
+                targets = outs[low.bit_length() - 1].get(-code)
+                if targets:
+                    link(p, targets)
+                stretch ^= low
+            # p -code-> q as the last step, entered at r by the inverse
+            stretch = 1 << p | pred[p]
+            while stretch:
+                low = stretch & -stretch
+                sources = ins[low.bit_length() - 1].get(-code)
+                if sources:
+                    link_back(sources, q)
+                stretch ^= low
+        while queue and not succ[0] & 1:
+            q, r = queue.pop()
+            out_r = outs[r]
+            for code, sources in ins[q].items():
+                targets = out_r.get(-code)
+                if targets:
+                    while sources:
+                        low = sources & -sources
+                        link(low.bit_length() - 1, targets)
+                        sources ^= low
+            link(q, succ[r])
+            link_back(pred[q], r)
+        self.reached = bool(succ[0] & 1)
+        return self.reached
+
+    def rollback(self) -> None:
+        """Undo the last grow."""
+        n_states, n_words, reached, base_in, base_out, saved_succ, saved_pred = (
+            self._marks.pop()
+        )
+        for q, bits in saved_succ.items():
+            self._succ[q] = bits
+        for r, bits in saved_pred.items():
+            self._pred[r] = bits
+        for table in (self._succ, self._pred, self._in, self._out):
+            del table[n_states:]
+        self._in[0] = base_in
+        self._out[0] = base_out
+        self._present.difference_update(self._words[n_words:])
+        del self._words[n_words:]
+        self.reached = reached
+
+
 def contains_identity(
     words: Iterable[ReducedWord],
 ) -> tuple[bool, Factorization | None]:

@@ -287,33 +287,63 @@ def _guided_sign(
     return side * biorder.magnus_sign(pivot)
 
 
+class _Closed:
+    """A search leaf whose generators reach the identity; its witness is
+    built only if the search returns a tree."""
+
+    __slots__ = ("path",)
+
+    def __init__(self, path: _Path):
+        self.path = path
+
+
 def _sign_search(
     words: tuple[ReducedWord, ...],
     arity: int,
     pivots: tuple[ReducedWord, ...],
+    petal: Callable[[ReducedWord, int], Iterable[ReducedWord]],
     leaf: Callable[[_Path, tuple[ReducedWord, ...]], object],
 ) -> Union[RefutationTree, _Path]:
     """Depth-first search over the signs of the pivots, in order.
 
-    A node's generators are the words and the signed pivots on its path;
-    ``leaf(path, generators)`` returns a witness that they reach the
-    identity, which closes the branch, or None.  It is skipped where a
-    bi-order or abelian certificate already excludes the identity.
-    Returns a refutation tree, or the first path that signs every pivot
+    A node's generators are the words and the signed pivots on its path.
+    A branch closes when the subsemigroup generated by the petals of the
+    words and of the signed pivots, ``petal(word, sign)`` each, reaches
+    the identity; one closure is grown and rolled back along the search.
+    The test is skipped where a bi-order or abelian certificate already
+    excludes the identity.  Returns a refutation tree, whose leaves carry
+    ``leaf(path, generators)``, or the first path that signs every pivot
     and stays open.
     """
     side = biorder.uniform_sign(words) or 1
     functional = _root_functional(words, arity)
+    # every test of _excludes_identity that holds for a set holds for its
+    # subsets, so below a root it does not exclude it never fires
+    filtered = _excludes_identity(words, arity, functional)
+    closure = membership.IdentityClosure()
+
+    def generators(path: _Path) -> tuple[ReducedWord, ...]:
+        return words + tuple(freegroup.signed(p, s) for p, s in path)
 
     def search(path: _Path) -> Pass:
-        generators = words + tuple(freegroup.signed(p, s) for p, s in path)
-        if not _excludes_identity(generators, arity, functional):
-            witness = leaf(path, generators)
-            if witness is not None:
-                return RefutationLeaf(witness)
-        if len(path) == len(pivots):
+        depth = len(path)
+        if not filtered or (
+            depth and not _excludes_identity(generators(path), arity, functional)
+        ):
+            # the closure holds the petals of the words (level 0) and of a
+            # prefix of the path; bring it down to this node
+            while closure.depth <= depth:
+                level = closure.depth
+                if level == 0:
+                    closure.grow(u for w in words for u in petal(w, 1))
+                else:
+                    closure.grow(petal(*path[level - 1]))
+            if closure.reached:
+                closure.rollback()
+                return _Closed(path)
+        if depth == len(pivots):
             return path
-        pivot = pivots[len(path)]
+        pivot = pivots[depth]
         # explore the branch consistent with the words' side of the
         # order first: on invalid instances it is the failing one
         guided = _guided_sign(pivot, arity, functional, side)
@@ -322,9 +352,23 @@ def _sign_search(
             subtrees[sign] = yield search(path + ((pivot, sign),))
             if isinstance(subtrees[sign], tuple):
                 return subtrees[sign]
+        if closure.depth > depth:
+            closure.rollback()
         return RefutationBranch(pivot, subtrees[1], subtrees[-1])
 
-    return freegroup.unwind(search(()))
+    def extract(node) -> Pass:
+        if isinstance(node, _Closed):
+            witness = leaf(node.path, generators(node.path))
+            if witness is None:
+                raise AssertionError("closed leaf has no witness")
+            return RefutationLeaf(witness)
+        positive = yield extract(node.positive)
+        return RefutationBranch(node.pivot, positive, (yield extract(node.negative)))
+
+    result = freegroup.unwind(search(()))
+    if isinstance(result, tuple):
+        return result
+    return freegroup.unwind(extract(result))
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +404,10 @@ def decide_lg_hm(words: Iterable[ReducedWord], arity: int) -> Verdict:
     def leaf(path, generators):
         return membership.contains_identity(generators)[1]
 
-    result = _sign_search(words, arity, sign_pivots(words), leaf)
+    def petal(pivot, sign):
+        return (freegroup.signed(pivot, sign),)
+
+    result = _sign_search(words, arity, sign_pivots(words), petal, leaf)
     if isinstance(result, tuple):
         return Verdict(INVALID, SignAssignment(result))
     return Verdict(VALID, calculus.derive_glgstar(words, result))
@@ -410,6 +457,11 @@ def rg_refute_bounded(
     if pivots is not None and any(p.is_identity for p in pivots):
         raise ValueError("pivot words must be nonidentity")
     roots = tuple((w, 1) for w in words)
+    conjugators = freegroup.ball(arity, conjugator_bound)
+
+    def petal(word, sign):
+        effective = freegroup.signed(word, sign)
+        return (freegroup.conjugate(q, effective) for q in conjugators)
 
     def leaf(path, generators):
         conjugates, meta = _conjugate_generators(roots + path, arity, conjugator_bound)
@@ -420,7 +472,7 @@ def rg_refute_bounded(
             tuple(ConjugateEntry(*meta[i]) for i in factorization.factors)
         )
 
-    result = _sign_search(words, arity, sign_pivots(words, pivots), leaf)
+    result = _sign_search(words, arity, sign_pivots(words, pivots), petal, leaf)
     return None if isinstance(result, tuple) else result
 
 

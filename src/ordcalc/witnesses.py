@@ -87,6 +87,20 @@ class BoundsReport:
     pivots: tuple[ReducedWord, ...]
 
 
+def _ball_exceeds(arity: int, radius: int, limit: int) -> bool:
+    """Whether more than ``limit`` nonidentity reduced words have length at
+    most ``radius``; 2k(2k-1)^(n-1) of them have length n >= 1."""
+    if arity < 2:
+        return 2 * arity * radius > limit
+    total, layer = 0, 2 * arity
+    for _ in range(radius):
+        total += layer
+        if total > limit:
+            return True
+        layer *= 2 * arity - 1
+    return False
+
+
 @dataclass(frozen=True)
 class TruncatedRightOrder:
     """Positive-cone fragment: product-closed within the ball and total below it."""
@@ -111,6 +125,11 @@ class TruncatedRightOrder:
                         "closure gap: %s * %s"
                         % (freegroup.word_to_text(s), freegroup.word_to_text(t))
                     )
+        # a genuine witness signs every nonidentity word of the ball below
+        # the level, so it lists at least half of them; count before building
+        if _ball_exceeds(self.arity, self.level - 1, 2 * len(elems)):
+            issues.append("too few elements to sign every word below the level")
+            return issues
         for w in freegroup.ball(self.arity, self.level - 1):
             if w.is_identity:
                 continue

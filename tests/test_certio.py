@@ -170,6 +170,25 @@ def test_forged_sign_assignment_rejected():
         assert certio.verify_witness_doc(doc)
 
 
+def test_out_of_range_witness_fields_are_format_errors():
+    truncated = {"schema_version": 1, "kind": "truncated_right_order", "elements": ["x"]}
+    docs = [
+        {**truncated, "arity": 0, "level": 1},
+        {**truncated, "arity": -1, "level": 2},
+        {**truncated, "arity": 2, "level": 0},
+    ]
+    for kind, functional in (("separator", [-1, -1]), ("abelian_order_witness", [1, 1])):
+        doc = {"schema_version": 1, "kind": kind, "functional": functional}
+        docs += [
+            {**doc, "arity": 0, "words": []},
+            {**doc, "arity": -1, "words": ["x"]},
+            {**doc, "arity": 1, "words": ["x", "xy"]},  # y is generator 2
+        ]
+    for doc in docs:
+        with pytest.raises(certio.CertificateFormatError):
+            certio.verify_witness_doc(doc)
+
+
 _X_TIMES_INVERSE = RefutationLeaf(Factorization((0, 1)))
 _X_TIMES_INVERSE_CONJUGATES = RefutationLeaf(
     ConjugateProduct(tuple(ConjugateEntry(freegroup.IDENTITY, i, 1) for i in (0, 1)))

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from conftest import w, words
+from conftest import random_reduced_word, w, words
 from ordcalc import freegroup as fg
 from ordcalc import membership as mb
 
@@ -99,3 +99,25 @@ def test_walk_factors_rejects_garbage():
     auto = mb.WordAutomaton(words("xy", "y'x'"))
     with pytest.raises(AssertionError):
         auto.walk_factors([0])  # stops mid-cycle, not at the base state
+
+
+def test_identity_closure_agrees_through_grow_and_rollback(rng):
+    steps = 0
+    for _ in range(150):
+        closure = mb.IdentityClosure()
+        batches = []
+        for _ in range(14):
+            if batches and rng.random() < 0.35:
+                closure.rollback()
+                batches.pop()
+            else:
+                batch = [random_reduced_word(rng, 2, 4) for _ in range(rng.randint(0, 3))]
+                if rng.random() < 0.9:
+                    batch = [u for u in batch if not u.is_identity]
+                assert closure.grow(batch) == closure.reached
+                batches.append(batch)
+            assert closure.depth == len(batches)
+            present = [u for batch in batches for u in batch]
+            assert closure.reached == mb.contains_identity(present)[0], batches
+            steps += 1
+    assert steps == 150 * 14

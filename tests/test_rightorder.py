@@ -1,4 +1,5 @@
 import itertools
+import signal
 
 import pytest
 
@@ -6,6 +7,7 @@ from conftest import w, words
 from ordcalc import abelian
 from ordcalc import calculus as ca
 from ordcalc import freegroup as fg
+from ordcalc import membership
 from ordcalc import rightorder as ro
 from ordcalc.witnesses import (
     RefutationBranch,
@@ -193,3 +195,62 @@ def test_truncated_order_violations_detected():
     assert bad.violations()
     good = TruncatedRightOrder(2, 1, frozenset(words("x", "y")))
     assert good.verify()
+
+
+def test_hm_invalid_search_makes_no_membership_call(monkeypatch):
+    # a hard-search row whose root no bi-order excludes: the search closes
+    # its branches through the grown closure and extracts nothing
+    calls = []
+    contains_identity = membership.contains_identity
+
+    def counted(generators):
+        calls.append(generators)
+        return contains_identity(generators)
+
+    monkeypatch.setattr(membership, "contains_identity", counted)
+    joins = words("yx'yxy", "x'y'x", "x'y'y'")
+    assert not ro._excludes_identity(joins, 2, ro._root_functional(joins, 2))
+    verdict = ro.decide_lg_hm(joins, 2)
+    assert verdict.status == "INVALID"
+    assert calls == []
+
+
+def test_exclusion_never_holds_above_an_open_set(rng, monkeypatch):
+    pool = [u for u in fg.ball(2, 3) if not u.is_identity]
+    opened = 0
+    for _ in range(400):
+        small = rng.sample(pool, rng.randint(2, 4))
+        functional = ro._root_functional(small, 2)
+        if ro._excludes_identity(small, 2, functional):
+            continue
+        opened += 1
+        big = small + rng.sample(pool, rng.randint(1, 4))
+        assert not ro._excludes_identity(big, 2, functional), (small, big)
+    assert opened > 100
+    # so a search below an open root runs the pre-filter once
+    calls = []
+    excludes = ro._excludes_identity
+
+    def counted(*args):
+        calls.append(args)
+        return excludes(*args)
+
+    monkeypatch.setattr(ro, "_excludes_identity", counted)
+    assert ro.decide_lg_hm(words("yx'yxy", "x'y'x", "x'y'y'"), 2).status == "INVALID"
+    assert len(calls) == 1
+
+
+def test_decide_rg_settles_a_formerly_cut_row():
+    # a from-scratch saturation at every node took more than 15 s here;
+    # the alarm turns a return of that cost into a failure
+    def too_slow(signum, frame):
+        raise TimeoutError("decide_rg did not finish within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(60)
+    try:
+        verdict = ro.decide_rg(words("x'x'y'x'y", "xy'x'x'", "x'y'xy"), 2, 1)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert verdict.status == "UNKNOWN"
