@@ -69,8 +69,10 @@ class Hypersequent:
             chosen.setdefault(s.word, s)
         return Hypersequent(tuple(chosen.values()))
 
-    def has_raw(self, raw: Raw) -> bool:
-        return any(s.raw == tuple(raw) for s in self.sequents)
+    def has_raw(self, raw: Raw) -> Sequent | None:
+        """The sequent written with exactly this raw, if there is one."""
+        raw = tuple(raw)
+        return next((s for s in self.sequents if s.raw == raw), None)
 
     def __len__(self) -> int:
         return len(self.sequents)
@@ -197,19 +199,26 @@ def _check_node(rules: frozenset[str], node: Derivation) -> str | None:
         concl_exact = [cert["gamma"] + cert["delta"]]
         prem_exact[0] = [cert["delta"] + cert["gamma"]]
 
+    # each matched sequent's stored word is the reduction of its raw
+    active_c: set[ReducedWord] = set()
     for raw in concl_exact:
-        if not node.conclusion.has_raw(raw):
+        matched = node.conclusion.has_raw(raw)
+        if matched is None:
             return (
                 "conclusion lacks active sequent "
                 f"{freegroup.word_to_text(raw)!r}"
             )
+        active_c.add(matched.word)
+    active_p: list[set[ReducedWord]] = [set() for _ in range(n_premises)]
     for i, raws in enumerate(prem_exact):
         for raw in raws:
-            if not node.premises[i].conclusion.has_raw(raw):
+            matched = node.premises[i].conclusion.has_raw(raw)
+            if matched is None:
                 return (
                     f"premise {i} lacks active sequent "
                     f"{freegroup.word_to_text(raw)!r}"
                 )
+            active_p[i].add(matched.word)
     for i, words in enumerate(prem_canonical):
         for word in words:
             if word not in node.premises[i].conclusion.words:
@@ -217,12 +226,8 @@ def _check_node(rules: frozenset[str], node: Derivation) -> str | None:
                     f"premise {i} lacks component "
                     f"{freegroup.word_to_text(word)!r}"
                 )
+            active_p[i].add(word)
 
-    active_c = {_red(raw) for raw in concl_exact}
-    active_p = [
-        {_red(raw) for raw in prem_exact[i]} | set(prem_canonical[i])
-        for i in range(n_premises)
-    ]
     context = node.conclusion.words - active_c
     for i in range(n_premises):
         context |= node.premises[i].conclusion.words - active_p[i]

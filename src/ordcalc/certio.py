@@ -401,8 +401,8 @@ def verify_witness_doc(doc: dict) -> list[str]:
         if arity < 1:
             raise CertificateFormatError("arity must be >= 1")
         y = _require(doc, "functional", list)
-        if not all(type(c) is int for c in y):
-            raise CertificateFormatError("functional entries must be integers")
+        if len(y) != arity or not all(type(c) is int for c in y):
+            raise CertificateFormatError("functional needs one integer per generator")
         side = _FUNCTIONAL_SIDE[kind]
         issues = []
         for text in _require(doc, "words", list):

@@ -201,11 +201,19 @@ def literal_text(code: int) -> str:
     return generator_name(abs(code)) + ("'" if code < 0 else "")
 
 
+# The canonical spelling of the named literals, and its inverse
+_TEXT = {c: literal_text(c) for g in range(1, len(_GEN_NAMES) + 1) for c in (g, -g)}
+_CODE = {text: code for code, text in _TEXT.items()}
+
+
 def word_to_text(a: ReducedWord | Iterable[int]) -> str:
     letters = a.letters if isinstance(a, ReducedWord) else tuple(a)
     if not letters:
         return "e"
-    return " ".join(literal_text(c) for c in letters)
+    try:
+        return " ".join(map(_TEXT.__getitem__, letters))
+    except KeyError:
+        return " ".join(literal_text(c) for c in letters)
 
 
 class WordSyntaxError(ValueError):
@@ -232,8 +240,17 @@ def scan_literals(text: str, arity: int | None = None) -> tuple[int, ...]:
 
     Literals are a letter, optional digits, and optional primes; they may
     be juxtaposed or separated by whitespace, ``*`` or commas.  ``e``
-    denotes the empty sequence.
+    denotes the empty sequence.  Whitespace-separated named literals, the
+    spelling ``word_to_text`` writes, are read through a table; any other
+    text falls through to the character scanner.
     """
+    try:
+        codes = tuple(map(_CODE.__getitem__, text.split()))
+    except KeyError:
+        pass
+    else:
+        if arity is None or max(map(abs, codes), default=0) <= arity:
+            return codes
     letters: list[int] = []
     i = 0
     n = len(text)

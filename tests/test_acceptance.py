@@ -6,6 +6,7 @@ randomized parts are seeded (ORDCALC_SEED) so reruns are reproducible.
 
 import itertools
 import json
+import pathlib
 import random
 import time
 
@@ -440,3 +441,48 @@ def test_criterion_8_mutation_robustness(corpus):
         "8",
         f"100 goldens, {total_mutants} mutants all rejected, {elapsed:.1f}s",
     )
+
+
+TESTS = pathlib.Path(__file__).parent
+GOLDEN = TESTS / "golden"
+MUTANT_VERDICTS = TESTS / "fixtures" / "golden_mutant_verdicts.json"
+
+
+def _mutant_verdicts() -> list:
+    """``[file, mutant index, outcome]`` for every mutant of every proof
+    golden: the ``[ok, path, message]`` of each conjunct's check, or the
+    format error that stopped the file from loading."""
+    verdicts = []
+    for path in sorted(GOLDEN.glob("*.proof.json")):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        for index, mutant in enumerate(_doc_mutants(doc)):
+            try:
+                calculus, conjuncts = certio.load_proof(mutant)
+            except certio.CertificateFormatError as exc:
+                outcome = ["format", str(exc)]
+            else:
+                outcome = [
+                    [result.ok, list(result.path), result.message]
+                    for result in (
+                        ca.check(calculus, derivation, goal)
+                        for goal, derivation in conjuncts
+                    )
+                ]
+            verdicts.append([path.name, index, outcome])
+    return verdicts
+
+
+def test_checker_verdicts_on_golden_mutants_are_pinned():
+    """Every mutant of the proof goldens meets the same verdict, at the same
+    node and with the same message, as when the fixture was recorded (with
+    a checker that reduced every active raw sequence itself, instead of
+    reusing the matched sequent's stored word)."""
+    expected = json.loads(MUTANT_VERDICTS.read_text(encoding="utf-8"))
+    assert _mutant_verdicts() == expected
+
+
+if __name__ == "__main__":
+    # re-record the fixture: PYTHONPATH=src python tests/test_acceptance.py
+    MUTANT_VERDICTS.parent.mkdir(exist_ok=True)
+    lines = [json.dumps(v) for v in _mutant_verdicts()]
+    MUTANT_VERDICTS.write_text("[\n" + ",\n".join(lines) + "\n]\n", encoding="utf-8")

@@ -124,3 +124,123 @@ def test_word_text_errors():
 def test_evaluate_word():
     assert fg.evaluate_word(w("x y'"), [3, 5]) == -2
     assert fg.evaluate_word(fg.IDENTITY, [7]) == 0
+
+
+# ---------------------------------------------------------------------------
+# the literal codec against a copy of the original character scanner
+
+
+def _oracle_generator_index(name, digits, position):
+    if digits:
+        if name not in ("x", "g"):
+            raise fg.WordSyntaxError(f"unknown generator {name}{digits!r}", position)
+        index = int(digits)
+        if index < 1:
+            raise fg.WordSyntaxError("generator index must be >= 1", position)
+        return index
+    if name in "xyzuvw":
+        return "xyzuvw".index(name) + 1
+    raise fg.WordSyntaxError(f"unknown generator {name!r}", position)
+
+
+def _oracle_scan(text, arity=None):
+    letters = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace() or ch in "*,":
+            i += 1
+            continue
+        if not ch.isalpha():
+            raise fg.WordSyntaxError(f"unexpected character {ch!r}", i)
+        start = i
+        i += 1
+        digits = ""
+        while i < n and text[i].isdecimal():
+            digits += text[i]
+            i += 1
+        primes = 0
+        while i < n and text[i] == "'":
+            primes += 1
+            i += 1
+        if ch == "e" and not digits:
+            if primes:
+                raise fg.WordSyntaxError(
+                    "identity cannot be inverted in word syntax", start
+                )
+            continue
+        index = _oracle_generator_index(ch, digits, start)
+        if arity is not None and index > arity:
+            raise fg.WordSyntaxError(
+                f"generator index {index} exceeds arity {arity}", start
+            )
+        letters.append(index if primes % 2 == 0 else -index)
+    return tuple(letters)
+
+
+def _oracle_text(letters):
+    def name(index):
+        if index < 1:
+            raise ValueError("generator index must be >= 1")
+        return "xyzuvw"[index - 1] if index <= 6 else f"x{index}"
+
+    if not letters:
+        return "e"
+    return " ".join(name(abs(c)) + ("'" if c < 0 else "") for c in letters)
+
+
+def _outcome(scan, text, arity):
+    try:
+        return scan(text, arity)
+    except fg.WordSyntaxError as exc:
+        return ("error", str(exc), exc.position)
+
+
+_SPACES = (" ", "  ", "\t", "\u00a0", "\n")
+_PIECES = (
+    *"xyzuvw", *"abgq", "e", "e'", "x''", "y'", *"0179", "'", "*", ",",
+    *_SPACES, "$", "\u00b2",
+)
+
+
+def _random_text(rng):
+    if rng.random() < 0.5:
+        # whitespace-separated canonical literals, some beyond the named six
+        codes = [
+            rng.choice((1, -1)) * rng.randint(1, 7) for _ in range(rng.randint(0, 8))
+        ]
+        text = rng.choice(_SPACES).join(_oracle_text([c]) for c in codes)
+        return rng.choice(("", " ", "\t")) + text + rng.choice(("", " ", "\n"))
+    return "".join(rng.choice(_PIECES) for _ in range(rng.randint(0, 10)))
+
+
+def test_scan_literals_agrees_with_the_character_scanner(rng):
+    paths = {"table": 0, "scanner": 0}
+    for _ in range(20_000):
+        text = _random_text(rng)
+        arity = rng.choice((None, 1, 2, 3, 4, 5, 6, 7))
+        expected = _outcome(_oracle_scan, text, arity)
+        assert _outcome(fg.scan_literals, text, arity) == expected, (text, arity)
+        canonical = all(token in fg._CODE for token in text.split())
+        paths["table" if canonical else "scanner"] += 1
+    # both paths are exercised, rejections on the table path included
+    assert min(paths.values()) > 5_000
+    with pytest.raises(fg.WordSyntaxError) as exc:
+        fg.scan_literals("x y z", arity=2)
+    assert exc.value.position == 4
+
+
+def test_word_to_text_agrees_with_the_original_writer(rng):
+    codes = [c for g in range(1, 10) for c in (g, -g)]
+    assert fg.word_to_text(codes) == _oracle_text(codes)
+    for _ in range(2_000):
+        letters = tuple(rng.choice(codes) for _ in range(rng.randint(0, 6)))
+        assert fg.word_to_text(letters) == _oracle_text(letters)
+    for letters in ((0,), (1, 0), (7, 0, 2)):
+        with pytest.raises(ValueError) as expected:
+            _oracle_text(letters)
+        with pytest.raises(ValueError) as actual:
+            fg.word_to_text(letters)
+        assert type(actual.value) is type(expected.value)
+        assert str(actual.value) == str(expected.value)

@@ -1,7 +1,9 @@
 """Witness files that are forged or mutated are rejected cleanly: with a
 list of issues or a CertificateFormatError, never another exception, and
-within a fixed address-space cap."""
+within a fixed address-space cap.  Targeted mutants of genuine files are
+accepted exactly when brute-force oracles find their claim still true."""
 
+import itertools
 import json
 import os
 import pathlib
@@ -10,10 +12,11 @@ import resource
 import subprocess
 import sys
 
-from conftest import words
-from ordcalc import certio
+from conftest import SEED, words
+from ordcalc import abelian, certio
+from ordcalc import freegroup as fg
 from ordcalc import rightorder as ro
-from ordcalc.witnesses import BoundsReport
+from ordcalc.witnesses import BoundsReport, TruncatedRightOrder
 
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
@@ -153,3 +156,134 @@ def test_mutated_witness_documents_fail_only_as_format_errors():
     faults = json.loads(result.stdout)
     assert faults == [], "\n".join(sorted(set(faults))[:20])
 
+
+# ---------------------------------------------------------------------------
+# targeted mutants of genuine witnesses, judged by brute-force oracles
+
+
+def _reduce(letters) -> tuple:
+    out: list[int] = []
+    for code in letters:
+        if out and out[-1] == -code:
+            out.pop()
+        else:
+            out.append(code)
+    return tuple(out)
+
+
+def _cone_holds(arity: int, level: int, elements) -> bool:
+    """Whether the elements are a positive cone truncated at the level: no
+    identity, nothing longer than the level, closed under products within
+    it, and a sign for every nonidentity word shorter than it."""
+    cone = {_reduce(e) for e in elements}
+    if () in cone or any(len(p) > level for p in cone):
+        return False
+    for s, t in itertools.product(cone, repeat=2):
+        st = _reduce(s + t)
+        if len(st) <= level and st not in cone:
+            return False
+    alphabet = [c for g in range(1, arity + 1) for c in (g, -g)]
+    for length in range(1, level):
+        for w in itertools.product(alphabet, repeat=length):
+            inverse = tuple(-c for c in reversed(w))
+            if _reduce(w) == w and w not in cone and inverse not in cone:
+                return False
+    return True
+
+
+def _functional_holds(side: int, arity: int, functional, words_) -> bool:
+    """Whether the functional on Z^arity has the side's sign on every word."""
+    if len(functional) != arity:
+        return False
+    for word in words_:
+        value = sum(functional[abs(c) - 1] * (1 if c > 0 else -1) for c in word)
+        if side * value <= 0:
+            return False
+    return True
+
+
+def _claim_holds(doc: dict) -> bool:
+    if doc["kind"] == "truncated_right_order":
+        elements = [fg.scan_literals(t) for t in doc["elements"]]
+        return _cone_holds(doc["arity"], doc["level"], elements)
+    side = -1 if doc["kind"] == "separator" else 1
+    word_list = [fg.scan_literals(t) for t in doc["words"]]
+    return _functional_holds(side, doc["arity"], doc["functional"], word_list)
+
+
+def _witness_mutants(doc: dict):
+    """Each element dropped, each functional coefficient negated, each
+    integer raised by one, and each word literal flipped to the next
+    literal of the alphabet."""
+    lists = [k for k in ("elements", "words", "functional") if k in doc]
+    integers = [k for k in ("arity", "level") if k in doc]
+    alphabet = [c for g in range(1, doc["arity"] + 1) for c in (g, -g)]
+
+    def clone():
+        return json.loads(json.dumps(doc))
+
+    for key in lists:
+        for i in range(len(doc[key])):
+            mutant = clone()
+            del mutant[key][i]
+            yield mutant
+    for i, c in enumerate(doc.get("functional", ())):
+        for value in (-c, c + 1):
+            mutant = clone()
+            mutant["functional"][i] = value
+            yield mutant
+    for key in integers:
+        mutant = clone()
+        mutant[key] += 1
+        yield mutant
+    for key in ("elements", "words"):
+        for i, text in enumerate(doc.get(key, ())):
+            raw = fg.scan_literals(text)
+            for j, code in enumerate(raw):
+                flipped = alphabet[(alphabet.index(code) + 1) % len(alphabet)]
+                mutant = clone()
+                mutant[key][i] = fg.word_to_text(raw[:j] + (flipped,) + raw[j + 1 :])
+                yield mutant
+
+
+def _corpus_witnesses(per_kind: int) -> list[dict]:
+    """Genuine witnesses of the first corpus instances, in a seeded order,
+    that yield one: all sets of one to three nonidentity words of length at
+    most two over two generators."""
+    pool = [u for u in fg.ball(2, 2) if not u.is_identity]
+    corpus = [s for k in (1, 2, 3) for s in itertools.combinations(pool, k)]
+    random.Random(SEED).shuffle(corpus)
+    found: dict[str, list[dict]] = {
+        "truncated_right_order": [], "separator": [], "abelian_order_witness": []
+    }
+    for subset in corpus:
+        cone = ro.extend_right_order(subset, 2)
+        if isinstance(cone, TruncatedRightOrder):
+            found["truncated_right_order"].append(certio.truncated_order_doc(cone))
+        verdict = abelian.validity_abelian(subset, 2)
+        if isinstance(verdict.certificate, abelian.Separator):
+            functional = verdict.certificate.functional
+            found["separator"].append(certio.separator_doc(subset, 2, functional))
+            positive = tuple(-c for c in functional)
+            found["abelian_order_witness"].append(
+                certio.abelian_order_doc(subset, 2, positive)
+            )
+        if min(map(len, found.values())) >= per_kind:
+            break
+    return [doc for docs in found.values() for doc in docs[:per_kind]]
+
+
+def test_witness_mutants_are_judged_as_the_oracles_judge_them():
+    judged = {True: 0, False: 0}
+    for doc in _corpus_witnesses(per_kind=12):
+        assert _claim_holds(doc), doc
+        for mutant in _witness_mutants(doc):
+            try:
+                accepted = certio.verify_witness_doc(mutant) == []
+            except certio.CertificateFormatError:
+                accepted = False
+            holds = _claim_holds(mutant)
+            assert accepted == holds, (holds, mutant)
+            judged[holds] += 1
+    # both directions are exercised
+    assert min(judged.values()) > 50, judged
