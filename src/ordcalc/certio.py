@@ -7,8 +7,7 @@ newline) so golden certificate files can be compared byte for byte.
 from __future__ import annotations
 
 import json
-import re
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from . import freegroup, membership, rightorder
 from .calculus import (
@@ -32,7 +31,7 @@ from .witnesses import (
     verify_refutation_tree,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class CertificateFormatError(ValueError):
@@ -40,93 +39,14 @@ class CertificateFormatError(ValueError):
 
 
 def dumps(doc: dict) -> str:
-    """The bytes of json.dumps(doc, sort_keys=True, indent=2) and a newline,
-    written from an explicit stack so that no proof is too deep to write."""
-    out: list[str] = []
-    todo: list = [(doc, "")]
-    while todo:
-        item = todo.pop()
-        if isinstance(item, str):
-            out.append(item)
-            continue
-        value, pad = item
-        if not isinstance(value, (dict, list, tuple)) or not value:
-            out.append(json.dumps(value))
-            continue
-        is_dict = isinstance(value, dict)
-        entries = sorted(value.items()) if is_dict else [(None, v) for v in value]
-        inner = pad + "  "
-        out.append("{" if is_dict else "[")
-        todo.append("\n" + pad + ("}" if is_dict else "]"))
-        for i in range(len(entries) - 1, -1, -1):
-            key, child = entries[i]
-            todo.append((child, inner))
-            label = "" if key is None else json.dumps(key) + ": "
-            todo.append(("," if i else "") + "\n" + inner + label)
-    return "".join(out) + "\n"
-
-
-_SPACE = re.compile(r"[ \t\n\r]*")
-
-
-def _loads_nested(text: str) -> Any:
-    """json.loads with an explicit stack of open containers, for documents
-    nested deeper than the recursive scanner allows."""
-    scan = json.JSONDecoder().scan_once
-    stack: list[list] = []  # [container, pending key]
-
-    def expect(token: str, pos: int) -> int:
-        pos = _SPACE.match(text, pos).end()
-        if not text.startswith(token, pos):
-            raise ValueError(f"expected {token!r} at position {pos}")
-        return _SPACE.match(text, pos + len(token)).end()
-
-    def key(pos: int) -> int:
-        if not text.startswith('"', pos):
-            raise ValueError(f"expected a key at position {pos}")
-        stack[-1][1], pos = scan(text, pos)
-        return expect(":", pos)
-
-    pos = _SPACE.match(text).end()
-    while True:
-        if text[pos : pos + 1] in ("{", "["):
-            is_dict = text[pos] == "{"
-            pos = _SPACE.match(text, pos + 1).end()
-            if not text.startswith("}" if is_dict else "]", pos):
-                stack.append([{} if is_dict else [], None])
-                pos = key(pos) if is_dict else pos
-                continue
-            value, pos = ({} if is_dict else []), pos + 1
-        else:
-            try:
-                value, pos = scan(text, pos)
-            except StopIteration:
-                raise ValueError(f"expected a value at position {pos}") from None
-        while True:
-            pos = _SPACE.match(text, pos).end()
-            if not stack:
-                if pos != len(text):
-                    raise ValueError(f"extra data at position {pos}")
-                return value
-            container, pending = stack[-1]
-            if isinstance(container, dict):
-                container[pending] = value
-            else:
-                container.append(value)
-            if text.startswith(",", pos):
-                pos = _SPACE.match(text, pos + 1).end()
-                pos = key(pos) if isinstance(container, dict) else pos
-                break
-            pos = expect("}" if isinstance(container, dict) else "]", pos)
-            value = stack.pop()[0]
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def loads(text: str) -> dict:
     try:
-        try:
-            doc = json.loads(text)
-        except RecursionError:
-            doc = _loads_nested(text)
+        doc = json.loads(text)
+    except RecursionError:
+        raise CertificateFormatError("not valid JSON: nested too deeply") from None
     except ValueError as exc:
         raise CertificateFormatError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -156,21 +76,17 @@ def _check_schema(doc: dict, kind: str) -> None:
         raise CertificateFormatError(f"expected kind {kind!r}, got {doc['kind']!r}")
 
 
-def _raw_text(raw: Sequence[int]) -> str:
-    return freegroup.word_to_text(tuple(raw))
-
-
-def _parse_raw(text: str) -> tuple[int, ...]:
+def _parse_raw(text: str, arity: int | None = None) -> tuple[int, ...]:
     if not isinstance(text, str):
         raise CertificateFormatError("literal sequences must be strings")
     try:
-        return freegroup.scan_literals(text)
+        return freegroup.scan_literals(text, arity)
     except freegroup.WordSyntaxError as exc:
         raise CertificateFormatError(str(exc)) from None
 
 
-def _parse_word(text: str) -> ReducedWord:
-    return freegroup.reduce(_parse_raw(text))
+def _parse_word(text: str, arity: int | None = None) -> ReducedWord:
+    return freegroup.reduce(_parse_raw(text, arity))
 
 
 def _word_list(words) -> list[str]:
@@ -185,44 +101,80 @@ def _parse_hypersequent(texts: list) -> Hypersequent:
 
 
 # ---------------------------------------------------------------------------
+# trees as post-order tables, children before their parent and the root last,
+# so that a deeper tree makes a longer file but not a more deeply nested one
+
+
+def _to_table(root, children: Callable, entry: Callable) -> list[dict]:
+    """The table of the tree under root.  entry(node, indices) writes one
+    node, given the table indices of its children."""
+    table: list[dict] = []
+
+    def visit(node) -> Pass:
+        indices = []
+        for child in children(node):
+            indices.append((yield visit(child)))
+        table.append(entry(node, indices))
+        return len(table) - 1
+
+    freegroup.unwind(visit(root))
+    return table
+
+
+def _from_table(table: Any, build: Callable) -> Any:
+    """The root of the tree a table holds.  build(entry, take) makes one
+    node, and take(index) hands it a child: an earlier node that no other
+    index names.  Every node but the root must be some node's child."""
+    if not isinstance(table, list) or not table:
+        raise CertificateFormatError("a tree table needs at least one node")
+    unused: dict[int, Any] = {}  # the nodes built so far that no index names
+
+    def take(index: Any) -> Any:
+        if type(index) is not int:
+            raise CertificateFormatError("node indices must be integers")
+        if index not in unused:
+            raise CertificateFormatError(f"index {index} names no unused earlier node")
+        return unused.pop(index)
+
+    for position, entry in enumerate(table):
+        if not isinstance(entry, dict):
+            raise CertificateFormatError("tree nodes must be objects")
+        unused[position] = build(entry, take)
+    root = unused.pop(len(table) - 1)
+    if unused:
+        raise CertificateFormatError(f"node {min(unused)} is used by no node")
+    return root
+
+
+# ---------------------------------------------------------------------------
 # derivations
 
 
-def derivation_to_node(derivation: Derivation) -> dict:
-    def node(current: Derivation) -> Pass:
-        premises = []
-        for premise in current.premises:
-            premises.append((yield node(premise)))
+def derivation_to_node(derivation: Derivation) -> list[dict]:
+    def entry(current: Derivation, premises: list[int]) -> dict:
+        certificates = current.instance.certificates
         return {
             "rule": current.instance.rule,
-            "certificates": {
-                name: _raw_text(raw) for name, raw in current.instance.certificates
-            },
-            "conclusion": [_raw_text(s.raw) for s in current.conclusion.sequents],
+            "certificates": {k: freegroup.word_to_text(v) for k, v in certificates},
+            "conclusion": _word_list(s.raw for s in current.conclusion.sequents),
             "premises": premises,
         }
 
-    return freegroup.unwind(node(derivation))
+    return _to_table(derivation, lambda current: current.premises, entry)
 
 
-def node_to_derivation(node: dict) -> Derivation:
-    def derivation(current) -> Pass:
-        if not isinstance(current, dict):
-            raise CertificateFormatError("derivation nodes must be objects")
-        rule = _require(current, "rule", str)
-        certs = _require(current, "certificates", dict)
-        conclusion = _require(current, "conclusion", list)
-        premises = _require(current, "premises", list)
+def node_to_derivation(nodes: Any) -> Derivation:
+    def build(node: dict, take: Callable) -> Derivation:
+        rule = _require(node, "rule", str)
+        certs = _require(node, "certificates", dict)
         instance = RuleInstance(
             rule, tuple(sorted((k, _parse_raw(v)) for k, v in certs.items()))
         )
-        hyper = _parse_hypersequent(conclusion)
-        built = []
-        for premise in premises:
-            built.append((yield derivation(premise)))
-        return Derivation(hyper, instance, tuple(built))
+        hyper = _parse_hypersequent(_require(node, "conclusion", list))
+        premises = tuple(map(take, _require(node, "premises", list)))
+        return Derivation(hyper, instance, premises)
 
-    return freegroup.unwind(derivation(node))
+    return _from_table(nodes, build)
 
 
 def proof_doc(
@@ -234,8 +186,8 @@ def proof_doc(
         calculus=calculus.value,
         conjuncts=[
             {
-                "goal": [_raw_text(s.raw) for s in goal.sequents],
-                "derivation": derivation_to_node(derivation),
+                "goal": _word_list(s.raw for s in goal.sequents),
+                "nodes": derivation_to_node(derivation),
             }
             for goal, derivation in conjuncts
         ],
@@ -254,7 +206,7 @@ def load_proof(doc: dict) -> tuple[CalculusId, list[tuple[Hypersequent, Derivati
         if not isinstance(entry, dict):
             raise CertificateFormatError("conjunct entries must be objects")
         goal = _parse_hypersequent(_require(entry, "goal", list))
-        conjuncts.append((goal, node_to_derivation(_require(entry, "derivation", dict))))
+        conjuncts.append((goal, node_to_derivation(_require(entry, "nodes", list))))
     if not conjuncts:
         raise CertificateFormatError("proof file has no conjuncts")
     return calculus, conjuncts
@@ -264,12 +216,13 @@ def load_proof(doc: dict) -> tuple[CalculusId, list[tuple[Hypersequent, Derivati
 # witnesses
 
 
-def truncated_order_doc(witness: TruncatedRightOrder) -> dict:
+def truncated_order_doc(witness: TruncatedRightOrder, words) -> dict:
     return _doc(
         "truncated_right_order",
         arity=witness.arity,
         level=witness.level,
         elements=sorted(_word_list(witness.elements)),
+        words=_word_list(words),
     )
 
 
@@ -303,61 +256,70 @@ def bounds_doc(report: BoundsReport) -> dict:
     )
 
 
-def _tree_to_node(tree: RefutationTree, conjugate: bool) -> Pass:
-    if isinstance(tree, RefutationBranch):
-        return {
-            "kind": "branch",
-            "pivot": freegroup.word_to_text(tree.pivot),
-            "positive": (yield _tree_to_node(tree.positive, conjugate)),
-            "negative": (yield _tree_to_node(tree.negative, conjugate)),
-        }
-    if conjugate:
-        assert isinstance(tree.witness, ConjugateProduct)
-        factors = [
-            {
-                "conjugator": freegroup.word_to_text(e.conjugator),
-                "base": e.base,
-                "sign": e.sign,
+def _tree_to_node(tree: RefutationTree, conjugate: bool) -> list[dict]:
+    def entry(node: RefutationTree, indices: list[int]) -> dict:
+        if isinstance(node, RefutationBranch):
+            positive, negative = indices
+            return {
+                "kind": "branch",
+                "pivot": freegroup.word_to_text(node.pivot),
+                "positive": positive,
+                "negative": negative,
             }
-            for e in tree.witness.entries
-        ]
-    else:
-        assert isinstance(tree.witness, Factorization)
-        factors = list(tree.witness.factors)
-    return {"kind": "leaf", "factors": factors}
+        if conjugate:
+            assert isinstance(node.witness, ConjugateProduct)
+            factors = [
+                {
+                    "conjugator": freegroup.word_to_text(e.conjugator),
+                    "base": e.base,
+                    "sign": e.sign,
+                }
+                for e in node.witness.entries
+            ]
+        else:
+            assert isinstance(node.witness, Factorization)
+            factors = list(node.witness.factors)
+        return {"kind": "leaf", "factors": factors}
+
+    def children(node: RefutationTree) -> tuple:
+        branch = isinstance(node, RefutationBranch)
+        return (node.positive, node.negative) if branch else ()
+
+    return _to_table(tree, children, entry)
 
 
-def _node_to_tree(node: dict, conjugate: bool) -> Pass:
-    if not isinstance(node, dict):
-        raise CertificateFormatError("tree nodes must be objects")
-    kind = _require(node, "kind", str)
-    if kind == "branch":
-        return RefutationBranch(
-            _parse_word(_require(node, "pivot", str)),
-            (yield _node_to_tree(_require(node, "positive", dict), conjugate)),
-            (yield _node_to_tree(_require(node, "negative", dict), conjugate)),
-        )
-    if kind != "leaf":
-        raise CertificateFormatError(f"unknown tree node kind {kind!r}")
-    factors = _require(node, "factors", list)
-    if not factors:
-        raise CertificateFormatError("a leaf needs at least one factor")
-    if conjugate:
-        entries = []
-        for item in factors:
-            if not isinstance(item, dict):
-                raise CertificateFormatError("conjugate factors must be objects")
-            entries.append(
-                ConjugateEntry(
-                    _parse_word(_require(item, "conjugator", str)),
-                    _require(item, "base", int),
-                    _require(item, "sign", int),
-                )
+def _node_to_tree(table: Any, conjugate: bool) -> RefutationTree:
+    def build(node: dict, take: Callable) -> RefutationTree:
+        kind = _require(node, "kind", str)
+        if kind == "branch":
+            return RefutationBranch(
+                _parse_word(_require(node, "pivot", str)),
+                take(_require(node, "positive", int)),
+                take(_require(node, "negative", int)),
             )
-        return RefutationLeaf(ConjugateProduct(tuple(entries)))
-    if not all(type(i) is int for i in factors):
-        raise CertificateFormatError("factor indices must be integers")
-    return RefutationLeaf(Factorization(tuple(factors)))
+        if kind != "leaf":
+            raise CertificateFormatError(f"unknown tree node kind {kind!r}")
+        factors = _require(node, "factors", list)
+        if not factors:
+            raise CertificateFormatError("a leaf needs at least one factor")
+        if conjugate:
+            entries = []
+            for item in factors:
+                if not isinstance(item, dict):
+                    raise CertificateFormatError("conjugate factors must be objects")
+                entries.append(
+                    ConjugateEntry(
+                        _parse_word(_require(item, "conjugator", str)),
+                        _require(item, "base", int),
+                        _require(item, "sign", int),
+                    )
+                )
+            return RefutationLeaf(ConjugateProduct(tuple(entries)))
+        if not all(type(i) is int for i in factors):
+            raise CertificateFormatError("factor indices must be integers")
+        return RefutationLeaf(Factorization(tuple(factors)))
+
+    return _from_table(table, build)
 
 
 def refutation_doc(words, arity: int, tree: RefutationTree, flavor: str) -> dict:
@@ -368,7 +330,7 @@ def refutation_doc(words, arity: int, tree: RefutationTree, flavor: str) -> dict
         flavor=flavor,
         arity=arity,
         words=_word_list(words),
-        tree=freegroup.unwind(_tree_to_node(tree, flavor == "order")),
+        tree=_tree_to_node(tree, flavor == "order"),
     )
 
 
@@ -382,21 +344,24 @@ _FUNCTIONAL_SIDE = {"separator": -1, "abelian_order_witness": 1}
 def verify_witness_doc(doc: dict) -> list[str]:
     """Re-assert the invariants a witness file claims; empty list means good."""
     kind = _require(doc, "kind", str)
+    _check_schema(doc, kind)
     if kind == "truncated_right_order":
-        _check_schema(doc, kind)
         arity = _require(doc, "arity", int)
         level = _require(doc, "level", int)
         if arity < 1 or level < 1:
             raise CertificateFormatError("arity and level must be >= 1")
-        witness = TruncatedRightOrder(
-            arity,
-            level,
-            frozenset(_parse_word(w) for w in _require(doc, "elements", list)),
+        elements = frozenset(
+            _parse_word(w, arity) for w in _require(doc, "elements", list)
         )
-        return witness.violations()
+        # the cone must hold the words it claims to order positive
+        issues = [
+            f"word {text!r} is not an element"
+            for text in _require(doc, "words", list)
+            if _parse_word(text, arity) not in elements
+        ]
+        return issues + TruncatedRightOrder(arity, level, elements).violations()
     if kind in _FUNCTIONAL_SIDE:
         # a separator is negative on every word, an order witness positive
-        _check_schema(doc, kind)
         arity = _require(doc, "arity", int)
         if arity < 1:
             raise CertificateFormatError("arity must be >= 1")
@@ -406,17 +371,12 @@ def verify_witness_doc(doc: dict) -> list[str]:
         side = _FUNCTIONAL_SIDE[kind]
         issues = []
         for text in _require(doc, "words", list):
-            word = _parse_word(text)
-            try:
-                vector = freegroup.abelianize(word, arity)
-            except ValueError as exc:
-                raise CertificateFormatError(str(exc)) from None
+            vector = freegroup.abelianize(_parse_word(text, arity), arity)
             if side * sum(a * b for a, b in zip(y, vector)) <= 0:
                 name = "positive" if side > 0 else "negative"
                 issues.append(f"functional is not {name} on {text!r}")
         return issues
     if kind == "sign_assignment":
-        _check_schema(doc, kind)
         words = tuple(_parse_word(w) for w in _require(doc, "words", list))
         path = []
         for item in _require(doc, "signs", list):
@@ -433,16 +393,14 @@ def verify_witness_doc(doc: dict) -> list[str]:
         found, _ = membership.contains_identity(words + signed)
         return ["signed generators reach the identity"] if found else []
     if kind == "refutation":
-        _check_schema(doc, kind)
         flavor = _require(doc, "flavor", str)
         if flavor not in ("right_order", "order"):
             raise CertificateFormatError(f"unknown refutation flavor {flavor!r}")
         conjugate = flavor == "order"
         words = tuple(_parse_word(w) for w in _require(doc, "words", list))
-        tree = freegroup.unwind(_node_to_tree(_require(doc, "tree", dict), conjugate))
+        tree = _node_to_tree(_require(doc, "tree", list), conjugate)
         error = verify_refutation_tree(words, tree, conjugate=conjugate)
         return [error] if error else []
     if kind == "bounds_exhausted":
-        _check_schema(doc, kind)
         return []
     raise CertificateFormatError(f"unknown witness kind {kind!r}")

@@ -103,7 +103,7 @@ def _decide_conjunct(args, words: Sequence[ReducedWord], arity: int) -> Verdict:
 def _witness_doc(words, arity: int, verdict: Verdict) -> dict:
     certificate = verdict.certificate
     if isinstance(certificate, TruncatedRightOrder):
-        return certio.truncated_order_doc(certificate)
+        return certio.truncated_order_doc(certificate, words)
     if isinstance(certificate, abelian.Separator):
         return certio.separator_doc(words, arity, certificate.functional)
     if isinstance(certificate, SignAssignment):
@@ -172,7 +172,7 @@ def _cmd_decide(args) -> int:
 
 def _order_witness_doc(words, arity: int, outcome, flavor: str) -> dict:
     if isinstance(outcome, TruncatedRightOrder):
-        return certio.truncated_order_doc(outcome)
+        return certio.truncated_order_doc(outcome, words)
     if isinstance(outcome, abelian.Separator):
         functional = tuple(-c for c in outcome.functional)
         return certio.abelian_order_doc(words, arity, functional)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import SEED, words
+from schema1 import convert
 from ordcalc import abelian as ab
 from ordcalc import calculus as ca
 from ordcalc import certio, cli
@@ -320,15 +321,13 @@ def _doc_mutants(doc: dict):
     def clone():
         return json.loads(json.dumps(doc))
 
-    def walk(node, path):
-        yield node, path
-        for i, premise in enumerate(node["premises"]):
-            yield from walk(premise, path + (i,))
-
-    def node_at(root, path):
-        for i in path:
-            root = root["premises"][i]
-        return root
+    def preorder(nodes):
+        """Table indices from the root down, each node before its premises."""
+        todo = [len(nodes) - 1]
+        while todo:
+            index = todo.pop()
+            yield index
+            todo.extend(reversed(nodes[index]["premises"]))
 
     for c_index, conjunct in enumerate(doc["conjuncts"]):
         for g_index, text in enumerate(conjunct["goal"]):
@@ -338,27 +337,26 @@ def _doc_mutants(doc: dict):
                     text, l_index, alphabet
                 )
                 yield mutant
-        for node, path in walk(conjunct["derivation"], ()):
+        for index in preorder(conjunct["nodes"]):
+            node = conjunct["nodes"][index]
             for other in rules:
                 if other != node["rule"]:
                     mutant = clone()
-                    node_at(mutant["conjuncts"][c_index]["derivation"], path)[
-                        "rule"
-                    ] = other
+                    mutant["conjuncts"][c_index]["nodes"][index]["rule"] = other
                     yield mutant
             for name, text in sorted(node["certificates"].items()):
                 for l_index in range(len(fg.scan_literals(text))):
                     mutant = clone()
-                    node_at(mutant["conjuncts"][c_index]["derivation"], path)[
-                        "certificates"
-                    ][name] = _flip_literal(text, l_index, alphabet)
+                    mutant["conjuncts"][c_index]["nodes"][index]["certificates"][
+                        name
+                    ] = _flip_literal(text, l_index, alphabet)
                     yield mutant
             for s_index, text in enumerate(node["conclusion"]):
                 for l_index in range(len(fg.scan_literals(text))):
                     mutant = clone()
-                    node_at(mutant["conjuncts"][c_index]["derivation"], path)[
-                        "conclusion"
-                    ][s_index] = _flip_literal(text, l_index, alphabet)
+                    mutant["conjuncts"][c_index]["nodes"][index]["conclusion"][
+                        s_index
+                    ] = _flip_literal(text, l_index, alphabet)
                     yield mutant
 
 
@@ -450,11 +448,13 @@ MUTANT_VERDICTS = TESTS / "fixtures" / "golden_mutant_verdicts.json"
 
 def _mutant_verdicts() -> list:
     """``[file, mutant index, outcome]`` for every mutant of every proof
-    golden: the ``[ok, path, message]`` of each conjunct's check, or the
-    format error that stopped the file from loading."""
+    golden (a schema-1 file, converted): the ``[ok, path, message]`` of
+    each conjunct's check, or the format error that stopped the file from
+    loading.  Mutants are numbered in the pre-order of the derivation, the
+    order of the nested schema-1 layout."""
     verdicts = []
     for path in sorted(GOLDEN.glob("*.proof.json")):
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = convert(json.loads(path.read_text(encoding="utf-8")))
         for index, mutant in enumerate(_doc_mutants(doc)):
             try:
                 calculus, conjuncts = certio.load_proof(mutant)

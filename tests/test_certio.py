@@ -1,10 +1,12 @@
 import itertools
+import json
 import pathlib
 import sys
 
 import pytest
 
 from conftest import w, words
+from schema1 import convert
 from ordcalc import abelian, certio, freegroup
 from ordcalc import calculus as ca
 from ordcalc import rightorder as ro
@@ -23,6 +25,13 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 S_WORDS = ("xx", "yy", "x'y'")
 T_WORDS = ("xx", "xy", "yx'")
+
+
+def _rejected(doc: dict, message: str, read=certio.verify_witness_doc) -> None:
+    """Reading doc raises a format error whose message contains message."""
+    with pytest.raises(certio.CertificateFormatError) as caught:
+        read(doc)
+    assert message in str(caught.value), (str(caught.value), doc)
 
 
 def test_proof_document_round_trip():
@@ -85,32 +94,80 @@ GOLDEN_PROOFS = (
 )
 
 
+def _golden(name: str, words_=None) -> str:
+    """The golden schema-1 file, converted to the current schema and written
+    as certio writes it."""
+    doc = json.loads((GOLDEN / name).read_text(encoding="utf-8"))
+    return certio.dumps(convert(doc, words_))
+
+
 def test_golden_proof_is_bit_exact():
     for name, calculus, texts, derive in GOLDEN_PROOFS:
         joins = words(*texts)
         goal = ca.hypersequent_of_words(joins)
         doc = certio.proof_doc(calculus, [(goal, derive(joins))])
-        expected = (GOLDEN / f"{name}.proof.json").read_bytes()
-        assert certio.dumps(doc).encode() == expected, name
-        assert certio.loads(expected.decode()) == doc, name
+        text = certio.dumps(doc)
+        assert text == _golden(f"{name}.proof.json"), name
+        assert certio.loads(text) == doc, name
 
 
 def test_golden_witness_is_bit_exact():
     joins = words(*T_WORDS)
-    cs = certio.truncated_order_doc(ro.decide_lg_cs(joins, 2).certificate)
+    texts = [freegroup.word_to_text(u) for u in joins]
+    cs = certio.truncated_order_doc(ro.decide_lg_cs(joins, 2).certificate, joins)
     hm = certio.sign_assignment_doc(joins, 2, ro.decide_lg_hm(joins, 2).certificate)
     for name, doc in (("branch_example_invalid", cs), ("hm_example_invalid", hm)):
-        expected = (GOLDEN / f"{name}.witness.json").read_bytes()
-        assert certio.dumps(doc).encode() == expected, name
+        assert certio.dumps(doc) == _golden(f"{name}.witness.json", texts), name
+
+
+def test_schema_1_files_are_rejected_as_unsupported():
+    for path in sorted(GOLDEN.glob("*.json")):
+        doc = certio.loads(path.read_text(encoding="utf-8"))
+        read = certio.verify_witness_doc
+        if doc["kind"] == "proof":
+            read = certio.load_proof
+        _rejected(doc, "unsupported schema version", read)
 
 
 def test_witness_documents_verify():
     verdict = ro.decide_lg_cs(words(*T_WORDS), 2)
-    doc = certio.truncated_order_doc(verdict.certificate)
+    doc = certio.truncated_order_doc(verdict.certificate, words(*T_WORDS))
     assert certio.verify_witness_doc(doc) == []
 
     doc["elements"].remove("x")
     assert certio.verify_witness_doc(doc)  # totality gap reported
+
+
+def test_truncated_order_must_hold_its_words():
+    joins = words(*T_WORDS)
+    genuine = certio.truncated_order_doc(ro.decide_lg_cs(joins, 2).certificate, joins)
+    assert certio.verify_witness_doc(genuine) == []
+    elements = {w(t) for t in genuine["elements"]}
+    # y' is in no positive cone that holds y, and x'x' none that holds xx
+    for outside in ("y'", "x' x'"):
+        assert w(outside) not in elements
+        doc = certio.loads(certio.dumps(genuine))
+        doc["words"][1] = outside
+        assert certio.verify_witness_doc(doc) == [f"word {outside!r} is not an element"]
+    doc = certio.loads(certio.dumps(genuine))
+    doc["words"] = ["y'", "x x", "x' x'"]
+    issues = certio.verify_witness_doc(doc)
+    assert issues == [
+        "word \"y'\" is not an element",
+        "word \"x' x'\" is not an element",
+    ]
+
+
+def test_truncated_order_elements_stay_within_arity():
+    joins = words("x", "z")
+    verdict = ro.decide_lg_cs(joins, 3)
+    doc = certio.truncated_order_doc(verdict.certificate, joins)
+    assert (doc["arity"], doc["level"], doc["elements"]) == (3, 1, ["x", "z"])
+    assert certio.verify_witness_doc(doc) == []
+    doc["arity"] = 2
+    _rejected(doc, "generator index 3 exceeds arity 2")
+    # the element z alone, with every word within the arity
+    _rejected({**doc, "words": ["x"]}, "generator index 3 exceeds arity 2")
 
 
 def test_separator_document_verification():
@@ -130,9 +187,10 @@ def test_refutation_document_round_trip():
     tree = ro.rg_refute_bounded(conj, 2, 1)
     doc = certio.refutation_doc(conj, 2, tree, "order")
     assert certio.verify_witness_doc(doc) == []
-    # breaking a leaf sign must surface in verification
     raw = certio.loads(certio.dumps(doc))
-    raw["tree"]["factors"][0]["sign"] = -1
+    assert certio._node_to_tree(raw["tree"], True) == tree
+    # breaking a leaf sign must surface in verification
+    raw["tree"][-1]["factors"][0]["sign"] = -1
     assert certio.verify_witness_doc(raw)
 
 
@@ -148,7 +206,7 @@ def test_sign_assignment_document():
 def test_forged_sign_assignment_rejected():
     # xx | yy | x'y' is valid, so no sign assignment may verify for it
     forged = {
-        "schema_version": 1,
+        "schema_version": certio.SCHEMA_VERSION,
         "kind": "sign_assignment",
         "arity": 2,
         "words": ["x x", "y y", "x' y'"],
@@ -171,22 +229,33 @@ def test_forged_sign_assignment_rejected():
 
 
 def test_out_of_range_witness_fields_are_format_errors():
-    truncated = {"schema_version": 1, "kind": "truncated_right_order", "elements": ["x"]}
-    docs = [
-        {**truncated, "arity": 0, "level": 1},
-        {**truncated, "arity": -1, "level": 2},
-        {**truncated, "arity": 2, "level": 0},
+    truncated = {
+        "schema_version": certio.SCHEMA_VERSION,
+        "kind": "truncated_right_order",
+        "elements": ["x"],
+        "words": ["x"],
+    }
+    cases = [
+        ({**truncated, "arity": 0, "level": 1}, "arity and level must be >= 1"),
+        ({**truncated, "arity": -1, "level": 2}, "arity and level must be >= 1"),
+        ({**truncated, "arity": 2, "level": 0}, "arity and level must be >= 1"),
+        ({**truncated, "arity": 1, "level": 2, "elements": ["x", "x y"]},
+         "generator index 2 exceeds arity 1"),
+        ({**truncated, "arity": 1, "level": 2, "words": ["y"]},
+         "generator index 2 exceeds arity 1"),
     ]
-    for kind, functional in (("separator", [-1, -1]), ("abelian_order_witness", [1, 1])):
-        doc = {"schema_version": 1, "kind": kind, "functional": functional}
-        docs += [
-            {**doc, "arity": 0, "words": []},
-            {**doc, "arity": -1, "words": ["x"]},
-            {**doc, "arity": 1, "words": ["x", "xy"]},  # y is generator 2
+    for kind, sign in (("separator", -1), ("abelian_order_witness", 1)):
+        doc = {"schema_version": certio.SCHEMA_VERSION, "kind": kind}
+        cases += [
+            ({**doc, "arity": 0, "functional": [], "words": []}, "arity must be >= 1"),
+            ({**doc, "arity": -1, "functional": [sign], "words": ["x"]},
+             "arity must be >= 1"),
+            # y is generator 2
+            ({**doc, "arity": 1, "functional": [sign], "words": ["x", "x y"]},
+             "generator index 2 exceeds arity 1"),
         ]
-    for doc in docs:
-        with pytest.raises(certio.CertificateFormatError):
-            certio.verify_witness_doc(doc)
+    for doc, message in cases:
+        _rejected(doc, message)
 
 
 _X_TIMES_INVERSE = RefutationLeaf(Factorization((0, 1)))
@@ -196,39 +265,40 @@ _X_TIMES_INVERSE_CONJUGATES = RefutationLeaf(
 
 
 def test_malformed_documents_rejected():
-    with pytest.raises(certio.CertificateFormatError):
+    with pytest.raises(certio.CertificateFormatError, match="not valid JSON"):
         certio.loads("not json")
-    with pytest.raises(certio.CertificateFormatError):
+    with pytest.raises(certio.CertificateFormatError, match="must hold one object"):
         certio.loads("[1, 2]")
-    with pytest.raises(certio.CertificateFormatError):
-        certio.load_proof({"schema_version": 1, "kind": "proof"})
-    with pytest.raises(certio.CertificateFormatError):
-        certio.load_proof(
-            {"schema_version": 2, "kind": "proof", "calculus": "GA", "conjuncts": []}
-        )
-    with pytest.raises(certio.CertificateFormatError):
-        certio.verify_witness_doc({"kind": "mystery"})
-    header = {"schema_version": 1, "arity": 2, "words": ["x"]}
-    for doc in (
-        {**header, "kind": "sign_assignment", "signs": [1]},
-        {**header, "kind": "separator", "functional": ["a"]},
-        {**header, "kind": "abelian_order_witness", "functional": ["a", 1]},
+    version = certio.SCHEMA_VERSION
+    proof = {"schema_version": version, "kind": "proof"}
+    for doc, message in (
+        (proof, "missing field 'calculus'"),
+        ({**proof, "schema_version": version + 1}, "unsupported schema version"),
+        ({**proof, "calculus": "GA", "conjuncts": []}, "proof file has no conjuncts"),
     ):
-        with pytest.raises(certio.CertificateFormatError):
-            certio.verify_witness_doc(doc)
+        _rejected(doc, message, certio.load_proof)
+    _rejected({"schema_version": version, "kind": "mystery"}, "unknown witness kind")
+    header = {"schema_version": version, "arity": 2, "words": ["x"]}
+    for doc, message in (
+        ({**header, "kind": "sign_assignment", "signs": [1]}, "sign entries must be"),
+        ({**header, "kind": "separator", "functional": ["a"]}, "one integer per"),
+        ({**header, "kind": "abelian_order_witness", "functional": ["a", 1]},
+         "one integer per"),
+    ):
+        _rejected(doc, message)
     # refutations: an unknown flavor, a leaf without factors, and JSON
     # true where a sign or an index belongs
     joins = words("x", "x'")
     right = certio.refutation_doc(joins, 1, _X_TIMES_INVERSE, "right_order")
     order = certio.refutation_doc(joins, 1, _X_TIMES_INVERSE_CONJUGATES, "order")
     assert certio.verify_witness_doc(right) == certio.verify_witness_doc(order) == []
-    for genuine, path, value in (
-        (right, ("flavor",), "banana"),
-        (right, ("tree", "factors"), []),
-        (order, ("tree", "factors"), []),
-        (right, ("tree", "factors", 1), True),
-        (order, ("tree", "factors", 1, "base"), True),
-        (order, ("tree", "factors", 0, "sign"), True),
+    for genuine, path, value, message in (
+        (right, ("flavor",), "banana", "unknown refutation flavor"),
+        (right, ("tree", 0, "factors"), [], "at least one factor"),
+        (order, ("tree", 0, "factors"), [], "at least one factor"),
+        (right, ("tree", 0, "factors", 1), True, "factor indices must be integers"),
+        (order, ("tree", 0, "factors", 1, "base"), True, "'base' has the wrong type"),
+        (order, ("tree", 0, "factors", 0, "sign"), True, "'sign' has the wrong type"),
     ):
         doc = certio.loads(certio.dumps(genuine))
         *head, last = path
@@ -236,8 +306,70 @@ def test_malformed_documents_rejected():
         for key in head:
             target = target[key]
         target[last] = value
-        with pytest.raises(certio.CertificateFormatError):
-            certio.verify_witness_doc(doc)
+        _rejected(doc, message)
+
+
+def _table_mutants(table: list, slots, bool_message: str) -> list:
+    """(table, message) pairs, each breaking one rule of a post-order table:
+    an empty table, a forward index, a self index, JSON true and -1 as an
+    index, a node used twice and a node used by none.  slots(entry) lists
+    the (container, key) pairs that hold the entry's child indices."""
+    first = next(i for i, entry in enumerate(table) if slots(entry))
+    used = [container[key] for entry in table for container, key in slots(entry)]
+
+    def relinked(slot: int, value) -> list:
+        copy = json.loads(json.dumps(table))
+        container, key = [s for entry in copy for s in slots(entry)][slot]
+        container[key] = value
+        return copy
+
+    shifted = json.loads(json.dumps(table))
+    for entry in shifted:
+        for container, key in slots(entry):
+            container[key] += 1
+    return [
+        ([], "a tree table needs at least one node"),
+        (relinked(0, first + 1), f"index {first + 1} names no unused earlier node"),
+        (relinked(0, first), f"index {first} names no unused earlier node"),
+        (relinked(0, True), bool_message),
+        (relinked(0, -1), "index -1 names no unused earlier node"),
+        (relinked(1, used[0]), f"index {used[0]} names no unused earlier node"),
+        # a leaf that nothing names, in front of the genuine table
+        ([shifted[0]] + shifted, "node 0 is used by no node"),
+    ]
+
+
+def test_proof_tables_must_be_trees():
+    joins = words(*S_WORDS)
+    goal = ca.hypersequent_of_words(joins)
+    derivation = ro.decide_lg_cs(joins, 2).certificate
+    genuine = certio.proof_doc(CalculusId.GLGSTAR, [(goal, derivation)])
+    assert certio.load_proof(genuine)[1] == [(goal, derivation)]
+
+    def premises(entry):
+        return [(entry["premises"], i) for i in range(len(entry["premises"]))]
+
+    nodes = genuine["conjuncts"][0]["nodes"]
+    mutants = _table_mutants(nodes, premises, "node indices must be integers")
+    for table, message in mutants:
+        doc = json.loads(json.dumps(genuine))
+        doc["conjuncts"][0]["nodes"] = table
+        _rejected(doc, message, certio.load_proof)
+
+
+def test_refutation_tables_must_be_trees():
+    joins = words(*S_WORDS)
+    genuine = certio.refutation_doc(
+        joins, 2, ro.extend_right_order(joins, 2), "right_order"
+    )
+    assert certio.verify_witness_doc(genuine) == []
+
+    def branches(entry):
+        return [(entry, "positive"), (entry, "negative")] * (entry["kind"] == "branch")
+
+    mutants = _table_mutants(genuine["tree"], branches, "'positive' has the wrong type")
+    for table, message in mutants:
+        _rejected({**genuine, "tree": table}, message)
 
 
 def _deep_chain(depth: int, leaf: RefutationLeaf):
@@ -290,9 +422,11 @@ def _mutants(doc: dict):
     """The document with one leaf factor dropped, then with that factor
     made invalid: for right_order an index one past its leaf's generators,
     for order the opposite sign.  Every mutant is changed in place."""
-    stack = [(doc["tree"], 0)]
+    table = doc["tree"]
+    stack = [(len(table) - 1, 0)]
     while stack:
-        node, depth = stack.pop()
+        index, depth = stack.pop()
+        node = table[index]
         if node["kind"] == "branch":
             stack += [(node["positive"], depth + 1), (node["negative"], depth + 1)]
             continue

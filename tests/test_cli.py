@@ -1,4 +1,5 @@
 import json
+import pathlib
 import sys
 
 import pytest
@@ -103,13 +104,11 @@ def test_check_proof_detects_mutation(tmp_path):
     proof = tmp_path / "proof.json"
     assert run("prove", "--variety", "lgroup", "x | x'", "--proof", str(proof)) == 0
     doc = json.loads(proof.read_text())
-
-    def first_cert_node(node):
-        if node["certificates"].get("gamma"):
-            return node
-        return first_cert_node(node["premises"][0])
-
-    node = first_cert_node(doc["conjuncts"][0]["derivation"])
+    # the first node with a gamma certificate on the way up from the root
+    nodes = doc["conjuncts"][0]["nodes"]
+    node = nodes[-1]
+    while not node["certificates"].get("gamma"):
+        node = nodes[node["premises"][0]]
     node["certificates"]["gamma"] = "y" + node["certificates"]["gamma"][1:]
     proof.write_text(json.dumps(doc))
     assert run("check-proof", str(proof)) == 1
@@ -126,8 +125,8 @@ def test_check_proof_calculus_override(tmp_path):
 
 def test_deep_cs_proof_writes_and_checks(capsys, tmp_path):
     # The cs proof of this set is hundreds of nodes deep: deeper than a
-    # writer or reader that recurses once per node gets under the
-    # interpreter's default recursion limit.
+    # pass that recurses once per node gets under the interpreter's default
+    # recursion limit.  Its node table nests no deeper than a shallow one.
     proof = tmp_path / "proof.json"
     code = run(
         "prove", "--variety", "lgroup", "--procedure", "cs",
@@ -136,10 +135,20 @@ def test_deep_cs_proof_writes_and_checks(capsys, tmp_path):
     assert code == 0
     assert run("check-proof", str(proof)) == 0
     doc = certio.loads(proof.read_text())
-    node, depth = doc["conjuncts"][0]["derivation"], 0
+    nodes = doc["conjuncts"][0]["nodes"]
+    node, depth = nodes[-1], 0
     while node["premises"]:
-        node, depth = node["premises"][0], depth + 1
+        node, depth = nodes[node["premises"][0]], depth + 1
     assert depth > sys.getrecursionlimit() / 2
+
+
+def test_hostile_nesting_is_rejected(capsys, tmp_path):
+    for name, text in (("lists", "[" * 100_000), ("objects", '{"a":' * 100_000)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        assert run("check-proof", str(path)) == 3
+        err = capsys.readouterr().err
+        assert "proof file rejected" in err and "internal error" not in err
 
 
 def test_usage_errors_exit_three(capsys, monkeypatch, tmp_path):
@@ -163,6 +172,10 @@ def test_usage_errors_exit_three(capsys, monkeypatch, tmp_path):
     latin1.write_bytes('{"kind": "proof\u00e9"}'.encode("latin-1"))
     assert run("check-proof", str(latin1)) == 3
     assert "internal error" not in capsys.readouterr().err
+    # a schema-1 file: the goldens are kept in that layout
+    golden = pathlib.Path(__file__).parent / "golden" / "ga_example_valid.proof.json"
+    assert run("check-proof", str(golden)) == 3
+    assert "rejected: unsupported schema version" in capsys.readouterr().err
 
 
 def test_internal_value_error_exits_four(capsys, monkeypatch):

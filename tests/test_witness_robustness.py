@@ -45,11 +45,12 @@ def _run_capped(code: str) -> subprocess.CompletedProcess:
 
 def test_tiny_witness_with_a_deep_level_is_rejected_under_a_cap():
     doc = {
-        "schema_version": 1,
+        "schema_version": certio.SCHEMA_VERSION,
         "kind": "truncated_right_order",
         "arity": 2,
         "level": 40,
         "elements": ["x"],
+        "words": ["x"],
     }
     code = (
         "import json\n"
@@ -67,7 +68,7 @@ def genuine_documents() -> list[dict]:
     s_words, t_words = words("xx", "yy", "x'y'"), words("xx", "xy", "yx'")
     conj = words("x y x'", "y'")
     return [
-        certio.truncated_order_doc(ro.decide_lg_cs(t_words, 2).certificate),
+        certio.truncated_order_doc(ro.decide_lg_cs(t_words, 2).certificate, t_words),
         certio.separator_doc(words("x", "xy"), 2, (-1, -1)),
         certio.abelian_order_doc(words("x", "xy"), 2, (1, 1)),
         certio.sign_assignment_doc(
@@ -205,6 +206,10 @@ def _functional_holds(side: int, arity: int, functional, words_) -> bool:
 def _claim_holds(doc: dict) -> bool:
     if doc["kind"] == "truncated_right_order":
         elements = [fg.scan_literals(t) for t in doc["elements"]]
+        # the cone holds the words it is written for
+        cone = {_reduce(e) for e in elements}
+        if any(_reduce(fg.scan_literals(t)) not in cone for t in doc["words"]):
+            return False
         return _cone_holds(doc["arity"], doc["level"], elements)
     side = -1 if doc["kind"] == "separator" else 1
     word_list = [fg.scan_literals(t) for t in doc["words"]]
@@ -259,7 +264,8 @@ def _corpus_witnesses(per_kind: int) -> list[dict]:
     for subset in corpus:
         cone = ro.extend_right_order(subset, 2)
         if isinstance(cone, TruncatedRightOrder):
-            found["truncated_right_order"].append(certio.truncated_order_doc(cone))
+            doc = certio.truncated_order_doc(cone, subset)
+            found["truncated_right_order"].append(doc)
         verdict = abelian.validity_abelian(subset, 2)
         if isinstance(verdict.certificate, abelian.Separator):
             functional = verdict.certificate.functional
