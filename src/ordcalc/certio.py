@@ -248,11 +248,13 @@ def sign_assignment_doc(words, arity: int, assignment: SignAssignment) -> dict:
     return _doc("sign_assignment", arity=arity, words=_word_list(words), signs=signs)
 
 
-def bounds_doc(report: BoundsReport) -> dict:
+def bounds_doc(words, arity: int, report: BoundsReport) -> dict:
     return _doc(
         "bounds_exhausted",
+        arity=arity,
         conjugator_bound=report.conjugator_bound,
         pivots=_word_list(report.pivots),
+        words=_word_list(words),
     )
 
 
@@ -402,5 +404,18 @@ def verify_witness_doc(doc: dict) -> list[str]:
         error = verify_refutation_tree(words, tree, conjugate=conjugate)
         return [error] if error else []
     if kind == "bounds_exhausted":
+        # the search is not re-run; the file must state a search that could
+        # have run: its bounds, the words and the pivots in their one order
+        arity = _require(doc, "arity", int)
+        if arity < 1:
+            raise CertificateFormatError("arity must be >= 1")
+        if _require(doc, "conjugator_bound", int) < 0:
+            raise CertificateFormatError("conjugator bound must be >= 0")
+        words = [_parse_word(w, arity) for w in _require(doc, "words", list)]
+        pivots = tuple(_parse_word(p, arity) for p in _require(doc, "pivots", list))
+        if any(p.is_identity for p in pivots):
+            return ["a pivot is the identity"]
+        if pivots != rightorder.sign_pivots(words, pivots):
+            return ["pivots are not in the form sign_pivots gives them"]
         return []
     raise CertificateFormatError(f"unknown witness kind {kind!r}")

@@ -64,10 +64,7 @@ def _parse_goals(text: str, arity: int | None):
         parsed = term.parse_term(body, arity)
         normal = term.normalize(parsed)
         inferred = max(normal.max_generator(), 1)
-        goals = [
-            Hypersequent.of(calculus.canonical_sequent(w) for w in joinands)
-            for joinands in normal.conjuncts
-        ]
+        goals = [calculus.hypersequent_of_words(j) for j in normal.conjuncts]
         return goals, (arity or inferred)
     raws = [freegroup.scan_literals(part, arity) for part in stripped.split("|")]
     inferred = max((abs(c) for raw in raws for c in raw), default=1)
@@ -109,7 +106,7 @@ def _witness_doc(words, arity: int, verdict: Verdict) -> dict:
     if isinstance(certificate, SignAssignment):
         return certio.sign_assignment_doc(words, arity, certificate)
     if isinstance(certificate, BoundsReport):
-        return certio.bounds_doc(certificate)
+        return certio.bounds_doc(words, arity, certificate)
     raise UsageError("this verdict carries no witness to write")
 
 
@@ -177,7 +174,7 @@ def _order_witness_doc(words, arity: int, outcome, flavor: str) -> dict:
         functional = tuple(-c for c in outcome.functional)
         return certio.abelian_order_doc(words, arity, functional)
     if isinstance(outcome, BoundsReport):
-        return certio.bounds_doc(outcome)
+        return certio.bounds_doc(words, arity, outcome)
     return certio.refutation_doc(words, arity, outcome, flavor)
 
 
@@ -266,9 +263,7 @@ def _crosscheck_instance(payload) -> dict:
         return counts
     if cs.status == VALID:
         counts["valid"] = 1
-        goal = Hypersequent.of(
-            calculus.canonical_sequent(w) for w in instance_words
-        )
+        goal = calculus.hypersequent_of_words(instance_words)
         for verdict in (cs, hm):
             if not calculus.check(CalculusId.GLGSTAR, verdict.certificate, goal):
                 counts["checker_rejections"] += 1

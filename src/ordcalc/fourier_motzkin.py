@@ -1,8 +1,9 @@
 """Exact rational linear feasibility by Gaussian elimination plus Fourier-Motzkin.
 
-Systems mix equalities and (possibly strict) inequalities.  On feasible
-systems a rational solution is reconstructed by back-substitution, so
-callers can scale it to an integer certificate and verify it exactly.
+Systems mix equalities and non-strict inequalities; a caller writes a
+strict homogeneous inequality as ``<= -1``.  On feasible systems a
+rational solution is reconstructed by back-substitution, so callers can
+scale it to an integer certificate and verify it exactly.
 """
 
 from __future__ import annotations
@@ -14,11 +15,10 @@ from typing import Iterable, Sequence
 
 @dataclass(frozen=True)
 class Inequality:
-    """sum(coeffs[i] * x_i) <= bound, or < bound when strict."""
+    """sum(coeffs[i] * x_i) <= bound."""
 
     coeffs: tuple[Fraction, ...]
     bound: Fraction
-    strict: bool = False
 
 
 @dataclass(frozen=True)
@@ -32,11 +32,7 @@ def _fractions(values: Iterable) -> tuple[Fraction, ...]:
 
 
 def le(coeffs: Iterable, bound) -> Inequality:
-    return Inequality(_fractions(coeffs), Fraction(bound), False)
-
-
-def lt(coeffs: Iterable, bound) -> Inequality:
-    return Inequality(_fractions(coeffs), Fraction(bound), True)
+    return Inequality(_fractions(coeffs), Fraction(bound))
 
 
 def eq(coeffs: Iterable, bound) -> Equality:
@@ -50,11 +46,11 @@ def solve(
 ) -> list[Fraction] | None:
     """Return one rational solution, or None when the system is infeasible."""
     eqs = [(list(e.coeffs), e.bound) for e in equalities]
-    ineqs = [(list(r.coeffs), r.bound, r.strict) for r in inequalities]
+    ineqs = [(list(r.coeffs), r.bound) for r in inequalities]
     for coeffs, _ in eqs:
         if len(coeffs) != n_vars:
             raise ValueError("equality arity mismatch")
-    for coeffs, _, _ in ineqs:
+    for coeffs, _ in ineqs:
         if len(coeffs) != n_vars:
             raise ValueError("inequality arity mismatch")
 
@@ -81,7 +77,7 @@ def solve(
             return out, rhs - w * const
 
         pending = [subst(r, b) for r, b in pending]
-        ineqs = [(*subst(r, b), s) for r, b, s in ineqs]
+        ineqs = [subst(r, b) for r, b in ineqs]
 
     eliminated = {j for j, _, _ in substitutions}
     free_vars = [j for j in range(n_vars) if j not in eliminated]
@@ -90,19 +86,15 @@ def solve(
         # scale rows to a canonical form and drop duplicates and rows with
         # no variables left; an unsatisfiable constant row ends the search
         kept = {}
-        for coeffs, bound, strict in candidates:
+        for coeffs, bound in candidates:
             pivot = next((c for c in coeffs if c != 0), None)
             if pivot is None:
-                if bound < 0 or (strict and bound == 0):
+                if bound < 0:
                     return None
                 continue
             scale = abs(pivot)
-            key = (tuple(c / scale for c in coeffs), bound / scale)
-            if key not in kept:
-                kept[key] = strict
-            else:
-                kept[key] = kept[key] or strict
-        return [(list(c), b, s) for (c, b), s in kept.items()]
+            kept[tuple(c / scale for c in coeffs), bound / scale] = None
+        return [(list(c), b) for c, b in kept]
 
     # Fourier-Motzkin on the remaining inequality system.
     stages: list[tuple[int, list, list]] = []
@@ -115,44 +107,36 @@ def solve(
         rest = [r for r in rows if r[0][var] == 0]
         stages.append((var, lowers, uppers))
         combined = []
-        for lc, lb, ls in lowers:
-            for uc, ub, us in uppers:
+        for lc, lb in lowers:
+            for uc, ub in uppers:
                 scale_l = uc[var]
                 scale_u = -lc[var]
                 coeffs = [scale_l * lc[j] + scale_u * uc[j] for j in range(n_vars)]
-                combined.append((coeffs, scale_l * lb + scale_u * ub, ls or us))
+                combined.append((coeffs, scale_l * lb + scale_u * ub))
         rows = tidy(rest + combined)
         if rows is None:
             return None
 
     values: list[Fraction] = [Fraction(0)] * n_vars
 
-    def row_bound(row, var) -> tuple[Fraction, bool]:
-        coeffs, bound, strict = row
+    def row_bound(row, var) -> Fraction:
+        coeffs, bound = row
         rest = sum((coeffs[j] * values[j] for j in range(n_vars) if j != var), Fraction(0))
-        return (bound - rest) / coeffs[var], strict
+        return (bound - rest) / coeffs[var]
 
     for var, lowers, uppers in reversed(stages):
-        lo: tuple[Fraction, bool] | None = None
-        hi: tuple[Fraction, bool] | None = None
-        for row in lowers:
-            value, strict = row_bound(row, var)
-            if lo is None or value > lo[0] or (value == lo[0] and strict):
-                lo = (value, strict)
-        for row in uppers:
-            value, strict = row_bound(row, var)
-            if hi is None or value < hi[0] or (value == hi[0] and strict):
-                hi = (value, strict)
+        lo = max((row_bound(row, var) for row in lowers), default=None)
+        hi = min((row_bound(row, var) for row in uppers), default=None)
         if lo is None and hi is None:
             values[var] = Fraction(0)
         elif lo is None:
-            values[var] = hi[0] - 1
+            values[var] = hi - 1
         elif hi is None:
-            values[var] = lo[0] + 1
+            values[var] = lo + 1
         else:
-            if lo[0] > hi[0] or (lo[0] == hi[0] and (lo[1] or hi[1])):
+            if lo > hi:
                 raise AssertionError("empty interval after feasible elimination")
-            values[var] = lo[0] if lo[0] == hi[0] else (lo[0] + hi[0]) / 2
+            values[var] = (lo + hi) / 2
 
     for var, expr, const in reversed(substitutions):
         values[var] = const + sum(

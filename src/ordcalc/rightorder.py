@@ -5,7 +5,9 @@ Three procedures share the witness vocabulary: truncated-cone branching
 undetermined short element), pivot branching over closed initial
 subterms with exact subsemigroup membership at every node, and a bounded
 variant for total orders that closes the generators under conjugation up
-to a conjugator length bound before testing membership.
+to a conjugator length bound before testing membership.  The two pivot
+searches run only where no bi-order of the Magnus or abelian kind makes
+every word positive: such an order settles the root outright.
 """
 
 from __future__ import annotations
@@ -216,7 +218,7 @@ def extend_right_order(
 
 
 # ---------------------------------------------------------------------------
-# membership with fast negative certificates
+# sign search over pivots, settled at the root when a bi-order can
 
 
 def _root_functional(words, arity: int) -> tuple[int, ...] | None:
@@ -229,62 +231,32 @@ def _root_functional(words, arity: int) -> tuple[int, ...] | None:
     return tuple(-c for c in separator)
 
 
-def _refinement_positive(
-    generators, arity: int, functional: tuple[int, ...], tie: int
-) -> bool:
-    """All generators strictly positive in the order that ranks by the
-    functional first and breaks its kernel by the bi-order sign."""
-    for w in generators:
-        if w.is_identity:
-            return False
-        value = sum(
-            a * b for a, b in zip(functional, freegroup.abelianize(w, arity))
-        )
-        if value < 0:
-            return False
-        if value == 0 and biorder.magnus_sign(w) != tie:
-            return False
-    return True
+def _root_order(words, arity: int) -> Callable[[ReducedWord], int] | None:
+    """A function that gives each nonidentity word its sign in a bi-invariant
+    order making every word positive, or None when neither certificate
+    below finds such an order.
 
-
-def _excludes_identity(
-    generators, arity: int, functional: tuple[int, ...] | None
-) -> bool:
-    """Sound negative certificate: the set sits inside the cone of a
-    bi-invariant order, so no nonempty product (of conjugates) reduces to e.
-
-    Conjugation preserves the bi-order sign and the abelianization, so
-    every certificate here transfers to the conjugate-closed set.
+    The order ranks by an integer functional positive on every word and
+    breaks the functional's kernel by the Magnus sign; without such a
+    functional, it is the Magnus order, or its reverse, when every word has
+    one Magnus sign.  Its positive cone is closed under products and under
+    conjugation, and it holds the words and every pivot signed as it says.
+    So no branch of the sign search closes along that path, for any petal
+    made of conjugates, and the path is the search's answer.
     """
-    if biorder.uniform_sign(generators) is not None:
-        return True
+    functional = _root_functional(words, arity)
     if functional is not None:
-        for tie in (1, -1):
-            if _refinement_positive(generators, arity, functional, tie):
-                return True
-            flipped = tuple(-c for c in functional)
-            if _refinement_positive(generators, arity, flipped, tie):
-                return True
-    # a separating functional for this very set also settles it
-    vectors = [freegroup.abelianize(w, arity) for w in generators]
-    return abelian.find_separator(vectors) is not None
 
+        def sign(pivot: ReducedWord) -> int:
+            vector = freegroup.abelianize(pivot, arity)
+            value = sum(a * b for a, b in zip(functional, vector))
+            return (value > 0) - (value < 0) or biorder.magnus_sign(pivot)
 
-def _guided_sign(
-    pivot: ReducedWord,
-    arity: int,
-    functional: tuple[int, ...] | None,
-    side: int,
-) -> int:
-    """Sign choice keeping the pivot on the words' side of the order."""
-    if functional is not None:
-        value = sum(
-            a * b for a, b in zip(functional, freegroup.abelianize(pivot, arity))
-        )
-        if value:
-            return 1 if value > 0 else -1
-        return biorder.magnus_sign(pivot)
-    return side * biorder.magnus_sign(pivot)
+        return sign
+    side = biorder.uniform_sign(words)
+    if side is None:
+        return None
+    return lambda pivot: side * biorder.magnus_sign(pivot)
 
 
 class _Closed:
@@ -299,7 +271,6 @@ class _Closed:
 
 def _sign_search(
     words: tuple[ReducedWord, ...],
-    arity: int,
     pivots: tuple[ReducedWord, ...],
     petal: Callable[[ReducedWord, int], Iterable[ReducedWord]],
     leaf: Callable[[_Path, tuple[ReducedWord, ...]], object],
@@ -310,50 +281,38 @@ def _sign_search(
     A branch closes when the subsemigroup generated by the petals of the
     words and of the signed pivots, ``petal(word, sign)`` each, reaches
     the identity; one closure is grown and rolled back along the search.
-    The test is skipped where a bi-order or abelian certificate already
-    excludes the identity.  Returns a refutation tree, whose leaves carry
-    ``leaf(path, generators)``, or the first path that signs every pivot
-    and stays open.
+    Each pivot's Magnus-positive sign is tried first.  Returns a refutation
+    tree, whose leaves carry ``leaf(path, generators)``, or the first path
+    that signs every pivot and stays open.  Callers settle without it the
+    roots that ``_root_order`` excludes.
     """
-    side = biorder.uniform_sign(words) or 1
-    functional = _root_functional(words, arity)
-    # every test of _excludes_identity that holds for a set holds for its
-    # subsets, so below a root it does not exclude it never fires
-    filtered = _excludes_identity(words, arity, functional)
     closure = membership.IdentityClosure()
 
     def generators(path: _Path) -> tuple[ReducedWord, ...]:
         return words + tuple(freegroup.signed(p, s) for p, s in path)
 
     def search(path: _Path) -> Pass:
+        # the closure holds the petals of the words and of the path above
+        # this node; one grow adds this node's own
+        if path:
+            closure.grow(petal(*path[-1]))
+        else:
+            closure.grow(u for w in words for u in petal(w, 1))
+        if closure.reached:
+            closure.rollback()
+            return _Closed(path)
         depth = len(path)
-        if not filtered or (
-            depth and not _excludes_identity(generators(path), arity, functional)
-        ):
-            # the closure holds the petals of the words (level 0) and of a
-            # prefix of the path; bring it down to this node
-            while closure.depth <= depth:
-                level = closure.depth
-                if level == 0:
-                    closure.grow(u for w in words for u in petal(w, 1))
-                else:
-                    closure.grow(petal(*path[level - 1]))
-            if closure.reached:
-                closure.rollback()
-                return _Closed(path)
         if depth == len(pivots):
             return path
         pivot = pivots[depth]
-        # explore the branch consistent with the words' side of the
-        # order first: on invalid instances it is the failing one
-        guided = _guided_sign(pivot, arity, functional, side)
+        # the Magnus-positive sign first; this order fixes the certificates
+        first = biorder.magnus_sign(pivot)
         subtrees = {}
-        for sign in (guided, -guided):
+        for sign in (first, -first):
             subtrees[sign] = yield search(path + ((pivot, sign),))
             if isinstance(subtrees[sign], tuple):
                 return subtrees[sign]
-        if closure.depth > depth:
-            closure.rollback()
+        closure.rollback()
         return RefutationBranch(pivot, subtrees[1], subtrees[-1])
 
     def extract(node) -> Pass:
@@ -396,10 +355,15 @@ def decide_lg_hm(words: Iterable[ReducedWord], arity: int) -> Verdict:
     Every inverse pair of cis(words) contributes one pivot; a branch is
     closed as soon as the signed generators already reach the identity,
     and a full assignment that never does is the invalid-side witness.
+    A bi-order that makes every word positive gives one at once.
     """
     words = _joinands(words)
     if any(w.is_identity for w in words):
         return Verdict(VALID, calculus.gv_axiom(words, CalculusId.GLGSTAR))
+    pivots = sign_pivots(words)
+    sign = _root_order(words, arity)
+    if sign is not None:
+        return Verdict(INVALID, SignAssignment(tuple((p, sign(p)) for p in pivots)))
 
     def leaf(path, generators):
         return membership.contains_identity(generators)[1]
@@ -407,7 +371,7 @@ def decide_lg_hm(words: Iterable[ReducedWord], arity: int) -> Verdict:
     def petal(pivot, sign):
         return (freegroup.signed(pivot, sign),)
 
-    result = _sign_search(words, arity, sign_pivots(words), petal, leaf)
+    result = _sign_search(words, pivots, petal, leaf)
     if isinstance(result, tuple):
         return Verdict(INVALID, SignAssignment(result))
     return Verdict(VALID, calculus.derive_glgstar(words, result))
@@ -445,7 +409,8 @@ def rg_refute_bounded(
     """Sign-branching refutation over conjugate-closed generator sets.
 
     A returned tree proves validity in the representable variety; None
-    proves nothing beyond the bounds being exhausted.
+    proves nothing beyond the bounds being exhausted.  A bi-order that
+    makes every word positive ends the search before it starts.
     """
     if conjugator_bound < 0:
         raise ValueError("conjugator bound must be >= 0")
@@ -456,6 +421,8 @@ def rg_refute_bounded(
             return RefutationLeaf(ConjugateProduct((entry,)))
     if pivots is not None and any(p.is_identity for p in pivots):
         raise ValueError("pivot words must be nonidentity")
+    if _root_order(words, arity) is not None:
+        return None
     roots = tuple((w, 1) for w in words)
     conjugators = freegroup.ball(arity, conjugator_bound)
 
@@ -472,7 +439,7 @@ def rg_refute_bounded(
             tuple(ConjugateEntry(*meta[i]) for i in factorization.factors)
         )
 
-    result = _sign_search(words, arity, sign_pivots(words, pivots), petal, leaf)
+    result = _sign_search(words, sign_pivots(words, pivots), petal, leaf)
     return None if isinstance(result, tuple) else result
 
 

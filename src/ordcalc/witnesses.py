@@ -75,9 +75,6 @@ class SignAssignment:
 
     signs: tuple[tuple[ReducedWord, int], ...]
 
-    def as_dict(self) -> dict[ReducedWord, int]:
-        return dict(self.signs)
-
 
 @dataclass(frozen=True)
 class BoundsReport:

@@ -307,6 +307,37 @@ def test_malformed_documents_rejected():
             target = target[key]
         target[last] = value
         _rejected(doc, message)
+    # bounds reports: a forged file, then one bad field per check
+    _rejected(
+        {"schema_version": version, "kind": "bounds_exhausted",
+         "conjugator_bound": "banana", "pivots": 7},
+        "missing field 'arity'",
+    )
+    commutator = words("x'y'xy")
+    report = ro.extend_order(commutator, 2, 1)
+    bounds = certio.bounds_doc(commutator, 2, report)
+    assert certio.verify_witness_doc(bounds) == []
+    assert bounds["words"] == ["x' y' x y"] and bounds["arity"] == 2
+    assert bounds["pivots"][:4] == ["x", "y", "x y", "x' y"]
+    for key, value, message in (
+        ("arity", "2", "'arity' has the wrong type"),
+        ("arity", 0, "arity must be >= 1"),
+        ("conjugator_bound", "banana", "'conjugator_bound' has the wrong type"),
+        ("conjugator_bound", -1, "conjugator bound must be >= 0"),
+        ("words", 7, "'words' has the wrong type"),
+        ("words", ["x'y'xz"], "generator index 3 exceeds arity 2"),
+        ("pivots", 7, "'pivots' has the wrong type"),
+        ("pivots", ["x", 1], "literal sequences must be strings"),
+        ("pivots", ["x", "z"], "generator index 3 exceeds arity 2"),
+    ):
+        _rejected({**bounds, key: value}, message)
+    for pivots, issue in (
+        (["", "x"], "a pivot is the identity"),
+        (["x'", "y"], "pivots are not in the form sign_pivots gives them"),
+        (["y", "x"], "pivots are not in the form sign_pivots gives them"),
+        (["x", "x"], "pivots are not in the form sign_pivots gives them"),
+    ):
+        assert certio.verify_witness_doc({**bounds, "pivots": pivots}) == [issue]
 
 
 def _table_mutants(table: list, slots, bool_message: str) -> list:

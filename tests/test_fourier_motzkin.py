@@ -11,8 +11,7 @@ def _satisfies(solution, equalities, inequalities):
         if sum(c * v for c, v in zip(e.coeffs, solution)) != e.bound:
             return False
     for r in inequalities:
-        total = sum(c * v for c, v in zip(r.coeffs, solution))
-        if total > r.bound or (r.strict and total == r.bound):
+        if sum(c * v for c, v in zip(r.coeffs, solution)) > r.bound:
             return False
     return True
 
@@ -29,18 +28,6 @@ def test_simple_infeasible_system():
     assert fm.solve(1, [], [fm.le([1], 0), fm.le([-1], -1)]) is None
     assert fm.solve(1, [fm.eq([0], 1)], []) is None
     assert fm.solve(2, [fm.eq([1, 1], 1), fm.eq([1, 1], 2)], []) is None
-
-
-def test_strict_inequalities():
-    # x < 0 and x > 0 cannot hold together
-    assert fm.solve(1, [], [fm.lt([1], 0), fm.lt([-1], 0)]) is None
-    # x < 0 alone must produce a strictly negative value
-    solution = fm.solve(1, [], [fm.lt([1], 0)])
-    assert solution is not None and solution[0] < 0
-    # boundary is excluded: x <= 1 and x >= 1 and x < 1 is infeasible
-    assert (
-        fm.solve(1, [], [fm.le([1], 1), fm.le([-1], -1), fm.lt([1], 1)]) is None
-    )
 
 
 def test_unconstrained_variables_default():
@@ -65,10 +52,7 @@ def test_random_systems_against_grid_oracle():
             eqs.append(fm.eq([rng.randint(-2, 2) for _ in range(n)], rng.randint(-2, 2)))
         for _ in range(rng.randint(0, 4)):
             row = [rng.randint(-2, 2) for _ in range(n)]
-            if rng.random() < 0.3:
-                ineqs.append(fm.lt(row, rng.randint(-2, 2)))
-            else:
-                ineqs.append(fm.le(row, rng.randint(-2, 2)))
+            ineqs.append(fm.le(row, rng.randint(-2, 2)))
         solution = fm.solve(n, eqs, ineqs)
         if solution is not None:
             assert _satisfies(solution, eqs, ineqs)

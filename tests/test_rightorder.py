@@ -1,11 +1,12 @@
+import hashlib
 import itertools
 import signal
 
 import pytest
 
 from conftest import w, words
-from ordcalc import abelian
 from ordcalc import calculus as ca
+from ordcalc import certio
 from ordcalc import freegroup as fg
 from ordcalc import membership
 from ordcalc import rightorder as ro
@@ -121,7 +122,7 @@ def test_decide_lg_hm_on_worked_examples():
 
     verdict = ro.decide_lg_hm(words(*T_WORDS), 2)
     assert verdict.status == "INVALID"
-    assignment = verdict.certificate.as_dict()
+    assignment = dict(verdict.certificate.signs)
     assert assignment[w("x")] == 1 and assignment[w("y")] == 1
 
     assert ro.decide_lg_hm([fg.IDENTITY], 2).status == "VALID"
@@ -183,11 +184,21 @@ def test_decide_rg_with_explicit_pivots():
 
 
 def test_sign_search_runs_deeper_than_the_recursion_limit():
-    # one search level per pivot: 1,200 levels, all open, then a separator
-    pivots = [fg.ReducedWord((1,) * k) for k in range(1, 1201)]
-    verdict = ro.decide_rg(words("x"), 1, 0, pivots=pivots)
-    assert verdict.status == "INVALID"
-    assert isinstance(verdict.certificate, abelian.Separator)
+    # below an open root, one search level per pivot: 1,200 levels, none of
+    # which adds a generator, so the first path that signs every pivot is
+    # the answer
+    joins = tuple(words("yx'yxy", "x'y'x", "x'y'y'"))
+    assert ro._root_order(joins, 2) is None
+    pivots = tuple(fg.ReducedWord((1,) * k) for k in range(1, 1201))
+
+    def petal(word, sign):
+        return (word,) if word in joins else ()
+
+    def leaf(path, generators):
+        raise AssertionError("no branch closes")
+
+    path = ro._sign_search(joins, pivots, petal, leaf)
+    assert path == tuple((p, 1) for p in pivots)
 
 
 def test_truncated_order_violations_detected():
@@ -209,35 +220,77 @@ def test_hm_invalid_search_makes_no_membership_call(monkeypatch):
 
     monkeypatch.setattr(membership, "contains_identity", counted)
     joins = words("yx'yxy", "x'y'x", "x'y'y'")
-    assert not ro._excludes_identity(joins, 2, ro._root_functional(joins, 2))
+    assert ro._root_order(joins, 2) is None
     verdict = ro.decide_lg_hm(joins, 2)
     assert verdict.status == "INVALID"
     assert calls == []
 
 
 def test_exclusion_never_holds_above_an_open_set(rng, monkeypatch):
+    # a bi-order that makes a set positive makes its subsets positive, so
+    # one test at the root settles every node below it
     pool = [u for u in fg.ball(2, 3) if not u.is_identity]
     opened = 0
     for _ in range(400):
         small = rng.sample(pool, rng.randint(2, 4))
-        functional = ro._root_functional(small, 2)
-        if ro._excludes_identity(small, 2, functional):
+        if ro._root_order(small, 2) is not None:
             continue
         opened += 1
         big = small + rng.sample(pool, rng.randint(1, 4))
-        assert not ro._excludes_identity(big, 2, functional), (small, big)
+        assert ro._root_order(big, 2) is None, (small, big)
     assert opened > 100
-    # so a search below an open root runs the pre-filter once
+    # so a search below an open root asks once
     calls = []
-    excludes = ro._excludes_identity
+    root_order = ro._root_order
 
     def counted(*args):
         calls.append(args)
-        return excludes(*args)
+        return root_order(*args)
 
-    monkeypatch.setattr(ro, "_excludes_identity", counted)
+    monkeypatch.setattr(ro, "_root_order", counted)
     assert ro.decide_lg_hm(words("yx'yxy", "x'y'x", "x'y'y'"), 2).status == "INVALID"
     assert len(calls) == 1
+
+
+def test_excluded_roots_build_no_closure(monkeypatch):
+    # a functional positive on every word, then one Magnus sign without one
+    by_functional = words("xx", "xy", "yx'")
+    by_magnus = words("x'y'xy")
+
+    class Forbidden:
+        def __init__(self):
+            raise AssertionError("an excluded root built an identity closure")
+
+    monkeypatch.setattr(membership, "IdentityClosure", Forbidden)
+    for joins in (by_functional, by_magnus):
+        assert ro._root_order(joins, 2) is not None
+        assert ro.rg_refute_bounded(joins, 2, 1) is None
+        verdict = ro.decide_lg_hm(joins, 2)
+        assert verdict.status == "INVALID"
+        doc = certio.sign_assignment_doc(joins, 2, verdict.certificate)
+        assert certio.verify_witness_doc(doc) == []
+    assert ro.decide_rg(by_functional, 2, 1).status == "INVALID"
+    assert ro.decide_rg(by_magnus, 2, 1).status == "UNKNOWN"
+
+
+def test_hm_invalid_assignments_are_pinned():
+    # the sign-assignment files of every hm INVALID set of the crosscheck
+    # corpus, hashed in corpus order; the digest was recorded before the
+    # root settlement replaced the per-node pre-filter
+    pool = [u for u in fg.ball(2, 2) if not u.is_identity]
+    digest = hashlib.sha256()
+    count = 0
+    for size in (1, 2, 3):
+        for subset in itertools.combinations(pool, size):
+            verdict = ro.decide_lg_hm(subset, 2)
+            if verdict.status == "INVALID":
+                doc = certio.sign_assignment_doc(subset, 2, verdict.certificate)
+                digest.update(certio.dumps(doc).encode())
+                count += 1
+    assert count == 460
+    assert digest.hexdigest() == (
+        "ba6dd39734ab2de2ab0a3d4634bf5198d5946a90e8cd9fb3d9bd9d4d738cc3c1"
+    )
 
 
 def test_decide_rg_settles_a_formerly_cut_row():

@@ -78,7 +78,7 @@ def genuine_documents() -> list[dict]:
             s_words, 2, ro.extend_right_order(s_words, 2), "right_order"
         ),
         certio.refutation_doc(conj, 2, ro.rg_refute_bounded(conj, 2, 1), "order"),
-        certio.bounds_doc(BoundsReport(1, ro.sign_pivots(t_words))),
+        certio.bounds_doc(t_words, 2, BoundsReport(1, ro.sign_pivots(t_words))),
     ]
 
 
