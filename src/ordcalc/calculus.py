@@ -431,40 +431,53 @@ def _derive_star(
         raise DerivationError(f"refutation tree does not verify: {error}")
     targets = _canonical_targets(words)
 
-    def build(node: RefutationTree, path: _Path) -> Pass:
-        context = targets + [
-            canonical_sequent(freegroup.signed(p, s)) for p, s in path
-        ]
-        if isinstance(node, RefutationBranch):
-            positive = yield build(node.positive, path + ((node.pivot, 1),))
-            negative = yield build(node.negative, path + ((node.pivot, -1),))
-            return Derivation(
-                Hypersequent.of(context),
-                rule_instance("star", delta=node.pivot.letters),
-                (positive, negative),
-            )
-        blocks = _leaf_blocks(node.witness, words, path)
-        exposed = {_red(e) for _, e in blocks}
-        base_context = [s for s in context if s.word not in exposed]
-
-        def leaf(rotation: list[tuple[Raw, Raw]]) -> Derivation:
-            raw = tuple(itertools.chain.from_iterable(
-                q + e + freegroup.bar(q) for q, e in rotation
-            ))
-            axiom = Derivation(
-                Hypersequent.of([Sequent(raw), *base_context]),
-                rule_instance("gv", gamma=raw),
-                (),
-            )
-            return _split_chain(axiom, rotation, base_context)
-
-        return _first_rotation(calculus, Hypersequent.of(context), blocks, leaf)
-
-    derivation = freegroup.unwind(build(tree, ()))
+    derivation = freegroup.unwind(_star_node(words, targets, calculus, tree, ()))
     result = check(calculus, derivation, Hypersequent.of(targets))
     if not result:
         raise AssertionError(f"extracted derivation failed: {result.message}")
     return derivation
+
+
+def _star_node(
+    words: tuple[ReducedWord, ...],
+    targets: list[Sequent],
+    calculus: CalculusId,
+    node: RefutationTree,
+    path: _Path,
+) -> Pass:
+    """The derivation of the subtree under node, reached along path; see
+    _derive_star."""
+    context = targets + [
+        canonical_sequent(freegroup.signed(p, s)) for p, s in path
+    ]
+    if isinstance(node, RefutationBranch):
+        positive = path + ((node.pivot, 1),)
+        negative = path + ((node.pivot, -1),)
+        premises = (
+            (yield _star_node(words, targets, calculus, node.positive, positive)),
+            (yield _star_node(words, targets, calculus, node.negative, negative)),
+        )
+        return Derivation(
+            Hypersequent.of(context),
+            rule_instance("star", delta=node.pivot.letters),
+            premises,
+        )
+    blocks = _leaf_blocks(node.witness, words, path)
+    exposed = {_red(e) for _, e in blocks}
+    base_context = [s for s in context if s.word not in exposed]
+
+    def leaf(rotation: list[tuple[Raw, Raw]]) -> Derivation:
+        raw = tuple(itertools.chain.from_iterable(
+            q + e + freegroup.bar(q) for q, e in rotation
+        ))
+        axiom = Derivation(
+            Hypersequent.of([Sequent(raw), *base_context]),
+            rule_instance("gv", gamma=raw),
+            (),
+        )
+        return _split_chain(axiom, rotation, base_context)
+
+    return _first_rotation(calculus, Hypersequent.of(context), blocks, leaf)
 
 
 def derive_glgstar(

@@ -109,16 +109,17 @@ def _to_table(root, children: Callable, entry: Callable) -> list[dict]:
     """The table of the tree under root.  entry(node, indices) writes one
     node, given the table indices of its children."""
     table: list[dict] = []
-
-    def visit(node) -> Pass:
-        indices = []
-        for child in children(node):
-            indices.append((yield visit(child)))
-        table.append(entry(node, indices))
-        return len(table) - 1
-
-    freegroup.unwind(visit(root))
+    freegroup.unwind(_visit(root, children, entry, table))
     return table
+
+
+def _visit(node, children: Callable, entry: Callable, table: list[dict]) -> Pass:
+    """Append the subtree under node to the table; returns its index."""
+    indices = []
+    for child in children(node):
+        indices.append((yield _visit(child, children, entry, table)))
+    table.append(entry(node, indices))
+    return len(table) - 1
 
 
 def _from_table(table: Any, build: Callable) -> Any:
@@ -391,8 +392,9 @@ def verify_witness_doc(doc: dict) -> list[str]:
             return ["pivots are not the representatives of cis(words)"]
         if any(s not in (1, -1) for _, s in path):
             return ["every sign must be 1 or -1"]
+        # a yes or no is all the check needs, so no provenance is kept
         signed = tuple(freegroup.signed(p, s) for p, s in path)
-        found, _ = membership.contains_identity(words + signed)
+        found = membership.IdentityClosure().grow(words + signed)
         return ["signed generators reach the identity"] if found else []
     if kind == "refutation":
         flavor = _require(doc, "flavor", str)

@@ -8,6 +8,7 @@ generators numbered from 1.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Generator, Iterable, Iterator
 
@@ -20,7 +21,11 @@ def unwind(top: Pass):
     """Run a recursive pass on an explicit stack.  A pass is a generator
     that yields the generator of each recursive call and is sent back its
     value, so deep terms and trees never nest Python frames.  A call's
-    exception is not thrown into its caller: it ends the whole pass."""
+    exception is not thrown into its caller: it ends the whole pass.
+    Write a pass as a module-level function or a method: a nested
+    function that calls itself by name forms a reference cycle with its
+    enclosing scope, which then outlives the pass until the cyclic garbage
+    collector runs."""
     stack, value = [top], None
     while stack:
         try:
@@ -164,6 +169,84 @@ def ball(arity: int, radius: int) -> tuple[ReducedWord, ...]:
         layer = nxt
         out.extend(ReducedWord(letters) for letters in layer)
     return tuple(out)
+
+
+class CancellationIndex:
+    """Words in insertion order, indexed by length, prefix and suffix, so
+    that the words whose product with a given word stays within a length
+    level are found without multiplying by every word.
+
+    ``|u w| = |u| + |w| - 2k`` where the first k letters of w are the
+    inverse of the last k of u, so ``|u w| <= level`` exactly when w begins
+    with the first ``ceil((|u| + |w| - level) / 2)`` letters of ``u'``.
+    Between words within the level that is at most ``ceil(level / 2)``
+    letters, and no longer prefix is indexed; so for words longer than the
+    level the lookups may also list words whose product is longer.
+    Prefixes and reversed suffixes are interned as nodes of one trie, so a
+    word costs one entry per indexed letter.
+    """
+
+    def __init__(self, level: int, words: Iterable[ReducedWord] = ()):
+        self.level = level
+        self.words: list[ReducedWord] = []
+        self._depth = (level + 1) // 2
+        self._nodes: dict[tuple[int, int], int] = {}  # (node, letter) -> child; root 0
+        # (length, node of a prefix, or of a suffix read backwards) -> positions
+        self._starts: dict[tuple[int, int], list[int]] = {}
+        self._ends: dict[tuple[int, int], list[int]] = {}
+        self._lengths: set[int] = set()  # every length a word has had
+        for w in words:
+            self.add(w)
+
+    def _keys(self, word: ReducedWord):
+        """The (table, key) entries of the word's prefixes and suffixes."""
+        nodes, n = self._nodes, len(word)
+        forwards = word.letters[: self._depth]
+        backwards = word.letters[::-1][: self._depth]
+        for table, stem in ((self._starts, forwards), (self._ends, backwards)):
+            node = 0
+            yield table, (n, node)
+            for code in stem:
+                node = nodes.setdefault((node, code), len(nodes) + 1)
+                yield table, (n, node)
+
+    def add(self, word: ReducedWord) -> None:
+        position = len(self.words)
+        self.words.append(word)
+        self._lengths.add(len(word))
+        for table, key in self._keys(word):
+            table.setdefault(key, []).append(position)
+
+    def truncate(self, count: int) -> None:
+        """Forget every word added after the first ``count``."""
+        while len(self.words) > count:
+            word = self.words.pop()
+            for table, key in self._keys(word):
+                table[key].pop()
+
+    def _factors(self, table: dict, n: int, stem: Iterable[int]) -> list[int]:
+        # the trie nodes along the stem, as far as an indexed word follows it
+        path = [0]
+        for code in itertools.islice(stem, self._depth):
+            node = self._nodes.get((path[-1], code))
+            if node is None:
+                break
+            path.append(node)
+        out: list[int] = []
+        for length in self._lengths:
+            k = min(max(0, (n + length - self.level + 1) // 2), self._depth)
+            if k < len(path):
+                out += table.get((length, path[k]), ())
+        out.sort()
+        return out
+
+    def right_factors(self, u: ReducedWord) -> list[int]:
+        """Positions, ascending, of the words w with ``|u w| <= level``."""
+        return self._factors(self._starts, len(u), (-c for c in reversed(u.letters)))
+
+    def left_factors(self, u: ReducedWord) -> list[int]:
+        """Positions, ascending, of the words v with ``|v u| <= level``."""
+        return self._factors(self._ends, len(u), (-c for c in u.letters))
 
 
 def abelianize(a: ReducedWord, arity: int) -> tuple[int, ...]:

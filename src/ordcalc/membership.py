@@ -100,20 +100,20 @@ class WordAutomaton:
 
     def expand_pair(self, pair: tuple[int, int]) -> list[int]:
         """Replay provenance records into the underlying transition walk."""
-        memo: dict[tuple[int, int], list[int]] = {}
+        return freegroup.unwind(self._expand(pair, {}))
 
-        def expand(current: tuple[int, int]) -> Pass:
-            if current not in memo:
-                prov = self.epsilon[current]
-                if prov[0] == _DIRECT:
-                    memo[current] = [prov[1], prov[2]]
-                elif prov[0] == _WRAP:
-                    memo[current] = [prov[1], *(yield expand(prov[2])), prov[3]]
-                else:
-                    memo[current] = (yield expand(prov[1])) + (yield expand(prov[2]))
-            return memo[current]
-
-        return freegroup.unwind(expand(pair))
+    def _expand(self, current: tuple[int, int], memo: dict) -> Pass:
+        """The transition walk of one pair; see expand_pair."""
+        if current not in memo:
+            prov = self.epsilon[current]
+            if prov[0] == _DIRECT:
+                memo[current] = [prov[1], prov[2]]
+            elif prov[0] == _WRAP:
+                memo[current] = [prov[1], *(yield self._expand(prov[2], memo)), prov[3]]
+            else:
+                first = yield self._expand(prov[1], memo)
+                memo[current] = first + (yield self._expand(prov[2], memo))
+        return memo[current]
 
     def walk_factors(self, walk: Sequence[int]) -> list[int]:
         """Read generator indices off a closed base walk (one per full cycle)."""

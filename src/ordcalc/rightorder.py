@@ -35,6 +35,7 @@ DEFAULT_CONJUGATOR_BOUND = 3
 _Prov = tuple
 _Path = tuple[tuple[ReducedWord, int], ...]
 _GEN, _PROD = "gen", "prod"
+_UNSOLVED = object()  # a root functional not computed yet
 
 
 def _joinands(words: Iterable[ReducedWord]) -> tuple[ReducedWord, ...]:
@@ -100,64 +101,112 @@ def sign_pivots(
 # truncated-cone closure
 
 
-def _close(
-    elements: dict[ReducedWord, _Prov],
-    additions: Sequence[tuple[ReducedWord, _Prov]],
-    bound: int,
-):
-    """Close under products of length <= bound.
+class _Cone:
+    """A set of words closed under the products that stay within a length
+    bound, grown and rolled back along the search.  Each element keeps its
+    provenance: a generator index, or the pair whose product it is."""
 
-    Returns ("ok", elems) or ("dead", (a, b), elems) where a * b reduces to
-    the identity; elems maps each element to its provenance.
-    """
-    elems = dict(elements)
-    queue: list[ReducedWord] = []
-    for w, prov in additions:
-        if w not in elems:
-            elems[w] = prov
-            queue.append(w)
-    while queue:
-        w = queue.pop()
-        for v in list(elems):
-            for a, b in ((w, v), (v, w)):
-                p = freegroup.mul(a, b)
-                if p.is_identity:
-                    return ("dead", (a, b), elems)
-                if len(p) <= bound and p not in elems:
-                    elems[p] = (_PROD, a, b)
-                    queue.append(p)
-    return ("ok", elems)
+    def __init__(self, bound: int):
+        self.provenance: dict[ReducedWord, _Prov] = {}
+        self.index = freegroup.CancellationIndex(bound)
 
+    def close(
+        self, additions: Sequence[tuple[ReducedWord, _Prov]]
+    ) -> tuple[ReducedWord, ReducedWord] | None:
+        """Add the words and close; returns a pair (a, b) of elements whose
+        product is the identity, or None.  Each queued element w meets the
+        elements present when it is taken, in insertion order, as w * v and
+        then v * w; only the v whose product with w may stay within the
+        bound are visited."""
+        elems, index = self.provenance, self.index
+        queue: list[ReducedWord] = []
+        for w, prov in additions:
+            if w not in elems:
+                elems[w] = prov
+                index.add(w)
+                queue.append(w)
+        while queue:
+            w = queue.pop()
+            candidates = set(index.right_factors(w)).union(index.left_factors(w))
+            for position in sorted(candidates):
+                v = index.words[position]
+                for a, b in ((w, v), (v, w)):
+                    p = freegroup.mul(a, b)
+                    if p.is_identity:
+                        return (a, b)
+                    if len(p) <= index.level and p not in elems:
+                        elems[p] = (_PROD, a, b)
+                        index.add(p)
+                        queue.append(p)
+        return None
 
-def _death_factors(
-    elems: dict[ReducedWord, _Prov], pair: tuple[ReducedWord, ReducedWord]
-) -> Factorization:
-    memo: dict[ReducedWord, tuple[int, ...]] = {}
+    def rollback(self, size: int) -> None:
+        """Drop every element added after the first ``size``."""
+        for w in self.index.words[size:]:
+            del self.provenance[w]
+        self.index.truncate(size)
 
-    def flat(w: ReducedWord) -> Pass:
-        if w not in memo:
-            prov = elems[w]
-            if prov[0] == _GEN:
-                memo[w] = (prov[1],)
+    def factors(self, pair: tuple[ReducedWord, ReducedWord]) -> Factorization:
+        """The generator indices whose product is the pair's product."""
+        memo: dict[ReducedWord, tuple[int, ...]] = {}
+        flat = (freegroup.unwind(_flatten(self.provenance, memo, w)) for w in pair)
+        return Factorization(tuple(i for factors in flat for i in factors))
+
+    def search(
+        self, pivots: Sequence[ReducedWord], arity: int, index: int
+    ) -> Pass:
+        """The search below the cone as it stands: a TruncatedRightOrder,
+        or a refutation tree.  It signs the first pivot that neither is
+        nor inverts an element, positive sign first, as generator
+        ``index``, and rolls the cone back after each sign."""
+        elems = self.provenance
+        pivot = next(
+            (w for w in pivots if w not in elems and freegroup.inv(w) not in elems),
+            None,
+        )
+        if pivot is None:
+            return TruncatedRightOrder(arity, self.index.level, frozenset(elems))
+        size = len(elems)
+        subtrees = {}
+        for sign in (1, -1):
+            dead = self.close([(freegroup.signed(pivot, sign), (_GEN, index))])
+            if dead is not None:
+                subtrees[sign] = RefutationLeaf(self.factors(dead))
             else:
-                memo[w] = (yield flat(prov[1])) + (yield flat(prov[2]))
-        return memo[w]
+                subtrees[sign] = yield self.search(pivots, arity, index + 1)
+            self.rollback(size)
+            if isinstance(subtrees[sign], TruncatedRightOrder):
+                return subtrees[sign]
+        return RefutationBranch(pivot, subtrees[1], subtrees[-1])
 
-    return Factorization(tuple(i for w in pair for i in freegroup.unwind(flat(w))))
+
+def _flatten(provenance: dict, memo: dict, w: ReducedWord) -> Pass:
+    """The generator indices whose product is the element w."""
+    if w not in memo:
+        prov = provenance[w]
+        if prov[0] == _GEN:
+            memo[w] = (prov[1],)
+        else:
+            first = yield _flatten(provenance, memo, prov[1])
+            memo[w] = first + (yield _flatten(provenance, memo, prov[2]))
+    return memo[w]
 
 
 def close_truncated(
     words: Iterable[ReducedWord], max_length: int
 ) -> frozenset[ReducedWord]:
-    """Least superset closed under products that stay within the length bound."""
+    """Least superset closed under products that stay within the length
+    bound.  When a product reaches the identity the closure stops there,
+    and the elements reached so far are returned."""
     words = freegroup.dedupe(words)
     for w in words:
         if w.is_identity:
             raise ValueError("the identity cannot generate a truncated cone")
         if len(w) > max_length:
             raise ValueError("generator exceeds the length bound")
-    result = _close({}, [(w, (_GEN, i)) for i, w in enumerate(words)], max_length)
-    return frozenset(result[1])
+    cone = _Cone(max_length)
+    cone.close([(w, (_GEN, i)) for i, w in enumerate(words)])
+    return frozenset(cone.provenance)
 
 
 def extend_right_order(
@@ -181,40 +230,12 @@ def extend_right_order(
         level = natural
     elif level < natural:
         raise ValueError("truncation level is below the longest input word")
-    pivot_space = [w for w in freegroup.ball(arity, level - 1) if not w.is_identity]
-
-    outcome = _close({}, [(w, (_GEN, i)) for i, w in enumerate(words)], level)
-    if outcome[0] == "dead":
-        return RefutationLeaf(_death_factors(outcome[2], outcome[1]))
-
-    def search(elems: dict[ReducedWord, _Prov], depth: int) -> Pass:
-        pivot = next(
-            (
-                w
-                for w in pivot_space
-                if w not in elems and freegroup.inv(w) not in elems
-            ),
-            None,
-        )
-        if pivot is None:
-            return TruncatedRightOrder(arity, level, frozenset(elems))
-        subtrees = {}
-        for sign in (1, -1):
-            candidate = freegroup.signed(pivot, sign)
-            result = _close(
-                elems, [(candidate, (_GEN, len(words) + depth))], level
-            )
-            if result[0] == "dead":
-                subtrees[sign] = RefutationLeaf(
-                    _death_factors(result[2], result[1])
-                )
-                continue
-            subtrees[sign] = yield search(result[1], depth + 1)
-            if isinstance(subtrees[sign], TruncatedRightOrder):
-                return subtrees[sign]
-        return RefutationBranch(pivot, subtrees[1], subtrees[-1])
-
-    return freegroup.unwind(search(outcome[1], 0))
+    pivots = [w for w in freegroup.ball(arity, level - 1) if not w.is_identity]
+    cone = _Cone(level)
+    dead = cone.close([(w, (_GEN, i)) for i, w in enumerate(words)])
+    if dead is not None:
+        return RefutationLeaf(cone.factors(dead))
+    return freegroup.unwind(cone.search(pivots, arity, len(words)))
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +252,9 @@ def _root_functional(words, arity: int) -> tuple[int, ...] | None:
     return tuple(-c for c in separator)
 
 
-def _root_order(words, arity: int) -> Callable[[ReducedWord], int] | None:
+def _root_order(
+    words, arity: int, functional: tuple[int, ...] | None | object = _UNSOLVED
+) -> Callable[[ReducedWord], int] | None:
     """A function that gives each nonidentity word its sign in a bi-invariant
     order making every word positive, or None when neither certificate
     below finds such an order.
@@ -242,9 +265,11 @@ def _root_order(words, arity: int) -> Callable[[ReducedWord], int] | None:
     one Magnus sign.  Its positive cone is closed under products and under
     conjugation, and it holds the words and every pivot signed as it says.
     So no branch of the sign search closes along that path, for any petal
-    made of conjugates, and the path is the search's answer.
+    made of conjugates, and the path is the search's answer.  A caller
+    that has solved ``_root_functional(words, arity)`` passes its answer.
     """
-    functional = _root_functional(words, arity)
+    if functional is _UNSOLVED:
+        functional = _root_functional(words, arity)
     if functional is not None:
 
         def sign(pivot: ReducedWord) -> int:
@@ -287,47 +312,51 @@ def _sign_search(
     roots that ``_root_order`` excludes.
     """
     closure = membership.IdentityClosure()
-
-    def generators(path: _Path) -> tuple[ReducedWord, ...]:
-        return words + tuple(freegroup.signed(p, s) for p, s in path)
-
-    def search(path: _Path) -> Pass:
-        # the closure holds the petals of the words and of the path above
-        # this node; one grow adds this node's own
-        if path:
-            closure.grow(petal(*path[-1]))
-        else:
-            closure.grow(u for w in words for u in petal(w, 1))
-        if closure.reached:
-            closure.rollback()
-            return _Closed(path)
-        depth = len(path)
-        if depth == len(pivots):
-            return path
-        pivot = pivots[depth]
-        # the Magnus-positive sign first; this order fixes the certificates
-        first = biorder.magnus_sign(pivot)
-        subtrees = {}
-        for sign in (first, -first):
-            subtrees[sign] = yield search(path + ((pivot, sign),))
-            if isinstance(subtrees[sign], tuple):
-                return subtrees[sign]
-        closure.rollback()
-        return RefutationBranch(pivot, subtrees[1], subtrees[-1])
-
-    def extract(node) -> Pass:
-        if isinstance(node, _Closed):
-            witness = leaf(node.path, generators(node.path))
-            if witness is None:
-                raise AssertionError("closed leaf has no witness")
-            return RefutationLeaf(witness)
-        positive = yield extract(node.positive)
-        return RefutationBranch(node.pivot, positive, (yield extract(node.negative)))
-
-    result = freegroup.unwind(search(()))
+    result = freegroup.unwind(_sign_node(closure, words, pivots, petal, ()))
     if isinstance(result, tuple):
         return result
-    return freegroup.unwind(extract(result))
+    return freegroup.unwind(_extract(words, leaf, result))
+
+
+def _sign_node(closure, words, pivots, petal, path: _Path) -> Pass:
+    """The search below the node that ``path`` reaches; see _sign_search."""
+    # the closure holds the petals of the words and of the path above this
+    # node; one grow adds this node's own
+    if path:
+        closure.grow(petal(*path[-1]))
+    else:
+        closure.grow(u for w in words for u in petal(w, 1))
+    if closure.reached:
+        closure.rollback()
+        return _Closed(path)
+    depth = len(path)
+    if depth == len(pivots):
+        return path
+    pivot = pivots[depth]
+    # the Magnus-positive sign first; this order fixes the certificates
+    first = biorder.magnus_sign(pivot)
+    subtrees = {}
+    for sign in (first, -first):
+        below = path + ((pivot, sign),)
+        subtrees[sign] = yield _sign_node(closure, words, pivots, petal, below)
+        if isinstance(subtrees[sign], tuple):
+            return subtrees[sign]
+    closure.rollback()
+    return RefutationBranch(pivot, subtrees[1], subtrees[-1])
+
+
+def _extract(words, leaf, node) -> Pass:
+    """The refutation tree of a searched tree, each closed leaf replaced by
+    its witness."""
+    if isinstance(node, _Closed):
+        generators = words + tuple(freegroup.signed(p, s) for p, s in node.path)
+        witness = leaf(node.path, generators)
+        if witness is None:
+            raise AssertionError("closed leaf has no witness")
+        return RefutationLeaf(witness)
+    positive = yield _extract(words, leaf, node.positive)
+    negative = yield _extract(words, leaf, node.negative)
+    return RefutationBranch(node.pivot, positive, negative)
 
 
 # ---------------------------------------------------------------------------
@@ -405,12 +434,16 @@ def rg_refute_bounded(
     arity: int,
     conjugator_bound: int = DEFAULT_CONJUGATOR_BOUND,
     pivots: Sequence[ReducedWord] | None = None,
+    *,
+    functional: tuple[int, ...] | None | object = _UNSOLVED,
 ) -> RefutationTree | None:
     """Sign-branching refutation over conjugate-closed generator sets.
 
     A returned tree proves validity in the representable variety; None
     proves nothing beyond the bounds being exhausted.  A bi-order that
-    makes every word positive ends the search before it starts.
+    makes every word positive ends the search before it starts.  A caller
+    that has already solved ``_root_functional(words, arity)`` hands its
+    answer in as ``functional``, so the system is solved once.
     """
     if conjugator_bound < 0:
         raise ValueError("conjugator bound must be >= 0")
@@ -421,7 +454,7 @@ def rg_refute_bounded(
             return RefutationLeaf(ConjugateProduct((entry,)))
     if pivots is not None and any(p.is_identity for p in pivots):
         raise ValueError("pivot words must be nonidentity")
-    if _root_order(words, arity) is not None:
+    if _root_order(words, arity, functional) is not None:
         return None
     roots = tuple((w, 1) for w in words)
     conjugators = freegroup.ball(arity, conjugator_bound)
@@ -452,14 +485,16 @@ def extend_order(
     """A refutation tree (no order makes every word positive), else a
     functional negative on every word (its negation orders them all
     positive), else the bounds the search exhausted."""
-    words = freegroup.dedupe(words)
-    tree = rg_refute_bounded(words, arity, conjugator_bound, pivots)
+    words = _joinands(words)
+    # the separator is the root functional negated: one system per query
+    functional = _root_functional(words, arity)
+    tree = rg_refute_bounded(
+        words, arity, conjugator_bound, pivots, functional=functional
+    )
     if tree is not None:
         return tree
-    vectors = [freegroup.abelianize(w, arity) for w in words]
-    separator = abelian.find_separator(vectors)
-    if separator is not None:
-        return abelian.Separator(separator)
+    if functional is not None:
+        return abelian.Separator(tuple(-c for c in functional))
     return BoundsReport(conjugator_bound, sign_pivots(words, pivots))
 
 

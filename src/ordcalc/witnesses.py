@@ -114,8 +114,12 @@ class TruncatedRightOrder:
         for w in elems:
             if len(w) > self.level:
                 issues.append(f"element {freegroup.word_to_text(w)} exceeds level")
+        # only the pairs the index finds can multiply to a word within the
+        # level; they are visited in the order of the elements
+        index = freegroup.CancellationIndex(self.level, elems)
         for s in elems:
-            for t in elems:
+            for position in index.right_factors(s):
+                t = index.words[position]
                 st = freegroup.mul(s, t)
                 if len(st) <= self.level and st not in elems:
                     issues.append(
@@ -148,36 +152,45 @@ def verify_refutation_tree(
     ``words`` is the root generator list; leaf indices address it followed
     by the signed pivots along the path.
     """
+    return freegroup.unwind(_walk(words, conjugate, tree, ()))
 
-    def walk(node: RefutationTree, path: tuple[tuple[ReducedWord, int], ...]) -> Pass:
-        if isinstance(node, RefutationBranch):
-            if node.pivot.is_identity:
-                return "branch pivot is the identity"
-            if (err := (yield walk(node.positive, path + ((node.pivot, 1),)))) is not None:
-                return err
-            return (yield walk(node.negative, path + ((node.pivot, -1),)))
-        witness = node.witness
-        if conjugate:
-            # Conjugate entries address unsigned base words and carry the sign.
-            generators = words + tuple(p for p, _ in path)
-            if not isinstance(witness, ConjugateProduct):
-                return "leaf carries no conjugate product"
-            for entry in witness.entries:
-                if not 0 <= entry.base < len(generators):
-                    return f"conjugate base index {entry.base} out of range"
-                if entry.base < len(words):
-                    if entry.sign != 1:
-                        return "root generators may only occur positively"
-                elif entry.sign != path[entry.base - len(words)][1]:
-                    return "pivot sign disagrees with the branch path"
-        else:
-            generators = words + tuple(freegroup.signed(p, s) for p, s in path)
-            if not isinstance(witness, Factorization):
-                return "leaf carries no factorization"
-            if any(not 0 <= i < len(generators) for i in witness.factors):
-                return "factor index out of range"
-        if not witness.product(generators).is_identity:
-            return "leaf product does not reduce to the identity"
-        return None
 
-    return freegroup.unwind(walk(tree, ()))
+def _walk(
+    words: tuple[ReducedWord, ...],
+    conjugate: bool,
+    node: RefutationTree,
+    path: tuple[tuple[ReducedWord, int], ...],
+) -> Pass:
+    """The first fault below node, reached along path; see verify_refutation_tree."""
+    if isinstance(node, RefutationBranch):
+        if node.pivot.is_identity:
+            return "branch pivot is the identity"
+        positive = path + ((node.pivot, 1),)
+        err = yield _walk(words, conjugate, node.positive, positive)
+        if err is not None:
+            return err
+        negative = path + ((node.pivot, -1),)
+        return (yield _walk(words, conjugate, node.negative, negative))
+    witness = node.witness
+    if conjugate:
+        # Conjugate entries address unsigned base words and carry the sign.
+        generators = words + tuple(p for p, _ in path)
+        if not isinstance(witness, ConjugateProduct):
+            return "leaf carries no conjugate product"
+        for entry in witness.entries:
+            if not 0 <= entry.base < len(generators):
+                return f"conjugate base index {entry.base} out of range"
+            if entry.base < len(words):
+                if entry.sign != 1:
+                    return "root generators may only occur positively"
+            elif entry.sign != path[entry.base - len(words)][1]:
+                return "pivot sign disagrees with the branch path"
+    else:
+        generators = words + tuple(freegroup.signed(p, s) for p, s in path)
+        if not isinstance(witness, Factorization):
+            return "leaf carries no factorization"
+        if any(not 0 <= i < len(generators) for i in witness.factors):
+            return "factor index out of range"
+    if not witness.product(generators).is_identity:
+        return "leaf product does not reduce to the identity"
+    return None

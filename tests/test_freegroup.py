@@ -244,3 +244,33 @@ def test_word_to_text_agrees_with_the_original_writer(rng):
             fg.word_to_text(letters)
         assert type(actual.value) is type(expected.value)
         assert str(actual.value) == str(expected.value)
+
+
+def test_cancellation_index_lists_the_short_products(rng):
+    # exactly the words whose product stays within the level, in insertion
+    # order, while both factors are within it; a superset once one is
+    # longer; and truncation leaves the index of the words kept
+    for _ in range(400):
+        level = rng.randint(0, 6)
+        pool = list(dict.fromkeys(
+            random_reduced_word(rng, 2, rng.choice((level, 8)))
+            for _ in range(rng.randint(0, 20))
+        ))
+        index = fg.CancellationIndex(level, pool)
+        kept = rng.randint(0, len(pool))
+        index.truncate(kept)
+        rebuilt = fg.CancellationIndex(level, pool)
+        for held, idx in ((pool[:kept], index), (pool, rebuilt)):
+            for u in pool:
+                exact = all(len(v) <= level for v in (u, *held))
+                for found, product in (
+                    (idx.right_factors(u), lambda v: fg.mul(u, v)),
+                    (idx.left_factors(u), lambda v: fg.mul(v, u)),
+                ):
+                    lengths = [len(product(v)) for v in held]
+                    short = [i for i, n in enumerate(lengths) if n <= level]
+                    assert found == sorted(found)
+                    if exact:
+                        assert found == short, (level, u)
+                    else:
+                        assert set(short) <= set(found), (level, u)

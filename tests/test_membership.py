@@ -5,6 +5,7 @@ import pytest
 from conftest import random_reduced_word, w, words
 from ordcalc import freegroup as fg
 from ordcalc import membership as mb
+from ordcalc import rightorder as ro
 
 
 def test_flower_shapes():
@@ -121,3 +122,60 @@ def test_identity_closure_agrees_through_grow_and_rollback(rng):
             assert closure.reached == mb.contains_identity(present)[0], batches
             steps += 1
     assert steps == 150 * 14
+
+# the 29 hm rows of the hard-search benchmark table: three words over two
+# generators whose sign search is long
+HARD_HM_SETS = (
+    "x'x'yxx | xy'y'y'y' | yx'x'",
+    "yx'x'y'x' | xyx'y'x' | xy'xxy",
+    "y'y'xy | y'x'y | xyx'",
+    "xxy'x'y' | x'x'yy | xxy'",
+    "x'x'x' | xy'x'y | xxy'x",
+    "y'xy | y'x'y'x | yxyx'",
+    "y'xyx | xyx | yx'y'x'",
+    "x'y'xy' | yyxxx | yyx'",
+    "y'x'y | yyyx | xy'x'",
+    "xy'y' | y'xx | x'yx'y",
+    "xyx'y' | x'yyyx' | xyy",
+    "xy'x | yyx | y'x'x'yy",
+    "xyyx'y | x'x'y | xy'y'x",
+    "xxy'y' | y'xyyx | y'x'yy",
+    "x'y'x | y'xy' | xyyyx'",
+    "y'xy | x'x'y'x' | y'x'yx'",
+    "xxy' | xyyx'y | y'x'y'y'",
+    "yyyx | y'y'y'x'y | y'y'xxx",
+    "yx'yx | xy'x' | xyyy",
+    "yx'x'x' | y'y'xx | yxy'x",
+    "y'y'x | yx'x' | yxy'xy'",
+    "yx'y'y' | yxxx | x'yy",
+    "xyyx | y'x'x'y' | xy'xy'",
+    "yx'yxy | x'y'x | x'y'y'",
+    "yx'yxy | y'y'x | yx'y'x'",
+    "y'xy'x | y'x'yy | xxyxy'",
+    "y'y'x | y'x'yx'x' | yxxy'",
+    "x'y'y' | x'y'x' | xxyyx'",
+    "yxxy'y' | yyx | x'yx'x'",
+)
+
+
+def test_identity_closure_agrees_on_hard_sign_assignments():
+    # the sign_assignment check runs the closure that the search decides
+    # with; on each hard witness, and on it with one signed pivot flipped,
+    # the closure must answer as the provenance-keeping automaton does
+    answers = {True: 0, False: 0}
+    for text in HARD_HM_SETS:
+        joins = tuple(words(*text.split(" | ")))
+        verdict = ro.decide_lg_hm(joins, 2)
+        assert verdict.status == "INVALID", text
+        signed = [fg.signed(p, s) for p, s in verdict.certificate.signs]
+        variants = [signed] + [
+            signed[:i] + [fg.inv(signed[i])] + signed[i + 1 :]
+            for i in range(len(signed))
+        ]
+        for i, variant in enumerate(variants):
+            generators = joins + tuple(variant)
+            found = mb.IdentityClosure().grow(generators)
+            assert found == mb.contains_identity(generators)[0], (text, i)
+            assert not (found and i == 0), text  # the witness itself holds
+            answers[found] += 1
+    assert min(answers.values()) > 100, answers

@@ -1,12 +1,14 @@
+import gc
 import hashlib
 import itertools
 import signal
+import weakref
 
 import pytest
 
 from conftest import w, words
 from ordcalc import calculus as ca
-from ordcalc import certio
+from ordcalc import certio, cli
 from ordcalc import freegroup as fg
 from ordcalc import membership
 from ordcalc import rightorder as ro
@@ -261,16 +263,21 @@ def test_excluded_roots_build_no_closure(monkeypatch):
         def __init__(self):
             raise AssertionError("an excluded root built an identity closure")
 
-    monkeypatch.setattr(membership, "IdentityClosure", Forbidden)
+    # the search is forbidden a closure; the independent check of its
+    # witness builds one of its own
     for joins in (by_functional, by_magnus):
         assert ro._root_order(joins, 2) is not None
-        assert ro.rg_refute_bounded(joins, 2, 1) is None
-        verdict = ro.decide_lg_hm(joins, 2)
+        with monkeypatch.context() as search:
+            search.setattr(membership, "IdentityClosure", Forbidden)
+            assert ro.rg_refute_bounded(joins, 2, 1) is None
+            verdict = ro.decide_lg_hm(joins, 2)
         assert verdict.status == "INVALID"
         doc = certio.sign_assignment_doc(joins, 2, verdict.certificate)
         assert certio.verify_witness_doc(doc) == []
-    assert ro.decide_rg(by_functional, 2, 1).status == "INVALID"
-    assert ro.decide_rg(by_magnus, 2, 1).status == "UNKNOWN"
+    with monkeypatch.context() as search:
+        search.setattr(membership, "IdentityClosure", Forbidden)
+        assert ro.decide_rg(by_functional, 2, 1).status == "INVALID"
+        assert ro.decide_rg(by_magnus, 2, 1).status == "UNKNOWN"
 
 
 def test_hm_invalid_assignments_are_pinned():
@@ -307,3 +314,109 @@ def test_decide_rg_settles_a_formerly_cut_row():
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert verdict.status == "UNKNOWN"
+
+
+def test_cs_witnesses_and_refutations_are_pinned():
+    # the truncated_right_order and right_order refutation files of every
+    # set of the crosscheck corpus, hashed in corpus order; the digest was
+    # recorded before the cone closure visited only candidate pairs
+    pool = [u for u in fg.ball(2, 2) if not u.is_identity]
+    digest = hashlib.sha256()
+    kinds = {"truncated_right_order": 0, "refutation": 0}
+    for size in (1, 2, 3):
+        for subset in itertools.combinations(pool, size):
+            outcome = ro.extend_right_order(subset, 2)
+            if isinstance(outcome, TruncatedRightOrder):
+                doc = certio.truncated_order_doc(outcome, subset)
+            else:
+                doc = certio.refutation_doc(subset, 2, outcome, "right_order")
+            kinds[doc["kind"]] += 1
+            digest.update(certio.dumps(doc).encode())
+    assert kinds == {"truncated_right_order": 460, "refutation": 236}
+    assert digest.hexdigest() == (
+        "15d4ac7a6cc4e5cedb836ef8dc16d51b8de94061d0b0605f2c018cde329cd4dd"
+    )
+
+
+def test_representable_queries_solve_one_system(monkeypatch, tmp_path):
+    # the fallback separator is the root functional negated, so neither
+    # decide_rg nor order-extend --kind total solves the system twice
+    calls = []
+    find_separator = ro.abelian.find_separator
+
+    def counted(vectors):
+        calls.append(vectors)
+        return find_separator(vectors)
+
+    monkeypatch.setattr(ro.abelian, "find_separator", counted)
+    # two separators, a root the Magnus order settles without a functional,
+    # and an open root whose search exhausts its bounds
+    cases = {
+        "xx | xy": "INVALID",
+        "x'y'xy": "UNKNOWN",
+        "xx | xy | yx'": "INVALID",
+        "yx'y | yx'y'x | yxxy'": "UNKNOWN",
+    }
+    for text, status in cases.items():
+        joins = [w(t) for t in text.split("|")]
+        calls.clear()
+        assert ro.decide_rg(joins, 2, 1).status == status
+        assert len(calls) == 1, text
+        calls.clear()
+        outcome = ro.extend_order(joins, 2, 1)
+        assert len(calls) == 1, text
+        assert isinstance(outcome, ro.abelian.Separator) == (status == "INVALID")
+        if status == "INVALID":
+            assert outcome.functional == find_separator(calls[0])
+    path = str(tmp_path / "order.json")
+    calls.clear()
+    argv = ["order-extend", "--kind", "total", "--witness", path, "xx xy"]
+    assert cli.main(argv) == 0
+    assert len(calls) == 1
+
+
+def test_search_state_dies_with_its_query(monkeypatch):
+    # a pass that names itself keeps its enclosing scope in a reference
+    # cycle until a gen-2 collection; with the collector off, every search
+    # structure must be freed by the time its decider returns
+    alive = []
+
+    def tracked(owner, name):
+        original = getattr(owner, name)
+
+        class Tracked(original):
+            def __init__(self, *args):
+                super().__init__(*args)
+                alive.append(weakref.ref(self))
+
+        monkeypatch.setattr(owner, name, Tracked)
+
+    def tracked_products(*args):
+        product = mul(*args)
+        alive.append(weakref.ref(product))
+        return product
+
+    tracked(membership, "IdentityClosure")
+    tracked(membership, "WordAutomaton")
+    mul = fg.mul
+    monkeypatch.setattr(fg, "mul", tracked_products)
+    queries = (
+        # an hm search below an open root, an rg search that exhausts its
+        # bounds, a successful membership test, and a cone dead at its root
+        lambda: ro.decide_lg_hm(words("yx'yxy", "x'y'x", "x'y'y'"), 2).status,
+        lambda: ro.decide_rg(words("yx'y", "yx'y'x", "yxxy'"), 2, 1).status,
+        lambda: membership.contains_identity(words("xy", "y'x'"))[0],
+        lambda: type(ro.extend_right_order(words("x", "x'y", "y'y'"), 2)).__name__,
+    )
+    answers = ("INVALID", "UNKNOWN", True, "RefutationLeaf")
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for query, answer in zip(queries, answers):
+            alive.clear()
+            assert query() == answer
+            assert alive, "the query built nothing to track"
+            assert all(ref() is None for ref in alive), answer
+    finally:
+        if enabled:
+            gc.enable()

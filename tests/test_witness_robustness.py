@@ -13,7 +13,7 @@ import subprocess
 import sys
 
 from conftest import SEED, words
-from ordcalc import abelian, certio
+from ordcalc import abelian, certio, witnesses
 from ordcalc import freegroup as fg
 from ordcalc import rightorder as ro
 from ordcalc.witnesses import BoundsReport, TruncatedRightOrder
@@ -293,3 +293,82 @@ def test_witness_mutants_are_judged_as_the_oracles_judge_them():
             judged[holds] += 1
     # both directions are exercised
     assert min(judged.values()) > 50, judged
+
+
+def _all_pairs_violations(order: TruncatedRightOrder) -> list[str]:
+    """TruncatedRightOrder.violations as it was before the cancellation
+    index: every ordered pair of elements is multiplied, in the order of
+    the elements."""
+    issues = []
+    elems = order.elements
+    if fg.IDENTITY in elems:
+        issues.append("identity is in the cone")
+    for w in elems:
+        if len(w) > order.level:
+            issues.append(f"element {fg.word_to_text(w)} exceeds level")
+    for s in elems:
+        for t in elems:
+            st = fg.mul(s, t)
+            if len(st) <= order.level and st not in elems:
+                issues.append(
+                    "closure gap: %s * %s" % (fg.word_to_text(s), fg.word_to_text(t))
+                )
+    if witnesses._ball_exceeds(order.arity, order.level - 1, 2 * len(elems)):
+        issues.append("too few elements to sign every word below the level")
+        return issues
+    for w in fg.ball(order.arity, order.level - 1):
+        if not w.is_identity and w not in elems and fg.inv(w) not in elems:
+            issues.append(f"undetermined element {fg.word_to_text(w)}")
+    return issues
+
+
+# the six cs rows of the hard-search benchmark table, whose cones hold
+# about 230 elements at level 5
+HARD_CS_SETS = (
+    "x'x'yxx | xy'y'y'y' | yx'x'",
+    "xy'x'y' | yx'y'y'x | x'x'y",
+    "xyxyy | y'x'x' | yyxy'",
+    "y'x'y'xy' | xxxx | y'xy'y'",
+    "yyxy' | y'xyx'x' | x'yy",
+    "yxy'x | x'x'yx | x'x'yyy",
+)
+
+
+def _cone_mutants(doc: dict):
+    """The mutants of a cone file that change its elements or its level."""
+    for mutant in _witness_mutants(doc):
+        if (mutant["elements"], mutant["level"]) != (doc["elements"], doc["level"]):
+            yield mutant
+
+
+def test_cone_closure_issues_match_the_all_pairs_oracle():
+    # the index visits only the pairs whose product can stay within the
+    # level, in the old order, so every issue list is the same, in order
+    pool = [u for u in fg.ball(2, 2) if not u.is_identity]
+    corpus = [s for k in (1, 2, 3) for s in itertools.combinations(pool, k)]
+    docs = []
+    for subset in corpus:
+        cone = ro.extend_right_order(subset, 2)
+        if isinstance(cone, TruncatedRightOrder):
+            docs.append(certio.truncated_order_doc(cone, subset))
+    assert len(docs) == 460
+    rng = random.Random(SEED)
+    hard = []
+    for text in HARD_CS_SETS:
+        joins = words(*text.split(" | "))
+        doc = certio.truncated_order_doc(ro.decide_lg_cs(joins, 2).certificate, joins)
+        mutants = list(_cone_mutants(doc))
+        raised = [m for m in mutants if m["level"] != doc["level"]]
+        others = [m for m in mutants if m["level"] == doc["level"]]
+        # the raised level, and a sample of the rest: each costs the oracle
+        # some 50,000 products
+        hard += [doc, *raised, *rng.sample(others, 4)]
+    compared = {True: 0, False: 0}
+    for doc in docs + [m for d in docs for m in _cone_mutants(d)] + hard:
+        arity, level = doc["arity"], doc["level"]
+        elements = frozenset(fg.word_from_text(t, arity) for t in doc["elements"])
+        order = TruncatedRightOrder(arity, level, elements)
+        issues = order.violations()
+        assert issues == _all_pairs_violations(order), doc
+        compared[not issues] += 1
+    assert min(compared.values()) > 400, compared
