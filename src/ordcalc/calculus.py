@@ -7,11 +7,22 @@ instances carry raw certificate sequences; the checker recomposes the
 schema from the certificates and matches the active sequents against the
 stored raws exactly, so any corrupted literal breaks some equation.
 Context sequents are matched as canonical sets.
+
+In the abelian calculus GA a sequent is a multiset of literals, as in the
+paper, so GA has no exchange rule: its axiom ``id`` accepts a literal
+sequence in which every literal pairs off with its inverse, i.e. each
+generator occurs as often as its inverse.  That is sound, since a product
+of literals that pair off is ``e`` in an abelian group.  It proves the same
+theorems as an axiom ``delta delta'`` closed under exchange: exchanging
+literals keeps the multiset, so every such exchange chain ends at a
+sequence the new ``id`` accepts, and every sequence that pairs off is an
+exchange of the sequence ``delta delta'`` of its positive literals.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Sequence
@@ -118,8 +129,7 @@ class CalculusId(Enum):
 
 # rule -> (certificate fields, premise count)
 RULE_SHAPES: dict[str, tuple[tuple[str, ...], int]] = {
-    "id": (("delta",), 0),
-    "ex": (("pi", "gamma", "delta"), 1),
+    "id": (("gamma",), 0),
     "split": (("gamma", "delta"), 1),
     "gv": (("gamma",), 0),
     "star": (("delta",), 2),
@@ -127,7 +137,7 @@ RULE_SHAPES: dict[str, tuple[tuple[str, ...], int]] = {
 }
 
 CALCULUS_RULES: dict[CalculusId, frozenset[str]] = {
-    CalculusId.GA: frozenset({"id", "ex", "split"}),
+    CalculusId.GA: frozenset({"id", "split"}),
     CalculusId.GLGSTAR: frozenset({"gv", "split", "star"}),
     CalculusId.GRGSTAR: frozenset({"gv", "split", "star", "cycle"}),
 }
@@ -178,10 +188,12 @@ def _check_node(rules: frozenset[str], node: Derivation) -> str | None:
     prem_canonical: list[list[ReducedWord]] = [[] for _ in range(n_premises)]
 
     if inst.rule == "id":
-        concl_exact = [cert["delta"] + freegroup.bar(cert["delta"])]
-    elif inst.rule == "ex":
-        concl_exact = [cert["pi"] + cert["gamma"] + cert["delta"]]
-        prem_exact[0] = [cert["pi"] + cert["delta"] + cert["gamma"]]
+        if Counter(cert["gamma"]) != Counter(-c for c in cert["gamma"]):
+            return (
+                "side condition failed: certificate literals do not pair off "
+                "with their inverses"
+            )
+        concl_exact = [cert["gamma"]]
     elif inst.rule == "split":
         concl_exact = [cert["gamma"], cert["delta"]]
         prem_exact[0] = [cert["gamma"] + cert["delta"]]
@@ -266,16 +278,13 @@ def _canonical_targets(words: Sequence[ReducedWord]) -> list[Sequent]:
     return [canonical_sequent(w) for w in freegroup.dedupe(words)]
 
 
-def _ga_token_key(code: int) -> tuple[int, int]:
-    return (0, code) if code > 0 else (1, code)
-
-
-def _split_chain(
-    start: Derivation,
+def _axiom_chain(
+    rule: str,
     blocks: Sequence[tuple[Raw, Raw]],
     base_context: Sequence[Sequent],
 ) -> Derivation:
-    """Pull the factors ``q e q'`` of the active sequent apart, in order.
+    """The axiom ``rule`` on the concatenation of the factors ``q e q'``,
+    with the factors then pulled apart, in order.
 
     ``blocks`` holds one ``(q, e)`` pair per factor.  Each factor is split
     off the remaining suffix, and a nontrivial conjugator is then cycled
@@ -285,7 +294,12 @@ def _split_chain(
     dead weight.
     """
     raws = [q + e + freegroup.bar(q) for q, e in blocks]
-    node = start
+    axiom_raw = tuple(itertools.chain.from_iterable(raws))
+    node = Derivation(
+        Hypersequent.of([Sequent(axiom_raw), *base_context]),
+        rule_instance(rule, gamma=axiom_raw),
+        (),
+    )
     accumulated: list[Sequent] = list(base_context)
     for j, (q, e) in enumerate(blocks):
         pending: list[Sequent] = []
@@ -329,67 +343,27 @@ def _first_rotation(
 
 
 def derive_ga(words: Sequence[ReducedWord], multipliers: Sequence[int]) -> Derivation:
-    """Abelian-calculus derivation from balancing multipliers.
-
-    An axiom instance on a sorted arrangement, exchange steps permuting it
-    into the multiplier concatenation, then splits at factor boundaries,
-    in the first rotation of the factors that GA accepts.
-    """
+    """Abelian-calculus derivation from balancing multipliers: an ``id``
+    axiom on the multiplier concatenation, split at factor boundaries, in
+    the first rotation of the factors that GA accepts.  Multipliers that do
+    not balance fail the axiom's side condition in every rotation."""
     words = tuple(words)
     multipliers = tuple(int(m) for m in multipliers)
     if len(words) != len(multipliers) or not words:
         raise DerivationError("multiplier count must match the joinand count")
     if any(m < 0 for m in multipliers) or not any(multipliers):
         raise DerivationError("multipliers must be nonnegative and not all zero")
-    arity = max((w.max_generator() for w in words), default=0) or 1
-    balance = [0] * arity
-    for w, m in zip(words, multipliers):
-        for d, c in enumerate(freegroup.abelianize(w, arity)):
-            balance[d] += m * c
-    if any(balance):
-        raise DerivationError("multipliers do not balance the join")
-
     targets = _canonical_targets(words)
     factor_words = {w for w, m in zip(words, multipliers) if m}
     base_context = [s for s in targets if s.word not in factor_words]
 
-    def build(blocks: list[tuple[Raw, Raw]]) -> Derivation:
-        concatenation = tuple(itertools.chain.from_iterable(e for _, e in blocks))
-        positives = tuple(sorted(c for c in concatenation if c > 0))
-        axiom_raw = positives + freegroup.bar(positives)
-        node = Derivation(
-            Hypersequent.of([Sequent(axiom_raw), *base_context]),
-            rule_instance("id", delta=positives),
-            (),
-        )
-        # Record the selection sort concatenation -> axiom_raw, then emit
-        # the exchange steps from the axiom back down.
-        snapshots: list[tuple[int, tuple[int, ...]]] = []
-        current = list(concatenation)
-        placed = 0
-        for token in sorted(concatenation, key=_ga_token_key):
-            region_end = len(current) - placed
-            position = current.index(token, 0, region_end)
-            if position != len(current) - 1:
-                snapshots.append((position, tuple(current)))
-                current = current[:position] + current[position + 1 :] + [token]
-            placed += 1
-        assert tuple(current) == axiom_raw
-        for position, state in reversed(snapshots):
-            node = Derivation(
-                Hypersequent.of([Sequent(state), *base_context]),
-                rule_instance(
-                    "ex",
-                    pi=state[:position],
-                    gamma=(state[position],),
-                    delta=state[position + 1 :],
-                ),
-                (node,),
-            )
-        return _split_chain(node, blocks, base_context)
-
     factors = [((), w.letters) for w, m in zip(words, multipliers) for _ in range(m)]
-    return _first_rotation(CalculusId.GA, Hypersequent.of(targets), factors, build)
+    return _first_rotation(
+        CalculusId.GA,
+        Hypersequent.of(targets),
+        factors,
+        lambda rotation: _axiom_chain("id", rotation, base_context),
+    )
 
 
 _Path = tuple[tuple[ReducedWord, int], ...]
@@ -466,18 +440,12 @@ def _star_node(
     exposed = {_red(e) for _, e in blocks}
     base_context = [s for s in context if s.word not in exposed]
 
-    def leaf(rotation: list[tuple[Raw, Raw]]) -> Derivation:
-        raw = tuple(itertools.chain.from_iterable(
-            q + e + freegroup.bar(q) for q, e in rotation
-        ))
-        axiom = Derivation(
-            Hypersequent.of([Sequent(raw), *base_context]),
-            rule_instance("gv", gamma=raw),
-            (),
-        )
-        return _split_chain(axiom, rotation, base_context)
-
-    return _first_rotation(calculus, Hypersequent.of(context), blocks, leaf)
+    return _first_rotation(
+        calculus,
+        Hypersequent.of(context),
+        blocks,
+        lambda rotation: _axiom_chain("gv", rotation, base_context),
+    )
 
 
 def derive_glgstar(

@@ -89,6 +89,13 @@ def _parse_word(text: str, arity: int | None = None) -> ReducedWord:
     return freegroup.reduce(_parse_raw(text, arity))
 
 
+def _arity(doc: dict) -> int:
+    arity = _require(doc, "arity", int)
+    if arity < 1:
+        raise CertificateFormatError("arity must be >= 1")
+    return arity
+
+
 def _word_list(words) -> list[str]:
     return [freegroup.word_to_text(w) for w in words]
 
@@ -291,12 +298,12 @@ def _tree_to_node(tree: RefutationTree, conjugate: bool) -> list[dict]:
     return _to_table(tree, children, entry)
 
 
-def _node_to_tree(table: Any, conjugate: bool) -> RefutationTree:
+def _node_to_tree(table: Any, conjugate: bool, arity: int) -> RefutationTree:
     def build(node: dict, take: Callable) -> RefutationTree:
         kind = _require(node, "kind", str)
         if kind == "branch":
             return RefutationBranch(
-                _parse_word(_require(node, "pivot", str)),
+                _parse_word(_require(node, "pivot", str), arity),
                 take(_require(node, "positive", int)),
                 take(_require(node, "negative", int)),
             )
@@ -312,7 +319,7 @@ def _node_to_tree(table: Any, conjugate: bool) -> RefutationTree:
                     raise CertificateFormatError("conjugate factors must be objects")
                 entries.append(
                     ConjugateEntry(
-                        _parse_word(_require(item, "conjugator", str)),
+                        _parse_word(_require(item, "conjugator", str), arity),
                         _require(item, "base", int),
                         _require(item, "sign", int),
                     )
@@ -365,9 +372,7 @@ def verify_witness_doc(doc: dict) -> list[str]:
         return issues + TruncatedRightOrder(arity, level, elements).violations()
     if kind in _FUNCTIONAL_SIDE:
         # a separator is negative on every word, an order witness positive
-        arity = _require(doc, "arity", int)
-        if arity < 1:
-            raise CertificateFormatError("arity must be >= 1")
+        arity = _arity(doc)
         y = _require(doc, "functional", list)
         if len(y) != arity or not all(type(c) is int for c in y):
             raise CertificateFormatError("functional needs one integer per generator")
@@ -380,12 +385,13 @@ def verify_witness_doc(doc: dict) -> list[str]:
                 issues.append(f"functional is not {name} on {text!r}")
         return issues
     if kind == "sign_assignment":
-        words = tuple(_parse_word(w) for w in _require(doc, "words", list))
+        arity = _arity(doc)
+        words = tuple(_parse_word(w, arity) for w in _require(doc, "words", list))
         path = []
         for item in _require(doc, "signs", list):
             if not isinstance(item, dict):
                 raise CertificateFormatError("sign entries must be objects")
-            pivot = _parse_word(_require(item, "pivot", str))
+            pivot = _parse_word(_require(item, "pivot", str), arity)
             path.append((pivot, _require(item, "sign", int)))
         # the witness must sign every pivot the search branches on
         if tuple(p for p, _ in path) != rightorder.sign_pivots(words):
@@ -401,16 +407,15 @@ def verify_witness_doc(doc: dict) -> list[str]:
         if flavor not in ("right_order", "order"):
             raise CertificateFormatError(f"unknown refutation flavor {flavor!r}")
         conjugate = flavor == "order"
-        words = tuple(_parse_word(w) for w in _require(doc, "words", list))
-        tree = _node_to_tree(_require(doc, "tree", list), conjugate)
+        arity = _arity(doc)
+        words = tuple(_parse_word(w, arity) for w in _require(doc, "words", list))
+        tree = _node_to_tree(_require(doc, "tree", list), conjugate, arity)
         error = verify_refutation_tree(words, tree, conjugate=conjugate)
         return [error] if error else []
     if kind == "bounds_exhausted":
         # the search is not re-run; the file must state a search that could
         # have run: its bounds, the words and the pivots in their one order
-        arity = _require(doc, "arity", int)
-        if arity < 1:
-            raise CertificateFormatError("arity must be >= 1")
+        arity = _arity(doc)
         if _require(doc, "conjugator_bound", int) < 0:
             raise CertificateFormatError("conjugator bound must be >= 0")
         words = [_parse_word(w, arity) for w in _require(doc, "words", list)]

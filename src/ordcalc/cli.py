@@ -295,19 +295,21 @@ def _cmd_crosscheck(args) -> int:
             (tuple(w.letters for w in subset), args.arity, args.samples, seed)
             for subset in combinations(pool, size)
         )
+    counts = dict.fromkeys(_COUNTERS, 0)
+
+    def tally(results) -> None:
+        for result in results:
+            for key, value in result.items():
+                counts[key] += value
+
     if args.jobs == 1:
-        results = map(_crosscheck_instance, payloads)
+        tally(map(_crosscheck_instance, payloads))
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        executor = ProcessPoolExecutor(max_workers=args.jobs)
-        results = executor.map(_crosscheck_instance, payloads, chunksize=16)
-    counts = dict.fromkeys(_COUNTERS, 0)
-    for result in results:
-        for key, value in result.items():
-            counts[key] += value
-    if args.jobs > 1:
-        executor.shutdown()
+        # the pool's workers are shut down even when an instance raises
+        with ProcessPoolExecutor(max_workers=args.jobs) as executor:
+            tally(executor.map(_crosscheck_instance, payloads, chunksize=16))
     width = max(len(k) for k in counts)
     for key, value in counts.items():
         print(f"{key.ljust(width)}  {value}")
@@ -376,9 +378,12 @@ def build_parser() -> argparse.ArgumentParser:
     cross = sub.add_parser("crosscheck", help="run the procedure-agreement corpus")
     cross.add_argument("--arity", type=_at_least(1), default=2)
     cross.add_argument("--max-length", type=_at_least(0), default=2)
-    cross.add_argument("--max-size", type=int, default=3)
+    cross.add_argument("--max-size", type=_at_least(0), default=3)
     cross.add_argument(
-        "--samples", type=int, default=50, help="soundness samples per valid instance"
+        "--samples",
+        type=_at_least(0),
+        default=50,
+        help="soundness samples per valid instance",
     )
     cross.add_argument(
         "--jobs", type=_at_least(1), default=1, help="worker processes for the corpus"

@@ -310,21 +310,3 @@ def contains_identity(
     if not witness.product(gens).is_identity:
         raise AssertionError("extracted factorization does not cancel")
     return True, witness
-
-
-def identity_products_upto(
-    words: Sequence[ReducedWord], max_factors: int
-) -> Factorization | None:
-    """Bounded brute-force reference: search products of at most max_factors."""
-    gens = tuple(words)
-    frontier: list[tuple[ReducedWord, tuple[int, ...]]] = [(freegroup.IDENTITY, ())]
-    for _ in range(max_factors):
-        nxt = []
-        for value, path in frontier:
-            for i, w in enumerate(gens):
-                prod = freegroup.mul(value, w)
-                if prod.is_identity:
-                    return Factorization(path + (i,))
-                nxt.append((prod, path + (i,)))
-        frontier = nxt
-    return None

@@ -15,7 +15,7 @@ once per level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 from . import freegroup
 from .freegroup import Pass, ReducedWord
@@ -267,29 +267,3 @@ def _format(t: Term, level: int) -> Pass:
 def format_term(t: Term) -> str:
     """Emit grammar text; parse_term(format_term(t)) is structurally t."""
     return freegroup.unwind(_format(t, _LEVEL_MEET))
-
-
-def evaluate_term(t: Term, assignment: Sequence[int]) -> int:
-    """Evaluate in Z with min for meet, max for join, + for product."""
-    if isinstance(t, Identity):
-        return 0
-    if isinstance(t, Literal):
-        value = assignment[t.generator - 1]
-        return value if t.sign > 0 else -value
-    if isinstance(t, Inverse):
-        return -evaluate_term(t.arg, assignment)
-    a = evaluate_term(t.left, assignment)
-    b = evaluate_term(t.right, assignment)
-    if isinstance(t, Product):
-        return a + b
-    if isinstance(t, Meet):
-        return min(a, b)
-    return max(a, b)
-
-
-def evaluate_normal_form(nf: NormalForm, assignment: Sequence[int]) -> int:
-    return min(
-        max(freegroup.evaluate_word(w, assignment) for w in joins)
-        for joins in nf.conjuncts
-    )
-

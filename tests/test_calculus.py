@@ -44,7 +44,7 @@ def test_hand_built_ga_derivation_accepted():
     goal = _goal("x", "x'")
     axiom = Derivation(
         Hypersequent.of([Sequent((1, -1)), Sequent((1,)), Sequent((-1,))]),
-        rule_instance("id", delta=(1,)),
+        rule_instance("id", gamma=(1, -1)),
     )
     split = Derivation(
         goal, rule_instance("split", gamma=(1,), delta=(-1,)), (axiom,)
@@ -53,6 +53,36 @@ def test_hand_built_ga_derivation_accepted():
     # the same tree is not a derivation in the star system
     result = ca.check(CalculusId.GLGSTAR, split, goal)
     assert not result.ok and "not part of this calculus" in result.message
+
+
+def test_id_side_condition_enforced():
+    # x x y' y' x' y: two x against one x', two y' against one y
+    raw = (1, 1, -2, -2, -1, 2)
+    goal = Hypersequent.of([Sequent(raw)])
+    node = Derivation(goal, rule_instance("id", gamma=raw))
+    result = ca.check(CalculusId.GA, node, goal)
+    assert not result.ok
+    assert "side condition failed" in result.message
+    assert "pair off" in result.message
+    # the literal order is free: any arrangement that pairs off is an axiom
+    raw = (2, 1, -2, 1, -1, -1)
+    goal = Hypersequent.of([Sequent(raw)])
+    node = Derivation(goal, rule_instance("id", gamma=raw))
+    assert ca.check(CalculusId.GA, node, goal).ok
+
+
+def test_exchange_is_not_a_ga_rule():
+    # y x x' y' from y y' x x' by exchanging the blocks x x' and y'
+    raw, premise_raw = (2, 1, -1, -2), (2, -2, 1, -1)
+    axiom = Derivation(
+        Hypersequent.of([Sequent(premise_raw)]), rule_instance("id", gamma=premise_raw)
+    )
+    goal = Hypersequent.of([Sequent(raw)])
+    exchange = Derivation(
+        goal, rule_instance("ex", pi=(2,), gamma=(1, -1), delta=(-2,)), (axiom,)
+    )
+    result = ca.check(CalculusId.GA, exchange, goal)
+    assert not result.ok and result.message == "unknown rule 'ex'"
 
 
 def test_gv_side_condition_enforced():
@@ -118,6 +148,29 @@ def test_derive_ga_examples():
     three = words("xx", "yy", "x'y'")
     derivation = ca.derive_ga(three, (1, 1, 2))
     assert ca.check(CalculusId.GA, derivation, ca.hypersequent_of_words(three)).ok
+
+
+def _node_count(derivation):
+    count, todo = 0, [derivation]
+    while todo:
+        node = todo.pop()
+        count += 1
+        todo.extend(node.premises)
+    return count
+
+
+def test_derive_ga_has_one_node_per_factor():
+    # one id axiom and a split for every factor after the first
+    for texts, multipliers in (
+        (("x y'", "y x'"), (1, 1)),
+        (("xx", "yy", "x'y'"), (1, 1, 2)),
+        (("x'x'", "x", "y", "y'x"), (1, 1, 1, 1)),
+        (("xxx", "x'", "y"), (1, 3, 0)),
+        (("x" * 5 + "y" * 7, "x'", "y'"), (2, 10, 14)),
+    ):
+        derivation = ca.derive_ga(words(*texts), multipliers)
+        assert _node_count(derivation) == sum(multipliers), texts
+        assert {derivation.instance.rule} <= {"id", "split"}
 
 
 def test_derive_ga_rejects_bad_multipliers():

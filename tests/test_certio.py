@@ -188,7 +188,7 @@ def test_refutation_document_round_trip():
     doc = certio.refutation_doc(conj, 2, tree, "order")
     assert certio.verify_witness_doc(doc) == []
     raw = certio.loads(certio.dumps(doc))
-    assert certio._node_to_tree(raw["tree"], True) == tree
+    assert certio._node_to_tree(raw["tree"], True, 2) == tree
     # breaking a leaf sign must surface in verification
     raw["tree"][-1]["factors"][0]["sign"] = -1
     assert certio.verify_witness_doc(raw)
@@ -254,6 +254,42 @@ def test_out_of_range_witness_fields_are_format_errors():
             ({**doc, "arity": 1, "functional": [sign], "words": ["x", "x y"]},
              "generator index 2 exceeds arity 1"),
         ]
+    # a sign assignment and both refutation flavors parse their words, sign
+    # pivots, branch pivots and conjugators against their arity
+    hm_words, right_words = words(*T_WORDS), words(*S_WORDS)
+    conj = words("x y x'", "y'")
+    hm = certio.sign_assignment_doc(
+        hm_words, 2, ro.decide_lg_hm(hm_words, 2).certificate
+    )
+    right = certio.refutation_doc(
+        right_words, 2, ro.extend_right_order(right_words, 2), "right_order"
+    )
+    order = certio.refutation_doc(conj, 2, ro.rg_refute_bounded(conj, 2, 1), "order")
+    for genuine in (hm, right, order):
+        assert certio.verify_witness_doc(genuine) == []
+        cases += [
+            ({**genuine, "arity": "banana"}, "'arity' has the wrong type"),
+            ({**genuine, "arity": True}, "'arity' has the wrong type"),
+            ({**genuine, "arity": 0}, "arity must be >= 1"),
+            ({**genuine, "arity": -3}, "arity must be >= 1"),
+            ({k: v for k, v in genuine.items() if k != "arity"},
+             "missing field 'arity'"),
+            # every one of them names y, generator 2
+            ({**genuine, "arity": 1}, "generator index 2 exceeds arity 1"),
+        ]
+    # z is generator 3: a sign pivot, a branch pivot and a conjugator
+    for genuine, path in (
+        (hm, ("signs", 0, "pivot")),
+        (right, ("tree", 2, "pivot")),
+        (order, ("tree", 0, "factors", 0, "conjugator")),
+    ):
+        doc = certio.loads(certio.dumps(genuine))
+        *head, last = path
+        target = doc
+        for key in head:
+            target = target[key]
+        target[last] = "z"
+        cases.append((doc, "generator index 3 exceeds arity 2"))
     for doc, message in cases:
         _rejected(doc, message)
 

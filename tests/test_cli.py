@@ -123,6 +123,16 @@ def test_check_proof_calculus_override(tmp_path):
     assert run("check-proof", str(proof), "--calculus", "GLGstar") == 0
 
 
+def test_long_abelian_proof_is_small(capsys, tmp_path):
+    # 400 literals, 200 of them out of place: an axiom on the literal
+    # multiset needs no exchange steps, so the proof stays a few nodes
+    proof = tmp_path / "proof.json"
+    text = " ".join(["x y"] * 100 + ["x' y'"] * 100)
+    assert run("prove", "--variety", "abelian", text, "--proof", str(proof)) == 0
+    assert proof.stat().st_size < 10_000
+    assert run("check-proof", str(proof)) == 0
+
+
 def test_deep_cs_proof_writes_and_checks(capsys, tmp_path):
     # The cs proof of this set is hundreds of nodes deep: deeper than a
     # pass that recurses once per node gets under the interpreter's default
@@ -163,6 +173,8 @@ def test_usage_errors_exit_three(capsys, monkeypatch, tmp_path):
     assert run("decide", "--variety", "representable", "x", "--pivots", "x,e") == 3
     assert run("crosscheck", "--arity", "0") == 3
     assert run("crosscheck", "--max-length", "-1") == 3
+    assert run("crosscheck", "--max-size", "-1") == 3
+    assert run("crosscheck", "--samples", "-5") == 3
     # a superscript two is a digit to str.isdigit but not to int
     assert run("decide", "--variety", "abelian", "x\u00b2") == 3
     assert run("decide", "--variety", "abelian", "e <= x\u00b2") == 3
