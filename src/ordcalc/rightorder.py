@@ -32,9 +32,7 @@ from .witnesses import (
 
 DEFAULT_CONJUGATOR_BOUND = 3
 
-_Prov = tuple
 _Path = tuple[tuple[ReducedWord, int], ...]
-_GEN, _PROD = "gen", "prod"
 _UNSOLVED = object()  # a root functional not computed yet
 
 
@@ -103,26 +101,22 @@ def sign_pivots(
 
 class _Cone:
     """A set of words closed under the products that stay within a length
-    bound, grown and rolled back along the search.  Each element keeps its
-    provenance: a generator index, or the pair whose product it is."""
+    bound, grown and rolled back along the search."""
 
     def __init__(self, bound: int):
-        self.provenance: dict[ReducedWord, _Prov] = {}
+        self.elements: set[ReducedWord] = set()
         self.index = freegroup.CancellationIndex(bound)
 
-    def close(
-        self, additions: Sequence[tuple[ReducedWord, _Prov]]
-    ) -> tuple[ReducedWord, ReducedWord] | None:
-        """Add the words and close; returns a pair (a, b) of elements whose
-        product is the identity, or None.  Each queued element w meets the
-        elements present when it is taken, in insertion order, as w * v and
-        then v * w; only the v whose product with w may stay within the
-        bound are visited."""
-        elems, index = self.provenance, self.index
+    def close(self, words: Iterable[ReducedWord]) -> bool:
+        """Add the words and close; True when a product reaches the
+        identity.  Each queued element w meets the elements present when it
+        is taken, in insertion order, as w * v and then v * w; only the v
+        whose product with w may stay within the bound are visited."""
+        elems, index = self.elements, self.index
         queue: list[ReducedWord] = []
-        for w, prov in additions:
+        for w in words:
             if w not in elems:
-                elems[w] = prov
+                elems.add(w)
                 index.add(w)
                 queue.append(w)
         while queue:
@@ -133,33 +127,27 @@ class _Cone:
                 for a, b in ((w, v), (v, w)):
                     p = freegroup.mul(a, b)
                     if p.is_identity:
-                        return (a, b)
+                        return True
                     if len(p) <= index.level and p not in elems:
-                        elems[p] = (_PROD, a, b)
+                        elems.add(p)
                         index.add(p)
                         queue.append(p)
-        return None
+        return False
 
     def rollback(self, size: int) -> None:
         """Drop every element added after the first ``size``."""
-        for w in self.index.words[size:]:
-            del self.provenance[w]
+        self.elements.difference_update(self.index.words[size:])
         self.index.truncate(size)
 
-    def factors(self, pair: tuple[ReducedWord, ReducedWord]) -> Factorization:
-        """The generator indices whose product is the pair's product."""
-        memo: dict[ReducedWord, tuple[int, ...]] = {}
-        flat = (freegroup.unwind(_flatten(self.provenance, memo, w)) for w in pair)
-        return Factorization(tuple(i for factors in flat for i in factors))
-
-    def search(
-        self, pivots: Sequence[ReducedWord], arity: int, index: int
-    ) -> Pass:
-        """The search below the cone as it stands: a TruncatedRightOrder,
-        or a refutation tree.  It signs the first pivot that neither is
-        nor inverts an element, positive sign first, as generator
-        ``index``, and rolls the cone back after each sign."""
-        elems = self.provenance
+    def search(self, pivots: Sequence[ReducedWord], arity: int, path: _Path) -> Pass:
+        """The search below the node that ``path`` reaches, once the cone
+        takes in the path's last signed pivot: a TruncatedRightOrder, or a
+        tree whose dead branches are _Closed leaves.  It signs the first
+        pivot that neither is nor inverts an element, positive sign first,
+        and rolls the cone back after each sign."""
+        if path and self.close([freegroup.signed(*path[-1])]):
+            return _Closed(path)
+        elems = self.elements
         pivot = next(
             (w for w in pivots if w not in elems and freegroup.inv(w) not in elems),
             None,
@@ -169,27 +157,11 @@ class _Cone:
         size = len(elems)
         subtrees = {}
         for sign in (1, -1):
-            dead = self.close([(freegroup.signed(pivot, sign), (_GEN, index))])
-            if dead is not None:
-                subtrees[sign] = RefutationLeaf(self.factors(dead))
-            else:
-                subtrees[sign] = yield self.search(pivots, arity, index + 1)
+            subtrees[sign] = yield self.search(pivots, arity, path + ((pivot, sign),))
             self.rollback(size)
             if isinstance(subtrees[sign], TruncatedRightOrder):
                 return subtrees[sign]
         return RefutationBranch(pivot, subtrees[1], subtrees[-1])
-
-
-def _flatten(provenance: dict, memo: dict, w: ReducedWord) -> Pass:
-    """The generator indices whose product is the element w."""
-    if w not in memo:
-        prov = provenance[w]
-        if prov[0] == _GEN:
-            memo[w] = (prov[1],)
-        else:
-            first = yield _flatten(provenance, memo, prov[1])
-            memo[w] = first + (yield _flatten(provenance, memo, prov[2]))
-    return memo[w]
 
 
 def close_truncated(
@@ -205,8 +177,8 @@ def close_truncated(
         if len(w) > max_length:
             raise ValueError("generator exceeds the length bound")
     cone = _Cone(max_length)
-    cone.close([(w, (_GEN, i)) for i, w in enumerate(words)])
-    return frozenset(cone.provenance)
+    cone.close(words)
+    return frozenset(cone.elements)
 
 
 def extend_right_order(
@@ -232,10 +204,13 @@ def extend_right_order(
         raise ValueError("truncation level is below the longest input word")
     pivots = [w for w in freegroup.ball(arity, level - 1) if not w.is_identity]
     cone = _Cone(level)
-    dead = cone.close([(w, (_GEN, i)) for i, w in enumerate(words)])
-    if dead is not None:
-        return RefutationLeaf(cone.factors(dead))
-    return freegroup.unwind(cone.search(pivots, arity, len(words)))
+    if cone.close(words):
+        tree = _Closed(())
+    else:
+        tree = freegroup.unwind(cone.search(pivots, arity, ()))
+    if isinstance(tree, TruncatedRightOrder):
+        return tree
+    return freegroup.unwind(_extract(words, _identity_leaf, tree))
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +261,9 @@ def _root_order(
 
 class _Closed:
     """A search leaf whose generators reach the identity; its witness is
-    built only if the search returns a tree."""
+    built only if the search returns a tree.  A truncated cone lies inside
+    the subsemigroup its generators make, so where the cone reaches the
+    identity, ``contains_identity`` finds a factorization of it too."""
 
     __slots__ = ("path",)
 
@@ -359,6 +336,11 @@ def _extract(words, leaf, node) -> Pass:
     return RefutationBranch(node.pivot, positive, negative)
 
 
+def _identity_leaf(path: _Path, generators: tuple[ReducedWord, ...]):
+    """A factorization of the identity over a closed leaf's generators."""
+    return membership.contains_identity(generators)[1]
+
+
 # ---------------------------------------------------------------------------
 # decision via truncated-cone branching
 
@@ -394,13 +376,10 @@ def decide_lg_hm(words: Iterable[ReducedWord], arity: int) -> Verdict:
     if sign is not None:
         return Verdict(INVALID, SignAssignment(tuple((p, sign(p)) for p in pivots)))
 
-    def leaf(path, generators):
-        return membership.contains_identity(generators)[1]
-
     def petal(pivot, sign):
         return (freegroup.signed(pivot, sign),)
 
-    result = _sign_search(words, pivots, petal, leaf)
+    result = _sign_search(words, pivots, petal, _identity_leaf)
     if isinstance(result, tuple):
         return Verdict(INVALID, SignAssignment(result))
     return Verdict(VALID, calculus.derive_glgstar(words, result))

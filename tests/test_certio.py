@@ -535,4 +535,4 @@ def test_mutated_refutations_rejected():
             except certio.CertificateFormatError:
                 continue
             assert issues, certio.dumps(mutant)
-    assert mutants == 2944
+    assert mutants == 2952

@@ -4,7 +4,10 @@ import sys
 
 import pytest
 
-from ordcalc import certio, cli
+from conftest import words
+from ordcalc import calculus, certio, cli
+from ordcalc.calculus import CalculusId
+from ordcalc.witnesses import Factorization, RefutationLeaf
 
 
 def run(*argv):
@@ -134,15 +137,17 @@ def test_long_abelian_proof_is_small(capsys, tmp_path):
 
 
 def test_deep_cs_proof_writes_and_checks(capsys, tmp_path):
-    # The cs proof of this set is hundreds of nodes deep: deeper than a
-    # pass that recurses once per node gets under the interpreter's default
-    # recursion limit.  Its node table nests no deeper than a shallow one.
+    # A leaf of 1,200 factors over x | x' derives as a chain of splits more
+    # than a thousand nodes deep: deeper than a pass that recurses once per
+    # node gets under the interpreter's default recursion limit.  It is
+    # written and checked without nesting calls.
+    joins = words("x", "x'")
+    leaf = RefutationLeaf(Factorization((0,) * 600 + (1,) * 600))
+    goal = calculus.hypersequent_of_words(joins)
+    derivation = calculus.derive_glgstar(joins, leaf)
     proof = tmp_path / "proof.json"
-    code = run(
-        "prove", "--variety", "lgroup", "--procedure", "cs",
-        "x'y'xy'x' | x'yy | xy'x", "--proof", str(proof),
-    )
-    assert code == 0
+    doc = certio.proof_doc(CalculusId.GLGSTAR, [(goal, derivation)])
+    proof.write_text(certio.dumps(doc))
     assert run("check-proof", str(proof)) == 0
     doc = certio.loads(proof.read_text())
     nodes = doc["conjuncts"][0]["nodes"]
@@ -150,6 +155,28 @@ def test_deep_cs_proof_writes_and_checks(capsys, tmp_path):
     while node["premises"]:
         node, depth = nodes[node["premises"][0]], depth + 1
     assert depth > sys.getrecursionlimit() / 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x'y'xy'x' | x'yy | xy'x",
+        "x'y'xy' | yxyyx | x'y'x'x'",
+        "yyxy | xxy'xx | x'x'y'",
+        "y'xy'y'y' | x'y'y'x'y | yyyx",
+    ],
+)
+def test_cs_proofs_of_failing_rows_are_small(capsys, tmp_path, text):
+    # the benchmark's cs VALID rows with the longest cone leaves: each leaf's
+    # factorization is short, not the cone's product history flattened into
+    # hundreds of splits
+    proof = tmp_path / "proof.json"
+    code = run(
+        "prove", "--variety", "lgroup", "--procedure", "cs", text, "--proof", str(proof)
+    )
+    assert code == 0
+    assert proof.stat().st_size < 16_000
+    assert run("check-proof", str(proof)) == 0
 
 
 def test_hostile_nesting_is_rejected(capsys, tmp_path):

@@ -318,11 +318,14 @@ def test_decide_rg_settles_a_formerly_cut_row():
 
 def test_cs_witnesses_and_refutations_are_pinned():
     # the truncated_right_order and right_order refutation files of every
-    # set of the crosscheck corpus, hashed in corpus order; the digest was
-    # recorded before the cone closure visited only candidate pairs
+    # set of the crosscheck corpus, hashed by kind in corpus order.  The
+    # truncated_right_order digest was recorded before the cone closure
+    # visited only candidate pairs, and again before the cone dropped its
+    # provenance; the refutation digest was recorded once leaf
+    # factorizations came from the identity closure
     pool = [u for u in fg.ball(2, 2) if not u.is_identity]
-    digest = hashlib.sha256()
     kinds = {"truncated_right_order": 0, "refutation": 0}
+    digests = {kind: hashlib.sha256() for kind in kinds}
     for size in (1, 2, 3):
         for subset in itertools.combinations(pool, size):
             outcome = ro.extend_right_order(subset, 2)
@@ -331,11 +334,16 @@ def test_cs_witnesses_and_refutations_are_pinned():
             else:
                 doc = certio.refutation_doc(subset, 2, outcome, "right_order")
             kinds[doc["kind"]] += 1
-            digest.update(certio.dumps(doc).encode())
+            digests[doc["kind"]].update(certio.dumps(doc).encode())
     assert kinds == {"truncated_right_order": 460, "refutation": 236}
-    assert digest.hexdigest() == (
-        "15d4ac7a6cc4e5cedb836ef8dc16d51b8de94061d0b0605f2c018cde329cd4dd"
-    )
+    assert {kind: d.hexdigest() for kind, d in digests.items()} == {
+        "truncated_right_order": (
+            "7f9c3b9a5ddf70f93f7088d2e2488d776635e89c85f4f72512623bd767cd2b2a"
+        ),
+        "refutation": (
+            "bd83f808c06c3495431044f349f05623a03b217ec5ecce703d217120f3f1c791"
+        ),
+    }
 
 
 def test_representable_queries_solve_one_system(monkeypatch, tmp_path):
