@@ -1,13 +1,12 @@
 """Order-extension engines for free groups and the decisions built on them.
 
-Three procedures share the witness vocabulary: truncated-cone branching
-(close under bounded products, then case-split on the sign of each
-undetermined short element), pivot branching over closed initial
-subterms with exact subsemigroup membership at every node, and a bounded
-variant for total orders that closes the generators under conjugation up
-to a conjugator length bound before testing membership.  The two pivot
-searches run only where no bi-order of the Magnus or abelian kind makes
-every word positive: such an order settles the root outright.
+One kernel branches on the signs of pivots, growing a closure of the
+generators along each path and rolling it back; a branch whose closure
+reaches the identity becomes a refutation leaf.  cs closes a cone under
+the products within a length bound and signs the first short word it
+leaves unsigned.  hm and rg sign a fixed pivot list over the exact
+subsemigroup closure of the words (hm) or of their conjugates up to a
+length bound (rg), once no Magnus or abelian bi-order settles the root.
 """
 
 from __future__ import annotations
@@ -100,19 +99,22 @@ def sign_pivots(
 
 
 class _Cone:
-    """A set of words closed under the products that stay within a length
-    bound, grown and rolled back along the search."""
+    """A set of words closed under the products within a length bound,
+    grown and rolled back along the search as an IdentityClosure is."""
 
     def __init__(self, bound: int):
         self.elements: set[ReducedWord] = set()
         self.index = freegroup.CancellationIndex(bound)
+        self._marks: list[int] = []
 
-    def close(self, words: Iterable[ReducedWord]) -> bool:
-        """Add the words and close; True when a product reaches the
-        identity.  Each queued element w meets the elements present when it
-        is taken, in insertion order, as w * v and then v * w; only the v
-        whose product with w may stay within the bound are visited."""
+    def grow(self, words: Iterable[ReducedWord]) -> bool:
+        """Add the words and close, in one grow that one rollback undoes;
+        True when a product reaches the identity.  Each queued element w
+        meets the elements present when it is taken, in insertion order,
+        as w * v and then v * w; only the v whose product with w may stay
+        within the bound are visited."""
         elems, index = self.elements, self.index
+        self._marks.append(len(index.words))
         queue: list[ReducedWord] = []
         for w in words:
             if w not in elems:
@@ -134,34 +136,11 @@ class _Cone:
                         queue.append(p)
         return False
 
-    def rollback(self, size: int) -> None:
-        """Drop every element added after the first ``size``."""
+    def rollback(self) -> None:
+        """Undo the last grow."""
+        size = self._marks.pop()
         self.elements.difference_update(self.index.words[size:])
         self.index.truncate(size)
-
-    def search(self, pivots: Sequence[ReducedWord], arity: int, path: _Path) -> Pass:
-        """The search below the node that ``path`` reaches, once the cone
-        takes in the path's last signed pivot: a TruncatedRightOrder, or a
-        tree whose dead branches are _Closed leaves.  It signs the first
-        pivot that neither is nor inverts an element, positive sign first,
-        and rolls the cone back after each sign."""
-        if path and self.close([freegroup.signed(*path[-1])]):
-            return _Closed(path)
-        elems = self.elements
-        pivot = next(
-            (w for w in pivots if w not in elems and freegroup.inv(w) not in elems),
-            None,
-        )
-        if pivot is None:
-            return TruncatedRightOrder(arity, self.index.level, frozenset(elems))
-        size = len(elems)
-        subtrees = {}
-        for sign in (1, -1):
-            subtrees[sign] = yield self.search(pivots, arity, path + ((pivot, sign),))
-            self.rollback(size)
-            if isinstance(subtrees[sign], TruncatedRightOrder):
-                return subtrees[sign]
-        return RefutationBranch(pivot, subtrees[1], subtrees[-1])
 
 
 def close_truncated(
@@ -177,7 +156,7 @@ def close_truncated(
         if len(w) > max_length:
             raise ValueError("generator exceeds the length bound")
     cone = _Cone(max_length)
-    cone.close(words)
+    cone.grow(words)
     return frozenset(cone.elements)
 
 
@@ -188,8 +167,9 @@ def extend_right_order(
 
     The truncation level defaults to the maximal input length, which is
     already decisive; a deeper level may be requested for diagnostics and
-    never changes the verdict.  Pivots run over the shorter ball in
-    ShortLex order, positive sign first.
+    never changes the verdict.  The search signs the first word of the
+    shorter ball, in ShortLex order, that neither is nor inverts an
+    element of the cone, positive sign first.
     """
     words = freegroup.dedupe(words)
     if not words:
@@ -197,6 +177,9 @@ def extend_right_order(
     for i, w in enumerate(words):
         if w.is_identity:
             return RefutationLeaf(Factorization((i,)))
+    top = max(w.max_generator() for w in words)
+    if top > arity:
+        raise ValueError(f"generator {top} exceeds arity {arity}")
     natural = max(len(w) for w in words)
     if level is None:
         level = natural
@@ -204,13 +187,18 @@ def extend_right_order(
         raise ValueError("truncation level is below the longest input word")
     pivots = [w for w in freegroup.ball(arity, level - 1) if not w.is_identity]
     cone = _Cone(level)
-    if cone.close(words):
-        tree = _Closed(())
-    else:
-        tree = freegroup.unwind(cone.search(pivots, arity, ()))
-    if isinstance(tree, TruncatedRightOrder):
-        return tree
-    return freegroup.unwind(_extract(words, _identity_leaf, tree))
+
+    def choose(path):
+        elems = cone.elements
+        for w in pivots:
+            if w not in elems and freegroup.inv(w) not in elems:
+                return w, 1
+        return None
+
+    tree = _sign_search(cone, words, choose, _signed_petal, _identity_leaf)
+    if isinstance(tree, tuple):  # the cone stands as at the open leaf
+        return TruncatedRightOrder(arity, level, frozenset(cone.elements))
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -271,55 +259,72 @@ class _Closed:
         self.path = path
 
 
+_Choose = Callable[[_Path], Union[tuple[ReducedWord, int], None]]
+
+
 def _sign_search(
+    closure,
     words: tuple[ReducedWord, ...],
-    pivots: tuple[ReducedWord, ...],
+    choose: _Choose,
     petal: Callable[[ReducedWord, int], Iterable[ReducedWord]],
     leaf: Callable[[_Path, tuple[ReducedWord, ...]], object],
 ) -> Union[RefutationTree, _Path]:
-    """Depth-first search over the signs of the pivots, in order.
+    """Depth-first search over the signs of pivots.
 
     A node's generators are the words and the signed pivots on its path.
-    A branch closes when the subsemigroup generated by the petals of the
-    words and of the signed pivots, ``petal(word, sign)`` each, reaches
-    the identity; one closure is grown and rolled back along the search.
-    Each pivot's Magnus-positive sign is tried first.  Returns a refutation
-    tree, whose leaves carry ``leaf(path, generators)``, or the first path
-    that signs every pivot and stays open.  Callers settle without it the
-    roots that ``_root_order`` excludes.
+    The caller's empty closure, an IdentityClosure or a _Cone, takes the
+    petals of the words at the root and ``petal(pivot, sign)`` at each
+    node below, one grow each; a branch closes when its grow reaches the
+    identity.  At a node that stays open, ``choose(path)`` gives the pivot
+    to sign and the sign to try first, or None at an open leaf.  Returns
+    a refutation tree, whose leaves carry ``leaf(path, generators)``, or
+    the first open leaf's path, with the closure left as it stands there.
+    Callers settle the roots that ``_root_order`` excludes without it.
     """
-    closure = membership.IdentityClosure()
-    result = freegroup.unwind(_sign_node(closure, words, pivots, petal, ()))
+    result = freegroup.unwind(_sign_node(closure, words, choose, petal, ()))
     if isinstance(result, tuple):
         return result
     return freegroup.unwind(_extract(words, leaf, result))
 
 
-def _sign_node(closure, words, pivots, petal, path: _Path) -> Pass:
+def _sign_node(closure, words, choose, petal, path: _Path) -> Pass:
     """The search below the node that ``path`` reaches; see _sign_search."""
     # the closure holds the petals of the words and of the path above this
-    # node; one grow adds this node's own
-    if path:
-        closure.grow(petal(*path[-1]))
-    else:
-        closure.grow(u for w in words for u in petal(w, 1))
-    if closure.reached:
+    # node; one grow adds this node's own, and one rollback takes it out
+    added = petal(*path[-1]) if path else (u for w in words for u in petal(w, 1))
+    if closure.grow(added):
         closure.rollback()
         return _Closed(path)
-    depth = len(path)
-    if depth == len(pivots):
+    choice = choose(path)
+    if choice is None:
         return path
-    pivot = pivots[depth]
-    # the Magnus-positive sign first; this order fixes the certificates
-    first = biorder.magnus_sign(pivot)
+    pivot, first = choice
     subtrees = {}
     for sign in (first, -first):
         below = path + ((pivot, sign),)
-        subtrees[sign] = yield _sign_node(closure, words, pivots, petal, below)
+        subtrees[sign] = yield _sign_node(closure, words, choose, petal, below)
         if isinstance(subtrees[sign], tuple):
             return subtrees[sign]
     closure.rollback()
     return RefutationBranch(pivot, subtrees[1], subtrees[-1])
+
+
+def _in_order(pivots: Sequence[ReducedWord]) -> _Choose:
+    """Sign the pivots in list order, each Magnus-positive sign first; this
+    order fixes the certificates of hm and rg."""
+
+    def choose(path):
+        if len(path) == len(pivots):
+            return None
+        pivot = pivots[len(path)]
+        return pivot, biorder.magnus_sign(pivot)
+
+    return choose
+
+
+def _signed_petal(pivot: ReducedWord, sign: int) -> tuple[ReducedWord, ...]:
+    """The one generator a signed word adds, in cs and hm."""
+    return (freegroup.signed(pivot, sign),)
 
 
 def _extract(words, leaf, node) -> Pass:
@@ -375,11 +380,8 @@ def decide_lg_hm(words: Iterable[ReducedWord], arity: int) -> Verdict:
     sign = _root_order(words, arity)
     if sign is not None:
         return Verdict(INVALID, SignAssignment(tuple((p, sign(p)) for p in pivots)))
-
-    def petal(pivot, sign):
-        return (freegroup.signed(pivot, sign),)
-
-    result = _sign_search(words, pivots, petal, _identity_leaf)
+    closure, choose = membership.IdentityClosure(), _in_order(pivots)
+    result = _sign_search(closure, words, choose, _signed_petal, _identity_leaf)
     if isinstance(result, tuple):
         return Verdict(INVALID, SignAssignment(result))
     return Verdict(VALID, calculus.derive_glgstar(words, result))
@@ -387,25 +389,6 @@ def decide_lg_hm(words: Iterable[ReducedWord], arity: int) -> Verdict:
 
 # ---------------------------------------------------------------------------
 # bounded refutation for the representable case
-
-
-def _conjugate_generators(
-    base: Sequence[tuple[ReducedWord, int]], arity: int, bound: int
-):
-    conjugators = freegroup.ball(arity, bound)
-    generators: list[ReducedWord] = []
-    meta: list[tuple[ReducedWord, int, int]] = []
-    seen: set[ReducedWord] = set()
-    for index, (word, sign) in enumerate(base):
-        effective = freegroup.signed(word, sign)
-        for q in conjugators:
-            value = freegroup.conjugate(q, effective)
-            if value in seen:
-                continue
-            seen.add(value)
-            generators.append(value)
-            meta.append((q, index, sign))
-    return tuple(generators), meta
 
 
 def rg_refute_bounded(
@@ -443,15 +426,19 @@ def rg_refute_bounded(
         return (freegroup.conjugate(q, effective) for q in conjugators)
 
     def leaf(path, generators):
-        conjugates, meta = _conjugate_generators(roots + path, arity, conjugator_bound)
-        factorization = membership.contains_identity(conjugates)[1]
+        # each conjugate, in the order first met, with where it comes from
+        entries: dict[ReducedWord, ConjugateEntry] = {}
+        for index, (word, sign) in enumerate(roots + path):
+            for q, value in zip(conjugators, petal(word, sign)):
+                entries.setdefault(value, ConjugateEntry(q, index, sign))
+        factorization = membership.contains_identity(entries)[1]
         if factorization is None:
             return None
-        return ConjugateProduct(
-            tuple(ConjugateEntry(*meta[i]) for i in factorization.factors)
-        )
+        firsts = tuple(entries.values())
+        return ConjugateProduct(tuple(firsts[i] for i in factorization.factors))
 
-    result = _sign_search(words, sign_pivots(words, pivots), petal, leaf)
+    choose = _in_order(sign_pivots(words, pivots))
+    result = _sign_search(membership.IdentityClosure(), words, choose, petal, leaf)
     return None if isinstance(result, tuple) else result
 
 

@@ -114,6 +114,8 @@ class TruncatedRightOrder:
         for w in elems:
             if len(w) > self.level:
                 issues.append(f"element {freegroup.word_to_text(w)} exceeds level")
+            if w.max_generator() > self.arity:
+                issues.append(f"element {freegroup.word_to_text(w)} exceeds arity")
         # only the pairs the index finds can multiply to a word within the
         # level; they are visited in the order of the elements
         index = freegroup.CancellationIndex(self.level, elems)

@@ -6,7 +6,7 @@ import weakref
 
 import pytest
 
-from conftest import w, words
+from conftest import random_reduced_word, w, words
 from ordcalc import calculus as ca
 from ordcalc import certio, cli
 from ordcalc import freegroup as fg
@@ -199,7 +199,8 @@ def test_sign_search_runs_deeper_than_the_recursion_limit():
     def leaf(path, generators):
         raise AssertionError("no branch closes")
 
-    path = ro._sign_search(joins, pivots, petal, leaf)
+    closure = membership.IdentityClosure()
+    path = ro._sign_search(closure, joins, ro._in_order(pivots), petal, leaf)
     assert path == tuple((p, 1) for p in pivots)
 
 
@@ -208,6 +209,25 @@ def test_truncated_order_violations_detected():
     assert bad.violations()
     good = TruncatedRightOrder(2, 1, frozenset(words("x", "y")))
     assert good.verify()
+
+
+def test_cs_rejects_generators_beyond_the_arity():
+    # y is generator 2: at arity 1 the pivots of the smaller ball never
+    # sign it, so the search once answered INVALID for a valid set
+    joins = words("x'y'xy'", "yxyyx", "x'y'x'x'")
+    assert ro.decide_lg_cs(joins, 2).status == "VALID"
+    for decide in (ro.decide_lg_cs, ro.decide_lg_hm, ro.decide_rg):
+        with pytest.raises(ValueError, match="generator 2 exceeds arity 1"):
+            decide(joins, 1)
+    with pytest.raises(ValueError, match="generator 2 exceeds arity 1"):
+        ro.extend_right_order(joins, 1)
+    # a cone over a generator beyond its arity is no witness, in memory
+    # or as a file
+    beyond = TruncatedRightOrder(1, 1, frozenset(words("y")))
+    assert any("exceeds arity" in issue for issue in beyond.violations())
+    doc = certio.truncated_order_doc(beyond, words("y"))
+    with pytest.raises(certio.CertificateFormatError):
+        certio.verify_witness_doc(doc)
 
 
 def test_hm_invalid_search_makes_no_membership_call(monkeypatch):
@@ -346,6 +366,69 @@ def test_cs_witnesses_and_refutations_are_pinned():
     }
 
 
+def test_hm_proofs_and_rg_refutations_are_pinned():
+    # the proof files of every hm VALID set of the crosscheck corpus, and
+    # the order refutation files of every tree rg finds at conjugator bound
+    # 1, hashed by kind in corpus order; both digests were recorded before
+    # cs moved onto the search kernel hm and rg run
+    pool = [u for u in fg.ball(2, 2) if not u.is_identity]
+    counts = {"proof": 0, "refutation": 0}
+    digests = {kind: hashlib.sha256() for kind in counts}
+    for size in (1, 2, 3):
+        for subset in itertools.combinations(pool, size):
+            docs = []
+            verdict = ro.decide_lg_hm(subset, 2)
+            if verdict.status == "VALID":
+                goal = ca.hypersequent_of_words(subset)
+                conjuncts = [(goal, verdict.certificate)]
+                docs.append(certio.proof_doc(ca.CalculusId.GLGSTAR, conjuncts))
+            tree = ro.rg_refute_bounded(subset, 2, 1)
+            if tree is not None:
+                docs.append(certio.refutation_doc(subset, 2, tree, "order"))
+            for doc in docs:
+                counts[doc["kind"]] += 1
+                digests[doc["kind"]].update(certio.dumps(doc).encode())
+    assert counts == {"proof": 236, "refutation": 288}
+    assert {kind: d.hexdigest() for kind, d in digests.items()} == {
+        "proof": "63dc6961238125a64b02c899d4ec48554d49e1faec1f2c09429faeab6a7af5e5",
+        "refutation": (
+            "454897cf773e971c7a8344731a6fbb834fff7dc7077b8638244e540be1fffa26"
+        ),
+    }
+
+
+def test_cone_agrees_through_grow_and_rollback(rng):
+    # the protocol the sign search drives: nested grows, each undone by
+    # one rollback, and a grow that reaches the identity undone at once
+    reached = 0
+    for _ in range(150):
+        cone = ro._Cone(3)
+        batches = []
+        for _ in range(14):
+            if batches and rng.random() < 0.35:
+                cone.rollback()
+                batches.pop()
+            else:
+                batch = [random_reduced_word(rng, 2, 3) for _ in range(rng.randint(0, 3))]
+                batch = [u for u in batch if not u.is_identity]
+                before = set(cone.elements)
+                present = [u for b in batches for u in b] + batch
+                if cone.grow(batch):
+                    # the cone lies inside the subsemigroup its words make
+                    assert membership.contains_identity(present)[0], batches
+                    cone.rollback()
+                    assert cone.elements == before
+                    reached += 1
+                    continue
+                batches.append(batch)
+            present = [u for b in batches for u in b]
+            assert cone.elements == ro.close_truncated(present, 3), batches
+            assert len(cone.index.words) == len(cone.elements)
+            assert set(cone.index.words) == cone.elements
+            assert not any(fg.inv(u) in cone.elements for u in cone.elements)
+    assert reached > 100
+
+
 def test_representable_queries_solve_one_system(monkeypatch, tmp_path):
     # the fallback separator is the root functional negated, so neither
     # decide_rg nor order-extend --kind total solves the system twice
@@ -406,17 +489,22 @@ def test_search_state_dies_with_its_query(monkeypatch):
 
     tracked(membership, "IdentityClosure")
     tracked(membership, "WordAutomaton")
+    tracked(ro, "_Cone")
     mul = fg.mul
     monkeypatch.setattr(fg, "mul", tracked_products)
     queries = (
         # an hm search below an open root, an rg search that exhausts its
-        # bounds, a successful membership test, and a cone dead at its root
+        # bounds, a successful membership test, a cone dead at its root,
+        # and two cs searches that branch below an open root: a hard-search
+        # row and the set of the branch_example_valid golden
         lambda: ro.decide_lg_hm(words("yx'yxy", "x'y'x", "x'y'y'"), 2).status,
         lambda: ro.decide_rg(words("yx'y", "yx'y'x", "yxxy'"), 2, 1).status,
         lambda: membership.contains_identity(words("xy", "y'x'"))[0],
         lambda: type(ro.extend_right_order(words("x", "x'y", "y'y'"), 2)).__name__,
+        lambda: ro.decide_lg_cs(words("x'x'yxx", "xy'y'y'y'", "yx'x'"), 2).status,
+        lambda: ro.decide_lg_cs(words(*S_WORDS), 2).status,
     )
-    answers = ("INVALID", "UNKNOWN", True, "RefutationLeaf")
+    answers = ("INVALID", "UNKNOWN", True, "RefutationLeaf", "INVALID", "VALID")
     enabled = gc.isenabled()
     gc.disable()
     try:
