@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from typing import Any, Callable, Sequence
 
-from . import freegroup, membership, rightorder
+from . import freegroup, membership
 from .calculus import (
     CalculusId,
     Derivation,
@@ -28,6 +28,7 @@ from .witnesses import (
     RefutationTree,
     SignAssignment,
     TruncatedRightOrder,
+    sign_pivots,
     verify_refutation_tree,
 )
 
@@ -394,7 +395,7 @@ def verify_witness_doc(doc: dict) -> list[str]:
             pivot = _parse_word(_require(item, "pivot", str), arity)
             path.append((pivot, _require(item, "sign", int)))
         # the witness must sign every pivot the search branches on
-        if tuple(p for p, _ in path) != rightorder.sign_pivots(words):
+        if tuple(p for p, _ in path) != sign_pivots(words):
             return ["pivots are not the representatives of cis(words)"]
         if any(s not in (1, -1) for _, s in path):
             return ["every sign must be 1 or -1"]
@@ -422,7 +423,7 @@ def verify_witness_doc(doc: dict) -> list[str]:
         pivots = tuple(_parse_word(p, arity) for p in _require(doc, "pivots", list))
         if any(p.is_identity for p in pivots):
             return ["a pivot is the identity"]
-        if pivots != rightorder.sign_pivots(words, pivots):
+        if pivots != sign_pivots(words, pivots):
             return ["pivots are not in the form sign_pivots gives them"]
         return []
     raise CertificateFormatError(f"unknown witness kind {kind!r}")

@@ -1,7 +1,9 @@
 """Command line front end.
 
 Verbs: decide, prove (decide with a required proof file), order-extend,
-check-proof, crosscheck.  Exit codes: 0 VALID/YES, 1 INVALID/NO,
+check, crosscheck.  check re-checks a certificate file of any kind (proof
+or witness) and exits 0 when it is accepted, 1 when it is rejected;
+check-proof is another name for it.  Exit codes: 0 VALID/YES, 1 INVALID/NO,
 2 UNKNOWN, 3 usage or input errors, 4 internal errors.
 """
 
@@ -115,17 +117,6 @@ def _write(path: str, doc: dict) -> None:
         handle.write(certio.dumps(doc))
 
 
-def _verify_witness_file(path: str) -> None:
-    with open(path, encoding="utf-8") as handle:
-        doc = certio.loads(handle.read())
-    issues = certio.verify_witness_doc(doc)
-    if issues:
-        raise RuntimeError(
-            "witness file failed verification: " + "; ".join(issues)
-        )
-    print(f"witness file verified: {path}")
-
-
 def _cmd_decide(args) -> int:
     if args.procedure and args.variety != "lgroup":
         raise UsageError("--procedure applies to the lgroup variety only")
@@ -133,8 +124,6 @@ def _cmd_decide(args) -> int:
         args.bound_L != rightorder.DEFAULT_CONJUGATOR_BOUND or args.pivots
     ):
         raise UsageError("--bound-L/--pivots apply to the representable variety only")
-    if args.verify_witness and not args.witness:
-        raise UsageError("--verify-witness requires --witness")
     goals, arity = _parse_goals(args.input, args.arity)
     verdicts = []
     for index, goal in enumerate(goals):
@@ -162,8 +151,6 @@ def _cmd_decide(args) -> int:
         else:
             _write(args.witness, _witness_doc(bad[1], arity, bad[2]))
             print(f"witness written: {args.witness}")
-            if args.verify_witness:
-                _verify_witness_file(args.witness)
     return exit_code_for(overall)
 
 
@@ -179,8 +166,6 @@ def _order_witness_doc(words, arity: int, outcome, flavor: str) -> dict:
 
 
 def _cmd_order_extend(args) -> int:
-    if args.verify_witness and not args.witness:
-        raise UsageError("--verify-witness requires --witness")
     words, arity = _parse_words(args.words, args.arity)
     if any(w.is_identity for w in words):
         raise UsageError("the identity cannot be ordered strictly positive")
@@ -202,20 +187,12 @@ def _cmd_order_extend(args) -> int:
     print(answer)
     if args.witness:
         _write(args.witness, _order_witness_doc(words, arity, outcome, flavor))
-        if args.verify_witness:
-            _verify_witness_file(args.witness)
     return code
 
 
-def _cmd_check_proof(args) -> int:
-    try:
-        with open(args.file, encoding="utf-8") as handle:
-            doc = certio.loads(handle.read())
-        declared, conjuncts = certio.load_proof(doc)
-    except (OSError, UnicodeDecodeError, certio.CertificateFormatError) as exc:
-        print(f"proof file rejected: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    effective = CalculusId(args.calculus) if args.calculus else declared
+def _check_proof(doc: dict, override: str | None) -> int:
+    declared, conjuncts = certio.load_proof(doc)
+    effective = CalculusId(override) if override else declared
     for index, (goal, derivation) in enumerate(conjuncts):
         result = calculus.check(effective, derivation, goal)
         if not result:
@@ -225,6 +202,27 @@ def _cmd_check_proof(args) -> int:
             )
             return 1
     print(f"accepted: {len(conjuncts)} conjunct(s) in {effective.value}")
+    return 0
+
+
+def _cmd_check(args) -> int:
+    """Re-check one certificate file of any kind, trusting only certio and
+    the modules it imports."""
+    try:
+        with open(args.file, encoding="utf-8") as handle:
+            doc = certio.loads(handle.read())
+        if doc.get("kind") == "proof":
+            return _check_proof(doc, args.calculus)
+        if args.calculus:
+            raise UsageError("--calculus applies to proof files only")
+        issues = certio.verify_witness_doc(doc)
+    except (OSError, UnicodeDecodeError, certio.CertificateFormatError) as exc:
+        print(f"certificate file rejected: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if issues:
+        print("REJECTED: " + "; ".join(issues))
+        return 1
+    print(f"accepted: {doc['kind']}")
     return 0
 
 
@@ -332,7 +330,6 @@ def _add_decide_arguments(sub: argparse.ArgumentParser, proof_required: bool) ->
     sub.add_argument("--arity", type=_at_least(1), default=None)
     sub.add_argument("--proof", required=proof_required, help="write the derivation file here")
     sub.add_argument("--witness", help="write the countermodel/witness file here")
-    sub.add_argument("--verify-witness", action="store_true")
     sub.add_argument("--procedure", choices=("cs", "hm"), default=None)
     sub.add_argument(
         "--bound-L",
@@ -360,20 +357,21 @@ def build_parser() -> argparse.ArgumentParser:
     extend.add_argument("--kind", required=True, choices=("right", "total"))
     extend.add_argument("--arity", type=_at_least(1), default=None)
     extend.add_argument("--witness", help="write the witness file here")
-    extend.add_argument("--verify-witness", action="store_true")
     extend.add_argument(
         "--bound-L", type=_at_least(0), default=rightorder.DEFAULT_CONJUGATOR_BOUND
     )
     extend.set_defaults(handler=_cmd_order_extend)
 
-    checkp = sub.add_parser("check-proof", help="verify a derivation file")
-    checkp.add_argument("file")
-    checkp.add_argument(
+    check = sub.add_parser(
+        "check", aliases=["check-proof"], help="re-check a proof or witness file"
+    )
+    check.add_argument("file")
+    check.add_argument(
         "--calculus",
         choices=[c.value for c in CalculusId],
-        help="check under this calculus instead",
+        help="check a proof file under this calculus instead",
     )
-    checkp.set_defaults(handler=_cmd_check_proof)
+    check.set_defaults(handler=_cmd_check)
 
     cross = sub.add_parser("crosscheck", help="run the procedure-agreement corpus")
     cross.add_argument("--arity", type=_at_least(1), default=2)

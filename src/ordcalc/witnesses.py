@@ -7,7 +7,7 @@ certificates can be re-checked independently of the search that found them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterable, Union
 
 from . import freegroup
 from .freegroup import Pass, ReducedWord
@@ -82,6 +82,62 @@ class BoundsReport:
 
     conjugator_bound: int
     pivots: tuple[ReducedWord, ...]
+
+
+# the pivots a sign search branches on: a SignAssignment signs them, and a
+# BoundsReport lists them
+
+
+def initial_subterms(words: Iterable[ReducedWord]) -> frozenset[ReducedWord]:
+    """All prefixes of the input words, the empty prefix included."""
+    out = {freegroup.IDENTITY}
+    for w in words:
+        out.update(w.prefix(i) for i in range(1, len(w) + 1))
+    return frozenset(out)
+
+
+def _ranks(word: ReducedWord) -> tuple[int, ...]:
+    """The literal ranks of a word: two rank tuples of one length compare as
+    the words do in ShortLex order, and inverting a literal flips bit 0."""
+    return tuple(map(freegroup.literal_rank, word.letters))
+
+
+def _unrank(ranks: tuple[int, ...]) -> ReducedWord:
+    """The word with these literal ranks; undoes _ranks."""
+    return ReducedWord(tuple(-(r // 2 + 1) if r % 2 else r // 2 + 1 for r in ranks))
+
+
+def _inverse_pairs(words: Iterable[ReducedWord]):
+    """Rank tuples of s' * t and of its inverse t' * s, once for each pair of
+    distinct initial subterms s and t: together, all of cis(words)."""
+    prefixes = [_ranks(p) for p in initial_subterms(words)]
+    inverses = [tuple(r ^ 1 for r in reversed(p)) for p in prefixes]
+    for i, s in enumerate(prefixes):
+        for j in range(i + 1, len(prefixes)):
+            t = prefixes[j]
+            # past the common stem s' * t is reduced as written
+            k = 0
+            while k < len(s) and k < len(t) and s[k] == t[k]:
+                k += 1
+            yield inverses[i][: len(s) - k] + t[k:], inverses[j][: len(t) - k] + s[k:]
+
+
+def cis(words: Iterable[ReducedWord]) -> frozenset[ReducedWord]:
+    """Nonidentity quotients s' * t of initial subterms; closed under inversion."""
+    return frozenset(_unrank(r) for pair in _inverse_pairs(words) for r in pair)
+
+
+def sign_pivots(
+    words: Iterable[ReducedWord], pivots: Iterable[ReducedWord] | None = None
+) -> tuple[ReducedWord, ...]:
+    """One representative per inverse pair of cis(words), or of the given
+    pivot words: the ShortLex smaller one, in ShortLex order."""
+    if pivots is None:
+        pairs = _inverse_pairs(words)
+    else:
+        pairs = ((_ranks(w), _ranks(freegroup.inv(w))) for w in pivots)
+    reps = {min(pair) for pair in pairs}
+    return tuple(_unrank(r) for r in sorted(reps, key=lambda r: (len(r), r)))
 
 
 def _ball_exceeds(arity: int, radius: int, limit: int) -> bool:

@@ -102,10 +102,11 @@ def test_criterion_2_branching_example_invalid(tmp_path, capsys):
     code = cli.main(
         [
             "decide", "--variety", "lgroup", T_INPUT,
-            "--witness", str(witness_path), "--verify-witness",
+            "--witness", str(witness_path),
         ]
     )
     assert code == 1
+    assert cli.main(["check", str(witness_path)]) == 0
     doc = json.loads(witness_path.read_text())
     assert doc["kind"] == "truncated_right_order" and doc["level"] == 2
     elements = frozenset(fg.word_from_text(t) for t in doc["elements"])

@@ -35,11 +35,11 @@ def test_decide_lgroup_invalid_example(capsys, tmp_path):
         "xx | xy | yx'",
         "--witness",
         str(witness),
-        "--verify-witness",
     )
     out = capsys.readouterr().out
     assert code == 1
     assert "INVALID" in out
+    assert run("check", str(witness)) == 0
     doc = json.loads(witness.read_text())
     assert doc["kind"] == "truncated_right_order"
     assert doc["level"] == 2
@@ -85,20 +85,22 @@ def test_order_extend_right(capsys, tmp_path):
     witness = tmp_path / "order.json"
     code = run(
         "order-extend", "--kind", "right", "xx, xy, yx'",
-        "--witness", str(witness), "--verify-witness",
+        "--witness", str(witness),
     )
     assert code == 0
     assert json.loads(witness.read_text())["kind"] == "truncated_right_order"
+    assert run("check", str(witness)) == 0
 
 
 def test_order_extend_total(capsys, tmp_path):
     witness = tmp_path / "total.json"
     code = run(
         "order-extend", "--kind", "total", "x",
-        "--witness", str(witness), "--verify-witness",
+        "--witness", str(witness),
     )
     assert code == 0
     assert json.loads(witness.read_text())["kind"] == "abelian_order_witness"
+    assert run("check", str(witness)) == 0
     assert run("order-extend", "--kind", "total", "x, x'", "--bound-L", "0") == 1
     assert run("order-extend", "--kind", "total", "x'y'xy") == 2
 
@@ -179,13 +181,101 @@ def test_cs_proofs_of_failing_rows_are_small(capsys, tmp_path, text):
     assert run("check-proof", str(proof)) == 0
 
 
+# one query for each kind of witness file the command line writes: the
+# fields its file holds, the code it exits with and its arguments
+WITNESS_QUERIES = [
+    (
+        {"kind": "truncated_right_order"},
+        1,
+        ("decide", "--variety", "lgroup", "xx | xy | yx'"),
+    ),
+    ({"kind": "separator"}, 1, ("decide", "--variety", "abelian", "x | y")),
+    ({"kind": "abelian_order_witness"}, 0, ("order-extend", "--kind", "total", "x")),
+    (
+        {"kind": "sign_assignment"},
+        1,
+        ("decide", "--variety", "lgroup", "--procedure", "hm", "xx | xy | yx'"),
+    ),
+    (
+        {"kind": "refutation", "flavor": "right_order"},
+        1,
+        ("order-extend", "--kind", "right", "xx, yy, x'y'"),
+    ),
+    (
+        {"kind": "refutation", "flavor": "order"},
+        1,
+        ("order-extend", "--kind", "total", "x, x'", "--bound-L", "0"),
+    ),
+    (
+        {"kind": "bounds_exhausted"},
+        2,
+        ("decide", "--variety", "representable", "x' y' x y"),
+    ),
+]
+
+
+def _write_witness(tmp_path, query) -> pathlib.Path:
+    fields, code, argv = query
+    path = tmp_path / f"{fields['kind']}.json"
+    assert run(*argv, "--witness", str(path)) == code
+    assert json.loads(path.read_text()).items() >= fields.items()
+    return path
+
+
+@pytest.mark.parametrize(
+    "query", WITNESS_QUERIES, ids=lambda query: "-".join(query[0].values())
+)
+def test_check_accepts_every_witness_kind_the_cli_writes(capsys, tmp_path, query):
+    path = _write_witness(tmp_path, query)
+    capsys.readouterr()
+    assert run("check", str(path)) == 0
+    assert capsys.readouterr().out == f"accepted: {query[0]['kind']}\n"
+
+
+def test_check_rejects_forged_witnesses_with_exit_one(capsys, tmp_path):
+    # a separator that is zero, not negative, on the word x
+    separator = _write_witness(tmp_path, WITNESS_QUERIES[1])
+    doc = json.loads(separator.read_text())
+    doc["functional"][0] = 0
+    separator.write_text(certio.dumps(doc))
+    # signing the pivot x negative lets x' x' x x reach the identity
+    signs = _write_witness(tmp_path, WITNESS_QUERIES[3])
+    doc = json.loads(signs.read_text())
+    assert doc["signs"][0] == {"pivot": "x", "sign": 1} and "x x" in doc["words"]
+    doc["signs"][0]["sign"] = -1
+    signs.write_text(certio.dumps(doc))
+    capsys.readouterr()
+    for path, issue in (
+        (separator, "functional is not negative on 'x'"),
+        (signs, "signed generators reach the identity"),
+    ):
+        assert run("check", str(path)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == f"REJECTED: {issue}\n"
+        assert "internal error" not in captured.err
+
+
+def test_check_calculus_override_on_a_witness_exits_three(capsys, tmp_path):
+    path = _write_witness(tmp_path, WITNESS_QUERIES[0])
+    capsys.readouterr()
+    assert run("check", str(path), "--calculus", "GA") == 3
+    assert "--calculus applies to proof files only" in capsys.readouterr().err
+
+
+def test_check_proof_is_another_name_for_check():
+    parser = cli.build_parser()
+    check = parser.parse_args(["check", "p.json"])
+    alias = parser.parse_args(["check-proof", "p.json"])
+    assert check.handler is alias.handler
+
+
 def test_hostile_nesting_is_rejected(capsys, tmp_path):
     for name, text in (("lists", "[" * 100_000), ("objects", '{"a":' * 100_000)):
         path = tmp_path / f"{name}.json"
         path.write_text(text)
         assert run("check-proof", str(path)) == 3
         err = capsys.readouterr().err
-        assert "proof file rejected" in err and "internal error" not in err
+        assert "certificate file rejected" in err and "internal error" not in err
 
 
 def test_usage_errors_exit_three(capsys, monkeypatch, tmp_path):

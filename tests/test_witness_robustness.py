@@ -14,6 +14,7 @@ import sys
 
 from conftest import SEED, words
 from ordcalc import abelian, certio, witnesses
+from ordcalc import calculus as ca
 from ordcalc import freegroup as fg
 from ordcalc import rightorder as ro
 from ordcalc.witnesses import BoundsReport, TruncatedRightOrder
@@ -145,6 +146,43 @@ def fuzz(seed: int, count: int) -> list[str]:
 def test_genuine_documents_verify():
     for doc in genuine_documents():
         assert certio.verify_witness_doc(doc) == [], doc["kind"]
+
+
+# the search, query parsing, verdicts and the command line: no check needs them
+SEARCH_MODULES = (
+    "rightorder",
+    "abelian",
+    "biorder",
+    "fourier_motzkin",
+    "term",
+    "verdicts",
+    "cli",
+)
+TRUSTED_BASE = ("calculus", "certio", "freegroup", "membership", "witnesses")
+
+
+def test_checking_loads_only_the_trusted_base(tmp_path):
+    joins = words("xx", "yy", "x'y'")
+    goal = ca.hypersequent_of_words(joins)
+    proof = certio.proof_doc(
+        ca.CalculusId.GLGSTAR, [(goal, ro.decide_lg_cs(joins, 2).certificate)]
+    )
+    path = tmp_path / "documents.json"
+    path.write_text(json.dumps([proof] + genuine_documents()))
+    code = (
+        "import json, pathlib, sys\n"
+        "from ordcalc import calculus, certio\n"
+        f"proof, *witnesses = json.loads(pathlib.Path({str(path)!r}).read_text())\n"
+        "declared, conjuncts = certio.load_proof(proof)\n"
+        "assert all(calculus.check(declared, d, g) for g, d in conjuncts)\n"
+        "assert all(certio.verify_witness_doc(doc) == [] for doc in witnesses)\n"
+        "print(json.dumps([m for m in sys.modules if m.startswith('ordcalc')]))\n"
+    )
+    result = _run_capped(code)
+    assert result.returncode == 0, result.stderr[-2000:]
+    loaded = {name.removeprefix("ordcalc.") for name in json.loads(result.stdout)}
+    assert not loaded & set(SEARCH_MODULES)
+    assert loaded == {"ordcalc", *TRUSTED_BASE}
 
 
 def test_mutated_witness_documents_fail_only_as_format_errors():
