@@ -31,7 +31,6 @@ from . import freegroup
 from .freegroup import Pass, ReducedWord
 from .witnesses import (
     ConjugateProduct,
-    Factorization,
     RefutationBranch,
     RefutationTree,
     verify_refutation_tree,
@@ -141,11 +140,6 @@ CALCULUS_RULES: dict[CalculusId, frozenset[str]] = {
     CalculusId.GLGSTAR: frozenset({"gv", "split", "star"}),
     CalculusId.GRGSTAR: frozenset({"gv", "split", "star", "cycle"}),
 }
-
-
-def group_valid(sequent: Sequent) -> bool:
-    """True when the sequent's word reduces to the identity of F(k)."""
-    return sequent.word.is_identity
 
 
 @dataclass(frozen=True)
@@ -370,23 +364,15 @@ _Path = tuple[tuple[ReducedWord, int], ...]
 
 
 def _leaf_blocks(
-    witness: Factorization | ConjugateProduct,
+    witness: ConjugateProduct,
     words: tuple[ReducedWord, ...],
     path: _Path,
 ) -> list[tuple[Raw, Raw]]:
     """The ``(conjugator, factor)`` raw pairs of a leaf witness, in product
-    order.  A factorization indexes the words and the signed pivots; a
-    conjugate product indexes the unsigned pivots and signs each entry."""
-    if isinstance(witness, Factorization):
-        generators = words + tuple(freegroup.signed(p, s) for p, s in path)
-        return [((), generators[i].letters) for i in witness.factors]
-    generators = words + tuple(p for p, _ in path)
+    order; its entries index the words and the signed pivots."""
+    generators = words + tuple(freegroup.signed(p, s) for p, s in path)
     return [
-        (
-            entry.conjugator.letters,
-            freegroup.signed(generators[entry.base], entry.sign).letters,
-        )
-        for entry in witness.entries
+        (e.conjugator.letters, generators[e.base].letters) for e in witness.entries
     ]
 
 

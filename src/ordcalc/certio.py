@@ -22,7 +22,6 @@ from .witnesses import (
     BoundsReport,
     ConjugateEntry,
     ConjugateProduct,
-    Factorization,
     RefutationBranch,
     RefutationLeaf,
     RefutationTree,
@@ -267,7 +266,7 @@ def bounds_doc(words, arity: int, report: BoundsReport) -> dict:
     )
 
 
-def _tree_to_node(tree: RefutationTree, conjugate: bool) -> list[dict]:
+def _tree_to_node(tree: RefutationTree) -> list[dict]:
     def entry(node: RefutationTree, indices: list[int]) -> dict:
         if isinstance(node, RefutationBranch):
             positive, negative = indices
@@ -277,19 +276,13 @@ def _tree_to_node(tree: RefutationTree, conjugate: bool) -> list[dict]:
                 "positive": positive,
                 "negative": negative,
             }
-        if conjugate:
-            assert isinstance(node.witness, ConjugateProduct)
-            factors = [
-                {
-                    "conjugator": freegroup.word_to_text(e.conjugator),
-                    "base": e.base,
-                    "sign": e.sign,
-                }
-                for e in node.witness.entries
-            ]
-        else:
-            assert isinstance(node.witness, Factorization)
-            factors = list(node.witness.factors)
+        # a factor conjugated by e is its base index alone
+        factors = [
+            e.base
+            if e.conjugator.is_identity
+            else {"base": e.base, "conjugator": freegroup.word_to_text(e.conjugator)}
+            for e in node.witness.entries
+        ]
         return {"kind": "leaf", "factors": factors}
 
     def children(node: RefutationTree) -> tuple:
@@ -299,7 +292,19 @@ def _tree_to_node(tree: RefutationTree, conjugate: bool) -> list[dict]:
     return _to_table(tree, children, entry)
 
 
-def _node_to_tree(table: Any, conjugate: bool, arity: int) -> RefutationTree:
+def _factor(item: Any, arity: int) -> ConjugateEntry:
+    """One leaf factor: a base index, or an object of a base and its conjugator."""
+    if isinstance(item, dict):
+        if set(item) != {"base", "conjugator"}:
+            raise CertificateFormatError("a factor object holds base and conjugator")
+        conjugator = _parse_word(_require(item, "conjugator", str), arity)
+        return ConjugateEntry(conjugator, _require(item, "base", int))
+    if type(item) is not int:
+        raise CertificateFormatError("a factor is an index or an object")
+    return ConjugateEntry(freegroup.IDENTITY, item)
+
+
+def _node_to_tree(table: Any, arity: int) -> RefutationTree:
     def build(node: dict, take: Callable) -> RefutationTree:
         kind = _require(node, "kind", str)
         if kind == "branch":
@@ -313,22 +318,8 @@ def _node_to_tree(table: Any, conjugate: bool, arity: int) -> RefutationTree:
         factors = _require(node, "factors", list)
         if not factors:
             raise CertificateFormatError("a leaf needs at least one factor")
-        if conjugate:
-            entries = []
-            for item in factors:
-                if not isinstance(item, dict):
-                    raise CertificateFormatError("conjugate factors must be objects")
-                entries.append(
-                    ConjugateEntry(
-                        _parse_word(_require(item, "conjugator", str), arity),
-                        _require(item, "base", int),
-                        _require(item, "sign", int),
-                    )
-                )
-            return RefutationLeaf(ConjugateProduct(tuple(entries)))
-        if not all(type(i) is int for i in factors):
-            raise CertificateFormatError("factor indices must be integers")
-        return RefutationLeaf(Factorization(tuple(factors)))
+        entries = tuple(_factor(item, arity) for item in factors)
+        return RefutationLeaf(ConjugateProduct(entries))
 
     return _from_table(table, build)
 
@@ -341,7 +332,7 @@ def refutation_doc(words, arity: int, tree: RefutationTree, flavor: str) -> dict
         flavor=flavor,
         arity=arity,
         words=_word_list(words),
-        tree=_tree_to_node(tree, flavor == "order"),
+        tree=_tree_to_node(tree),
     )
 
 
@@ -407,11 +398,10 @@ def verify_witness_doc(doc: dict) -> list[str]:
         flavor = _require(doc, "flavor", str)
         if flavor not in ("right_order", "order"):
             raise CertificateFormatError(f"unknown refutation flavor {flavor!r}")
-        conjugate = flavor == "order"
         arity = _arity(doc)
         words = tuple(_parse_word(w, arity) for w in _require(doc, "words", list))
-        tree = _node_to_tree(_require(doc, "tree", list), conjugate, arity)
-        error = verify_refutation_tree(words, tree, conjugate=conjugate)
+        tree = _node_to_tree(_require(doc, "tree", list), arity)
+        error = verify_refutation_tree(words, tree, conjugate=flavor == "order")
         return [error] if error else []
     if kind == "bounds_exhausted":
         # the search is not re-run; the file must state a search that could

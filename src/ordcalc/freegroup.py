@@ -125,7 +125,7 @@ def inv(a: ReducedWord) -> ReducedWord:
 
 def conjugate(q: ReducedWord, t: ReducedWord) -> ReducedWord:
     """q * t * q' reduced."""
-    return mul(mul(q, t), inv(q))
+    return t if q.is_identity else mul(mul(q, t), inv(q))
 
 
 def signed(word: ReducedWord, sign: int) -> ReducedWord:

@@ -61,9 +61,6 @@ class WordAutomaton:
         self._by_first: dict[int, list[int]] = {}
         self._by_second: dict[int, list[int]] = {}
 
-    def epsilon_pairs(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.epsilon)
-
     def _add(self, pair: tuple[int, int], provenance: tuple, queue: deque) -> None:
         if pair in self.epsilon:
             return

@@ -21,7 +21,6 @@ from .witnesses import (
     BoundsReport,
     ConjugateEntry,
     ConjugateProduct,
-    Factorization,
     RefutationBranch,
     RefutationLeaf,
     RefutationTree,
@@ -127,7 +126,8 @@ def extend_right_order(
         raise ValueError("at least one word is required")
     for i, w in enumerate(words):
         if w.is_identity:
-            return RefutationLeaf(Factorization((i,)))
+            entry = ConjugateEntry(freegroup.IDENTITY, i)
+            return RefutationLeaf(ConjugateProduct((entry,)))
     top = max(w.max_generator() for w in words)
     if top > arity:
         raise ValueError(f"generator {top} exceeds arity {arity}")
@@ -146,7 +146,7 @@ def extend_right_order(
                 return w, 1
         return None
 
-    tree = _sign_search(cone, words, choose, _signed_petal, _identity_leaf)
+    tree = _sign_search(cone, words, choose, *_IDENTITY_ONLY)
     if isinstance(tree, tuple):  # the cone stands as at the open leaf
         return TruncatedRightOrder(arity, level, frozenset(cone.elements))
     return tree
@@ -218,7 +218,7 @@ def _sign_search(
     words: tuple[ReducedWord, ...],
     choose: _Choose,
     petal: Callable[[ReducedWord, int], Iterable[ReducedWord]],
-    leaf: Callable[[_Path, tuple[ReducedWord, ...]], object],
+    leaf: Callable[[tuple[ReducedWord, ...]], object],
 ) -> Union[RefutationTree, _Path]:
     """Depth-first search over the signs of pivots.
 
@@ -228,7 +228,7 @@ def _sign_search(
     node below, one grow each; a branch closes when its grow reaches the
     identity.  At a node that stays open, ``choose(path)`` gives the pivot
     to sign and the sign to try first, or None at an open leaf.  Returns
-    a refutation tree, whose leaves carry ``leaf(path, generators)``, or
+    a refutation tree, whose leaves carry ``leaf(generators)``, or
     the first open leaf's path, with the closure left as it stands there.
     Callers settle the roots that ``_root_order`` excludes without it.
     """
@@ -273,17 +273,12 @@ def _in_order(pivots: Sequence[ReducedWord]) -> _Choose:
     return choose
 
 
-def _signed_petal(pivot: ReducedWord, sign: int) -> tuple[ReducedWord, ...]:
-    """The one generator a signed word adds, in cs and hm."""
-    return (freegroup.signed(pivot, sign),)
-
-
 def _extract(words, leaf, node) -> Pass:
     """The refutation tree of a searched tree, each closed leaf replaced by
     its witness."""
     if isinstance(node, _Closed):
         generators = words + tuple(freegroup.signed(p, s) for p, s in node.path)
-        witness = leaf(node.path, generators)
+        witness = leaf(generators)
         if witness is None:
             raise AssertionError("closed leaf has no witness")
         return RefutationLeaf(witness)
@@ -292,9 +287,33 @@ def _extract(words, leaf, node) -> Pass:
     return RefutationBranch(node.pivot, positive, negative)
 
 
-def _identity_leaf(path: _Path, generators: tuple[ReducedWord, ...]):
-    """A factorization of the identity over a closed leaf's generators."""
-    return membership.contains_identity(generators)[1]
+def _conjugating(conjugators: Sequence[ReducedWord]):
+    """The petal and the leaf of a sign search whose generators are the
+    conjugates of the words and the signed pivots by each conjugator, in
+    that order.  A leaf factors the identity over each conjugate at its
+    first occurrence, as a product of conjugates of the signed generators."""
+
+    def petal(word: ReducedWord, sign: int) -> Iterable[ReducedWord]:
+        effective = freegroup.signed(word, sign)
+        return (freegroup.conjugate(q, effective) for q in conjugators)
+
+    def leaf(generators: tuple[ReducedWord, ...]) -> ConjugateProduct | None:
+        entries: dict[ReducedWord, ConjugateEntry] = {}
+        for index, base in enumerate(generators):
+            for q in conjugators:
+                value = freegroup.conjugate(q, base)
+                entries.setdefault(value, ConjugateEntry(q, index))
+        factorization = membership.contains_identity(entries)[1]
+        if factorization is None:
+            return None
+        firsts = tuple(entries.values())
+        return ConjugateProduct(tuple(firsts[i] for i in factorization.factors))
+
+    return petal, leaf
+
+
+# cs and hm conjugate by e alone: each signed word adds itself
+_IDENTITY_ONLY = _conjugating((freegroup.IDENTITY,))
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +351,7 @@ def decide_lg_hm(words: Iterable[ReducedWord], arity: int) -> Verdict:
     if sign is not None:
         return Verdict(INVALID, SignAssignment(tuple((p, sign(p)) for p in pivots)))
     closure, choose = membership.IdentityClosure(), _in_order(pivots)
-    result = _sign_search(closure, words, choose, _signed_petal, _identity_leaf)
+    result = _sign_search(closure, words, choose, *_IDENTITY_ONLY)
     if isinstance(result, tuple):
         return Verdict(INVALID, SignAssignment(result))
     return Verdict(VALID, calculus.derive_glgstar(words, result))
@@ -361,33 +380,11 @@ def rg_refute_bounded(
     if conjugator_bound < 0:
         raise ValueError("conjugator bound must be >= 0")
     words = _joinands(words)
-    for i, w in enumerate(words):
-        if w.is_identity:
-            entry = ConjugateEntry(freegroup.IDENTITY, i, 1)
-            return RefutationLeaf(ConjugateProduct((entry,)))
     if pivots is not None and any(p.is_identity for p in pivots):
         raise ValueError("pivot words must be nonidentity")
     if _root_order(words, arity, functional) is not None:
         return None
-    roots = tuple((w, 1) for w in words)
-    conjugators = freegroup.ball(arity, conjugator_bound)
-
-    def petal(word, sign):
-        effective = freegroup.signed(word, sign)
-        return (freegroup.conjugate(q, effective) for q in conjugators)
-
-    def leaf(path, generators):
-        # each conjugate, in the order first met, with where it comes from
-        entries: dict[ReducedWord, ConjugateEntry] = {}
-        for index, (word, sign) in enumerate(roots + path):
-            for q, value in zip(conjugators, petal(word, sign)):
-                entries.setdefault(value, ConjugateEntry(q, index, sign))
-        factorization = membership.contains_identity(entries)[1]
-        if factorization is None:
-            return None
-        firsts = tuple(entries.values())
-        return ConjugateProduct(tuple(firsts[i] for i in factorization.factors))
-
+    petal, leaf = _conjugating(freegroup.ball(arity, conjugator_bound))
     choose = _in_order(sign_pivots(words, pivots))
     result = _sign_search(membership.IdentityClosure(), words, choose, petal, leaf)
     return None if isinstance(result, tuple) else result

@@ -29,9 +29,10 @@ class Factorization:
 
 @dataclass(frozen=True)
 class ConjugateEntry:
+    """The conjugate q * g * q' of the generator g at index ``base``."""
+
     conjugator: ReducedWord
     base: int
-    sign: int
 
 
 @dataclass(frozen=True)
@@ -45,18 +46,14 @@ class ConjugateProduct:
             raise ValueError("conjugate product must be nonempty")
 
     def product(self, generators: tuple[ReducedWord, ...]) -> ReducedWord:
-        acc = freegroup.IDENTITY
-        for entry in self.entries:
-            base = generators[entry.base]
-            if entry.sign < 0:
-                base = freegroup.inv(base)
-            acc = freegroup.mul(acc, freegroup.conjugate(entry.conjugator, base))
-        return acc
+        return freegroup.product(
+            freegroup.conjugate(e.conjugator, generators[e.base]) for e in self.entries
+        )
 
 
 @dataclass(frozen=True)
 class RefutationLeaf:
-    witness: Union[Factorization, ConjugateProduct]
+    witness: ConjugateProduct
 
 
 @dataclass(frozen=True)
@@ -207,8 +204,9 @@ def verify_refutation_tree(
 ) -> str | None:
     """Check leaf products and pivot sanity; None means the tree verifies.
 
-    ``words`` is the root generator list; leaf indices address it followed
-    by the signed pivots along the path.
+    ``words`` is the root generator list; leaf entries index it followed
+    by the signed pivots along the path.  Only a tree for the total-order
+    calculus (``conjugate``) may conjugate them by words other than e.
     """
     return freegroup.unwind(_walk(words, conjugate, tree, ()))
 
@@ -229,26 +227,12 @@ def _walk(
             return err
         negative = path + ((node.pivot, -1),)
         return (yield _walk(words, conjugate, node.negative, negative))
-    witness = node.witness
-    if conjugate:
-        # Conjugate entries address unsigned base words and carry the sign.
-        generators = words + tuple(p for p, _ in path)
-        if not isinstance(witness, ConjugateProduct):
-            return "leaf carries no conjugate product"
-        for entry in witness.entries:
-            if not 0 <= entry.base < len(generators):
-                return f"conjugate base index {entry.base} out of range"
-            if entry.base < len(words):
-                if entry.sign != 1:
-                    return "root generators may only occur positively"
-            elif entry.sign != path[entry.base - len(words)][1]:
-                return "pivot sign disagrees with the branch path"
-    else:
-        generators = words + tuple(freegroup.signed(p, s) for p, s in path)
-        if not isinstance(witness, Factorization):
-            return "leaf carries no factorization"
-        if any(not 0 <= i < len(generators) for i in witness.factors):
-            return "factor index out of range"
-    if not witness.product(generators).is_identity:
+    generators = words + tuple(freegroup.signed(p, s) for p, s in path)
+    entries = node.witness.entries
+    if any(not 0 <= e.base < len(generators) for e in entries):
+        return "factor index out of range"
+    if not conjugate and any(not e.conjugator.is_identity for e in entries):
+        return "right-order leaves take no conjugators"
+    if not node.witness.product(generators).is_identity:
         return "leaf product does not reduce to the identity"
     return None

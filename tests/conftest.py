@@ -4,6 +4,7 @@ import random
 import pytest
 
 from ordcalc import freegroup
+from ordcalc.witnesses import ConjugateEntry, ConjugateProduct, RefutationLeaf
 
 SEED = int(os.environ.get("ORDCALC_SEED", "271828"))
 
@@ -15,6 +16,13 @@ def w(text: str) -> freegroup.ReducedWord:
 
 def words(*texts: str):
     return [w(t) for t in texts]
+
+
+def product_leaf(indices) -> RefutationLeaf:
+    """A refutation leaf multiplying the generators at these indices, each
+    conjugated by e."""
+    entries = tuple(ConjugateEntry(freegroup.IDENTITY, i) for i in indices)
+    return RefutationLeaf(ConjugateProduct(entries))
 
 
 def random_reduced_word(rng: random.Random, arity: int, max_length: int):

@@ -5,16 +5,13 @@ import sys
 
 import pytest
 
-from conftest import w, words
+from conftest import product_leaf, w, words
 from schema1 import convert
 from ordcalc import abelian, certio, freegroup
 from ordcalc import calculus as ca
 from ordcalc import rightorder as ro
 from ordcalc.calculus import CalculusId
 from ordcalc.witnesses import (
-    ConjugateEntry,
-    ConjugateProduct,
-    Factorization,
     RefutationBranch,
     RefutationLeaf,
     TruncatedRightOrder,
@@ -60,12 +57,11 @@ FALLBACK_WORDS = ("x'x'", "x", "y", "y'x")
 
 
 def _fallback_glgstar(joins):
-    return ca.derive_glgstar(joins, RefutationLeaf(Factorization((0, 1, 2, 3))))
+    return ca.derive_glgstar(joins, product_leaf((0, 1, 2, 3)))
 
 
 def _fallback_grgstar(joins):
-    entries = tuple(ConjugateEntry(freegroup.IDENTITY, i, 1) for i in range(4))
-    return ca.derive_grgstar(joins, RefutationLeaf(ConjugateProduct(entries)))
+    return ca.derive_grgstar(joins, product_leaf((0, 1, 2, 3)))
 
 
 def _fallback_ga(joins):
@@ -188,9 +184,10 @@ def test_refutation_document_round_trip():
     doc = certio.refutation_doc(conj, 2, tree, "order")
     assert certio.verify_witness_doc(doc) == []
     raw = certio.loads(certio.dumps(doc))
-    assert certio._node_to_tree(raw["tree"], True, 2) == tree
-    # breaking a leaf sign must surface in verification
-    raw["tree"][-1]["factors"][0]["sign"] = -1
+    assert certio._node_to_tree(raw["tree"], 2) == tree
+    # breaking a leaf conjugator must surface in verification
+    assert raw["tree"][-1]["factors"][0]["conjugator"] == "x'"
+    raw["tree"][-1]["factors"][0]["conjugator"] = "x"
     assert certio.verify_witness_doc(raw)
 
 
@@ -294,10 +291,7 @@ def test_out_of_range_witness_fields_are_format_errors():
         _rejected(doc, message)
 
 
-_X_TIMES_INVERSE = RefutationLeaf(Factorization((0, 1)))
-_X_TIMES_INVERSE_CONJUGATES = RefutationLeaf(
-    ConjugateProduct(tuple(ConjugateEntry(freegroup.IDENTITY, i, 1) for i in (0, 1)))
-)
+_X_TIMES_INVERSE = product_leaf((0, 1))
 
 
 def test_malformed_documents_rejected():
@@ -322,19 +316,25 @@ def test_malformed_documents_rejected():
          "one integer per"),
     ):
         _rejected(doc, message)
-    # refutations: an unknown flavor, a leaf without factors, and JSON
-    # true where a sign or an index belongs
+    # refutations: an unknown flavor, a leaf without factors, JSON true
+    # where an index belongs, and factor objects with other keys than a
+    # base and its conjugator, such as the sign that files once carried
     joins = words("x", "x'")
     right = certio.refutation_doc(joins, 1, _X_TIMES_INVERSE, "right_order")
-    order = certio.refutation_doc(joins, 1, _X_TIMES_INVERSE_CONJUGATES, "order")
+    order = certio.refutation_doc(joins, 1, _X_TIMES_INVERSE, "order")
     assert certio.verify_witness_doc(right) == certio.verify_witness_doc(order) == []
+    factor = ("tree", 0, "factors", 1)
     for genuine, path, value, message in (
         (right, ("flavor",), "banana", "unknown refutation flavor"),
         (right, ("tree", 0, "factors"), [], "at least one factor"),
         (order, ("tree", 0, "factors"), [], "at least one factor"),
-        (right, ("tree", 0, "factors", 1), True, "factor indices must be integers"),
-        (order, ("tree", 0, "factors", 1, "base"), True, "'base' has the wrong type"),
-        (order, ("tree", 0, "factors", 0, "sign"), True, "'sign' has the wrong type"),
+        (right, factor, True, "a factor is an index or an object"),
+        (order, factor, "1", "a factor is an index or an object"),
+        (order, factor, {"base": True, "conjugator": ""}, "'base' has the wrong type"),
+        (order, factor, {"base": 1, "conjugator": 1}, "'conjugator' has the wrong"),
+        (order, factor, {"base": 1}, "a factor object holds base and conjugator"),
+        (order, factor, {"base": 1, "conjugator": "e", "sign": 1},
+         "a factor object holds base and conjugator"),
     ):
         doc = certio.loads(certio.dumps(genuine))
         *head, last = path
@@ -462,11 +462,8 @@ def _stack_depth() -> int:
 
 def test_refutation_trees_of_any_depth():
     joins = words("x", "x'")
-    for leaf, flavor in (
-        (_X_TIMES_INVERSE, "right_order"),
-        (_X_TIMES_INVERSE_CONJUGATES, "order"),
-    ):
-        tree = _deep_chain(1100, leaf)
+    for flavor in ("right_order", "order"):
+        tree = _deep_chain(1100, _X_TIMES_INVERSE)
         assert verify_refutation_tree(tuple(joins), tree, flavor == "order") is None
         doc = certio.refutation_doc(joins, 2, tree, flavor)
         assert certio.verify_witness_doc(certio.loads(certio.dumps(doc))) == []
@@ -488,21 +485,35 @@ def test_refutation_trees_of_any_depth():
 def _mutants(doc: dict):
     """The document with one leaf factor dropped, then with that factor
     made invalid: for right_order an index one past its leaf's generators,
-    for order the opposite sign.  Every mutant is changed in place."""
+    for order the factor conjugated by x, or by y where it commutes with x.
+    Every mutant is changed in place."""
     table = doc["tree"]
-    stack = [(len(table) - 1, 0)]
+    words = tuple(map(w, doc["words"]))
+    stack = [(len(table) - 1, ())]
     while stack:
-        index, depth = stack.pop()
+        index, path = stack.pop()
         node = table[index]
         if node["kind"] == "branch":
-            stack += [(node["positive"], depth + 1), (node["negative"], depth + 1)]
+            pivot = w(node["pivot"])
+            stack += [
+                (node["positive"], path + (pivot,)),
+                (node["negative"], path + (freegroup.inv(pivot),)),
+            ]
             continue
+        generators = words + path
         factors = node["factors"]
         for k, factor in enumerate(factors):
             if doc["flavor"] == "order":
-                broken = {**factor, "sign": -factor["sign"]}
+                if type(factor) is int:
+                    factor = {"base": factor, "conjugator": "e"}
+                conjugator = w(factor["conjugator"])
+                value = freegroup.conjugate(conjugator, generators[factor["base"]])
+                x = w("x")
+                q = x if freegroup.mul(x, value) != freegroup.mul(value, x) else w("y")
+                text = freegroup.word_to_text(freegroup.mul(q, conjugator))
+                broken = {"base": factor["base"], "conjugator": text}
             else:
-                broken = len(doc["words"]) + depth
+                broken = len(generators)
             for mutant in ([], [broken]):
                 node["factors"] = factors[:k] + mutant + factors[k + 1 :]
                 yield doc
@@ -511,8 +522,10 @@ def _mutants(doc: dict):
 
 def test_mutated_refutations_rejected():
     # Dropping a factor of an identity product leaves a conjugate of its
-    # inverse, and flipping a sign a conjugate of a nontrivial square, so
-    # no mutant multiplies to the identity.
+    # inverse, and conjugating a factor v of a product a v b = e by a q
+    # that does not commute with v leaves a q v q' b = a (q v q' v') a',
+    # a conjugate of a nontrivial commutator, so no mutant multiplies to
+    # the identity.
     pool = [p for p in freegroup.ball(2, 2) if not p.is_identity]
     docs = []
     for size in (1, 2, 3):

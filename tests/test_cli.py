@@ -4,10 +4,9 @@ import sys
 
 import pytest
 
-from conftest import words
+from conftest import product_leaf, words
 from ordcalc import calculus, certio, cli
 from ordcalc.calculus import CalculusId
-from ordcalc.witnesses import Factorization, RefutationLeaf
 
 
 def run(*argv):
@@ -144,7 +143,7 @@ def test_deep_cs_proof_writes_and_checks(capsys, tmp_path):
     # node gets under the interpreter's default recursion limit.  It is
     # written and checked without nesting calls.
     joins = words("x", "x'")
-    leaf = RefutationLeaf(Factorization((0,) * 600 + (1,) * 600))
+    leaf = product_leaf((0,) * 600 + (1,) * 600)
     goal = calculus.hypersequent_of_words(joins)
     derivation = calculus.derive_glgstar(joins, leaf)
     proof = tmp_path / "proof.json"
@@ -253,6 +252,44 @@ def test_check_rejects_forged_witnesses_with_exit_one(capsys, tmp_path):
         captured = capsys.readouterr()
         assert captured.out == f"REJECTED: {issue}\n"
         assert "internal error" not in captured.err
+
+
+def test_check_rejects_conjugators_in_right_order_refutations(capsys, tmp_path):
+    # conjugating every factor of a leaf by y keeps its product e, so only
+    # the rule that right-order leaves take no conjugators rejects it
+    path = _write_witness(tmp_path, WITNESS_QUERIES[4])
+    doc = json.loads(path.read_text())
+    leaf = next(node for node in doc["tree"] if node["kind"] == "leaf")
+    leaf["factors"] = [{"base": b, "conjugator": "y"} for b in leaf["factors"]]
+    path.write_text(certio.dumps(doc))
+    capsys.readouterr()
+    assert run("check", str(path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "REJECTED: right-order leaves take no conjugators\n"
+    assert "internal error" not in captured.err
+
+
+def test_check_rejects_malformed_leaf_factors_with_exit_three(capsys, tmp_path):
+    # both flavors write refutation.json: read each before the next
+    order = json.loads(_write_witness(tmp_path, WITNESS_QUERIES[5]).read_text())
+    right = json.loads(_write_witness(tmp_path, WITNESS_QUERIES[4]).read_text())
+    old_layout = {"base": 0, "conjugator": "e", "sign": 1}  # a sign, as files had
+    path = tmp_path / "mutant.json"
+    for genuine, factor in (
+        (order, old_layout),
+        (order, True),
+        (order, "0"),
+        (right, True),
+        (right, "0"),
+    ):
+        doc = json.loads(json.dumps(genuine))
+        leaf = next(node for node in doc["tree"] if node["kind"] == "leaf")
+        leaf["factors"][0] = factor
+        path.write_text(certio.dumps(doc))
+        capsys.readouterr()
+        assert run("check", str(path)) == 3, factor
+        err = capsys.readouterr().err
+        assert "certificate file rejected" in err and "internal error" not in err
 
 
 def test_check_calculus_override_on_a_witness_exits_three(capsys, tmp_path):

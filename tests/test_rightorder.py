@@ -13,6 +13,7 @@ from ordcalc import freegroup as fg
 from ordcalc import membership
 from ordcalc import rightorder as ro
 from ordcalc.witnesses import (
+    ConjugateEntry,
     RefutationBranch,
     RefutationLeaf,
     TruncatedRightOrder,
@@ -65,7 +66,7 @@ def test_extend_right_order_trivial_and_identity_cases():
 
     outcome = ro.extend_right_order([fg.IDENTITY, w("x")], 2)
     assert isinstance(outcome, RefutationLeaf)
-    assert outcome.witness.factors == (0,)
+    assert outcome.witness.entries == (ConjugateEntry(fg.IDENTITY, 0),)
 
 
 def test_extend_right_order_deeper_level_keeps_verdicts():
@@ -148,9 +149,9 @@ def test_rg_refute_bounded_examples():
     tree = ro.rg_refute_bounded(words("x", "x'"), 1, 0)
     assert isinstance(tree, RefutationLeaf)
     entries = tree.witness.entries
-    assert [(e.conjugator, e.base, e.sign) for e in entries] == [
-        (fg.IDENTITY, 0, 1),
-        (fg.IDENTITY, 1, 1),
+    assert [(e.conjugator, e.base) for e in entries] == [
+        (fg.IDENTITY, 0),
+        (fg.IDENTITY, 1),
     ]
 
     degenerate = ro.rg_refute_bounded([fg.reduce([1, 2, -2, -1])], 2, 0)
@@ -370,7 +371,9 @@ def test_hm_proofs_and_rg_refutations_are_pinned():
     # the proof files of every hm VALID set of the crosscheck corpus, and
     # the order refutation files of every tree rg finds at conjugator bound
     # 1, hashed by kind in corpus order; both digests were recorded before
-    # cs moved onto the search kernel hm and rg run
+    # cs moved onto the search kernel hm and rg run, and the refutation
+    # digest again once leaf factors lost their sign and a factor
+    # conjugated by e became its base index alone, with every tree unchanged
     pool = [u for u in fg.ball(2, 2) if not u.is_identity]
     counts = {"proof": 0, "refutation": 0}
     digests = {kind: hashlib.sha256() for kind in counts}
@@ -392,7 +395,7 @@ def test_hm_proofs_and_rg_refutations_are_pinned():
     assert {kind: d.hexdigest() for kind, d in digests.items()} == {
         "proof": "63dc6961238125a64b02c899d4ec48554d49e1faec1f2c09429faeab6a7af5e5",
         "refutation": (
-            "454897cf773e971c7a8344731a6fbb834fff7dc7077b8638244e540be1fffa26"
+            "a4ead3687d8b72ece7d63d625e9e97fa660d58646f3393460668303585940073"
         ),
     }
 
