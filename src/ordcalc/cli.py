@@ -5,6 +5,9 @@ check, crosscheck.  check re-checks a certificate file of any kind (proof
 or witness) and exits 0 when it is accepted, 1 when it is rejected;
 check-proof is another name for it.  Exit codes: 0 VALID/YES, 1 INVALID/NO,
 2 UNKNOWN, 3 usage or input errors, 4 internal errors.
+
+Each verb imports the engine it runs, so a check process loads only this
+module, verdicts and the trusted base: certio and what it imports.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import random
 import sys
 from typing import Sequence
 
-from . import abelian, calculus, certio, freegroup, rightorder, term
+from . import calculus, certio, freegroup
 from .calculus import CalculusId, Hypersequent, Sequent
 from .freegroup import ReducedWord
 from .verdicts import INVALID, VALID, Verdict, combine, exit_code_for
@@ -62,6 +65,8 @@ def _parse_goals(text: str, arity: int | None):
     if not stripped:
         raise UsageError("empty hypersequent")
     if stripped.replace(" ", "").startswith("e<="):
+        from . import term
+
         body = stripped.split("<=", 1)[1]
         parsed = term.parse_term(body, arity)
         normal = term.normalize(parsed)
@@ -75,35 +80,43 @@ def _parse_goals(text: str, arity: int | None):
 
 
 def _parse_words(text: str, arity: int | None):
-    words = []
-    for part in text.replace(",", " ").split():
-        words.append(freegroup.word_from_text(part, arity))
+    """Words separated by ``,`` or ``|``; spaces may separate the letters of
+    a word, as in the words a witness file lists."""
+    parts = text.replace("|", ",").split(",")
+    words = [freegroup.word_from_text(p, arity) for p in parts if p.strip()]
     if not words:
         raise UsageError("no words given")
     inferred = max((w.max_generator() for w in words), default=1) or 1
     return words, (arity or inferred)
 
 
+def _conjugator_bound(args) -> int:
+    from .rightorder import DEFAULT_CONJUGATOR_BOUND
+
+    return DEFAULT_CONJUGATOR_BOUND if args.bound_L is None else args.bound_L
+
+
 def _decide_conjunct(args, words: Sequence[ReducedWord], arity: int) -> Verdict:
     if args.variety == "abelian":
+        from . import abelian
+
         return abelian.validity_abelian(words, arity)
+    from . import rightorder
+
     if args.variety == "lgroup":
         if args.procedure == "hm":
             return rightorder.decide_lg_hm(words, arity)
         return rightorder.decide_lg_cs(words, arity)
-    pivots = None
-    if args.pivots:
-        pivots = [freegroup.word_from_text(p, arity) for p in args.pivots.split(",")]
-        if any(p.is_identity for p in pivots):
-            raise UsageError("--pivots words must not be the identity")
-    return rightorder.decide_rg(words, arity, args.bound_L, pivots)
+    return rightorder.decide_rg(words, arity, _conjugator_bound(args))
 
 
 def _witness_doc(words, arity: int, verdict: Verdict) -> dict:
+    from .abelian import Separator
+
     certificate = verdict.certificate
     if isinstance(certificate, TruncatedRightOrder):
         return certio.truncated_order_doc(certificate, words)
-    if isinstance(certificate, abelian.Separator):
+    if isinstance(certificate, Separator):
         return certio.separator_doc(words, arity, certificate.functional)
     if isinstance(certificate, SignAssignment):
         return certio.sign_assignment_doc(words, arity, certificate)
@@ -120,10 +133,8 @@ def _write(path: str, doc: dict) -> None:
 def _cmd_decide(args) -> int:
     if args.procedure and args.variety != "lgroup":
         raise UsageError("--procedure applies to the lgroup variety only")
-    if args.variety != "representable" and (
-        args.bound_L != rightorder.DEFAULT_CONJUGATOR_BOUND or args.pivots
-    ):
-        raise UsageError("--bound-L/--pivots apply to the representable variety only")
+    if args.bound_L is not None and args.variety != "representable":
+        raise UsageError("--bound-L applies to the representable variety only")
     goals, arity = _parse_goals(args.input, args.arity)
     verdicts = []
     for index, goal in enumerate(goals):
@@ -155,9 +166,11 @@ def _cmd_decide(args) -> int:
 
 
 def _order_witness_doc(words, arity: int, outcome, flavor: str) -> dict:
+    from .abelian import Separator
+
     if isinstance(outcome, TruncatedRightOrder):
         return certio.truncated_order_doc(outcome, words)
-    if isinstance(outcome, abelian.Separator):
+    if isinstance(outcome, Separator):
         functional = tuple(-c for c in outcome.functional)
         return certio.abelian_order_doc(words, arity, functional)
     if isinstance(outcome, BoundsReport):
@@ -166,19 +179,24 @@ def _order_witness_doc(words, arity: int, outcome, flavor: str) -> dict:
 
 
 def _cmd_order_extend(args) -> int:
+    if args.bound_L is not None and args.kind != "total":
+        raise UsageError("--bound-L applies to --kind total only")
     words, arity = _parse_words(args.words, args.arity)
     if any(w.is_identity for w in words):
         raise UsageError("the identity cannot be ordered strictly positive")
     words = freegroup.dedupe(words)
+    from . import rightorder
+    from .abelian import Separator
+
     if args.kind == "right":
         outcome = rightorder.extend_right_order(words, arity)
         noun, flavor = "a right order", "right_order"
     else:
-        outcome = rightorder.extend_order(words, arity, args.bound_L)
+        outcome = rightorder.extend_order(words, arity, _conjugator_bound(args))
         noun, flavor = "an order", "order"
     if isinstance(outcome, TruncatedRightOrder):
         code, answer = 0, f"YES: the set extends to {noun}"
-    elif isinstance(outcome, abelian.Separator):
+    elif isinstance(outcome, Separator):
         code, answer = 0, f"YES: the set extends to {noun} (abelian-quotient witness)"
     elif isinstance(outcome, BoundsReport):
         code, answer = 2, "UNKNOWN: search bounds exhausted"
@@ -246,33 +264,33 @@ _COUNTERS = (
 )
 
 
-def _crosscheck_instance(payload) -> dict:
-    """Run one corpus instance; instances share nothing, so workers can fan out."""
-    letters, arity, samples, seed = payload
-    instance_words = [ReducedWord(tuple(l)) for l in letters]
-    counts = dict.fromkeys(_COUNTERS, 0)
-    counts["instances"] = 1
+def _crosscheck_instance(counts: dict, instance_words, arity, samples, seed) -> None:
+    """Run one corpus instance through cs, hm and right-order extension,
+    adding its outcome to ``counts``."""
+    from . import rightorder
+
+    counts["instances"] += 1
     cs = rightorder.decide_lg_cs(instance_words, arity)
     hm = rightorder.decide_lg_hm(instance_words, arity)
     outcome = rightorder.extend_right_order(instance_words, arity)
     extends = isinstance(outcome, TruncatedRightOrder)
     if not (cs.status == hm.status and extends == (cs.status == INVALID)):
-        counts["disagreements"] = 1
-        return counts
+        counts["disagreements"] += 1
+        return
     if cs.status == VALID:
-        counts["valid"] = 1
+        counts["valid"] += 1
         goal = calculus.hypersequent_of_words(instance_words)
         for verdict in (cs, hm):
             if not calculus.check(CalculusId.GLGSTAR, verdict.certificate, goal):
                 counts["checker_rejections"] += 1
+        letters = tuple(w.letters for w in instance_words)
         rng = random.Random(f"{seed}:{letters}")
         if not _soundness_sample(list(goal.words), rng, samples):
-            counts["soundness_failures"] = 1
+            counts["soundness_failures"] += 1
     else:
-        counts["invalid"] = 1
+        counts["invalid"] += 1
         if not cs.certificate.verify():
-            counts["witness_failures"] = 1
-    return counts
+            counts["witness_failures"] += 1
 
 
 def _cmd_crosscheck(args) -> int:
@@ -287,27 +305,10 @@ def _cmd_crosscheck(args) -> int:
         for w in freegroup.ball(args.arity, args.max_length)
         if not w.is_identity
     ]
-    payloads = []
-    for size in range(1, args.max_size + 1):
-        payloads.extend(
-            (tuple(w.letters for w in subset), args.arity, args.samples, seed)
-            for subset in combinations(pool, size)
-        )
     counts = dict.fromkeys(_COUNTERS, 0)
-
-    def tally(results) -> None:
-        for result in results:
-            for key, value in result.items():
-                counts[key] += value
-
-    if args.jobs == 1:
-        tally(map(_crosscheck_instance, payloads))
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # the pool's workers are shut down even when an instance raises
-        with ProcessPoolExecutor(max_workers=args.jobs) as executor:
-            tally(executor.map(_crosscheck_instance, payloads, chunksize=16))
+    for size in range(1, args.max_size + 1):
+        for subset in combinations(pool, size):
+            _crosscheck_instance(counts, subset, args.arity, args.samples, seed)
     width = max(len(k) for k in counts)
     for key, value in counts.items():
         print(f"{key.ljust(width)}  {value}")
@@ -334,10 +335,8 @@ def _add_decide_arguments(sub: argparse.ArgumentParser, proof_required: bool) ->
     sub.add_argument(
         "--bound-L",
         type=_at_least(0),
-        default=rightorder.DEFAULT_CONJUGATOR_BOUND,
         help="conjugator length bound (representable only)",
     )
-    sub.add_argument("--pivots", help="comma-separated pivot words (representable only)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -353,12 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
     prove.set_defaults(handler=_cmd_decide)
 
     extend = sub.add_parser("order-extend", help="order extension queries")
-    extend.add_argument("words", help="comma or space separated words")
+    extend.add_argument("words", help="words separated by ',' or '|'")
     extend.add_argument("--kind", required=True, choices=("right", "total"))
     extend.add_argument("--arity", type=_at_least(1), default=None)
     extend.add_argument("--witness", help="write the witness file here")
     extend.add_argument(
-        "--bound-L", type=_at_least(0), default=rightorder.DEFAULT_CONJUGATOR_BOUND
+        "--bound-L",
+        type=_at_least(0),
+        help="conjugator length bound (--kind total only)",
     )
     extend.set_defaults(handler=_cmd_order_extend)
 
@@ -383,9 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=50,
         help="soundness samples per valid instance",
     )
-    cross.add_argument(
-        "--jobs", type=_at_least(1), default=1, help="worker processes for the corpus"
-    )
     cross.set_defaults(handler=_cmd_crosscheck)
 
     return parser
@@ -400,8 +398,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (
-        freegroup.WordSyntaxError,
-        term.TermSyntaxError,
+        freegroup.WordSyntaxError,  # term.TermSyntaxError included
         certio.CertificateFormatError,
         OSError,
     ) as exc:

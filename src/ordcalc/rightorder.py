@@ -365,7 +365,6 @@ def rg_refute_bounded(
     words: Iterable[ReducedWord],
     arity: int,
     conjugator_bound: int = DEFAULT_CONJUGATOR_BOUND,
-    pivots: Sequence[ReducedWord] | None = None,
     *,
     functional: tuple[int, ...] | None | object = _UNSOLVED,
 ) -> RefutationTree | None:
@@ -380,12 +379,10 @@ def rg_refute_bounded(
     if conjugator_bound < 0:
         raise ValueError("conjugator bound must be >= 0")
     words = _joinands(words)
-    if pivots is not None and any(p.is_identity for p in pivots):
-        raise ValueError("pivot words must be nonidentity")
     if _root_order(words, arity, functional) is not None:
         return None
     petal, leaf = _conjugating(freegroup.ball(arity, conjugator_bound))
-    choose = _in_order(sign_pivots(words, pivots))
+    choose = _in_order(sign_pivots(words))
     result = _sign_search(membership.IdentityClosure(), words, choose, petal, leaf)
     return None if isinstance(result, tuple) else result
 
@@ -394,7 +391,6 @@ def extend_order(
     words: Iterable[ReducedWord],
     arity: int,
     conjugator_bound: int = DEFAULT_CONJUGATOR_BOUND,
-    pivots: Sequence[ReducedWord] | None = None,
 ) -> Union[RefutationTree, abelian.Separator, BoundsReport]:
     """A refutation tree (no order makes every word positive), else a
     functional negative on every word (its negation orders them all
@@ -402,27 +398,24 @@ def extend_order(
     words = _joinands(words)
     # the separator is the root functional negated: one system per query
     functional = _root_functional(words, arity)
-    tree = rg_refute_bounded(
-        words, arity, conjugator_bound, pivots, functional=functional
-    )
+    tree = rg_refute_bounded(words, arity, conjugator_bound, functional=functional)
     if tree is not None:
         return tree
     if functional is not None:
         return abelian.Separator(tuple(-c for c in functional))
-    return BoundsReport(conjugator_bound, sign_pivots(words, pivots))
+    return BoundsReport(conjugator_bound, sign_pivots(words))
 
 
 def decide_rg(
     words: Iterable[ReducedWord],
     arity: int,
     conjugator_bound: int = DEFAULT_CONJUGATOR_BOUND,
-    pivots: Sequence[ReducedWord] | None = None,
 ) -> Verdict:
     """Three-valued verdict for the representable variety."""
     words = _joinands(words)
     if any(w.is_identity for w in words):
         return Verdict(VALID, calculus.gv_axiom(words, CalculusId.GRGSTAR))
-    outcome = extend_order(words, arity, conjugator_bound, pivots)
+    outcome = extend_order(words, arity, conjugator_bound)
     if isinstance(outcome, abelian.Separator):
         return Verdict(INVALID, outcome)
     if isinstance(outcome, BoundsReport):

@@ -79,10 +79,8 @@ class NormalForm:
         )
 
 
-class TermSyntaxError(ValueError):
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
+class TermSyntaxError(freegroup.WordSyntaxError):
+    """A term that does not parse; a word error too, as words are terms."""
 
 
 class _Parser:

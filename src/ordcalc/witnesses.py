@@ -124,16 +124,10 @@ def cis(words: Iterable[ReducedWord]) -> frozenset[ReducedWord]:
     return frozenset(_unrank(r) for pair in _inverse_pairs(words) for r in pair)
 
 
-def sign_pivots(
-    words: Iterable[ReducedWord], pivots: Iterable[ReducedWord] | None = None
-) -> tuple[ReducedWord, ...]:
-    """One representative per inverse pair of cis(words), or of the given
-    pivot words: the ShortLex smaller one, in ShortLex order."""
-    if pivots is None:
-        pairs = _inverse_pairs(words)
-    else:
-        pairs = ((_ranks(w), _ranks(freegroup.inv(w))) for w in pivots)
-    reps = {min(pair) for pair in pairs}
+def sign_pivots(words: Iterable[ReducedWord]) -> tuple[ReducedWord, ...]:
+    """One representative per inverse pair of cis(words): the ShortLex
+    smaller one, in ShortLex order."""
+    reps = {min(pair) for pair in _inverse_pairs(words)}
     return tuple(_unrank(r) for r in sorted(reps, key=lambda r: (len(r), r)))
 
 

@@ -324,7 +324,6 @@ def test_usage_errors_exit_three(capsys, monkeypatch, tmp_path):
     assert run("check-proof", "/nonexistent/path.json") == 3
     assert run("decide", "--variety", "representable", "x", "--bound-L", "-1") == 3
     assert run("order-extend", "--kind", "total", "x", "--bound-L", "-2") == 3
-    assert run("decide", "--variety", "representable", "x", "--pivots", "x,e") == 3
     assert run("crosscheck", "--arity", "0") == 3
     assert run("crosscheck", "--max-length", "-1") == 3
     assert run("crosscheck", "--max-size", "-1") == 3
@@ -348,7 +347,7 @@ def test_internal_value_error_exits_four(capsys, monkeypatch):
     def broken(words, arity):
         raise ValueError("a fault inside the decider")
 
-    monkeypatch.setattr(cli.rightorder, "decide_lg_cs", broken)
+    monkeypatch.setattr("ordcalc.rightorder.decide_lg_cs", broken)
     assert run("decide", "--variety", "lgroup", "x | x'") == 4
     assert "internal error" in capsys.readouterr().err
 
@@ -385,7 +384,30 @@ def test_crosscheck_empty_corpus(capsys):
     assert run("crosscheck", "--max-size", "0") == 0
 
 
-def test_crosscheck_parallel_workers(capsys):
-    assert run("crosscheck", "--max-length", "1", "--max-size", "2", "--jobs", "2") == 0
-    out = capsys.readouterr().out
-    assert "instances" in out
+def test_bound_l_applies_only_where_a_conjugator_bound_is_searched():
+    # rejected at any value, the default 3 included, where no search takes it
+    assert run("decide", "--variety", "lgroup", "x", "--bound-L", "3") == 3
+    assert run("decide", "--variety", "abelian", "x", "--bound-L", "3") == 3
+    assert run("order-extend", "--kind", "right", "xx, xy", "--bound-L", "2") == 3
+
+
+def test_order_extend_reads_back_the_words_of_its_witness_files(tmp_path):
+    # one query per kind of file order-extend writes
+    queries = (
+        ("right", "xx, xy, yx'", "truncated_right_order"),
+        ("right", "xx, yy, x'y'", "refutation"),
+        ("total", "xy | xx", "abelian_order_witness"),
+        ("total", "xyx', y'", "refutation"),
+        ("total", "x'y'xy", "bounds_exhausted"),
+    )
+    for kind_option, text, kind in queries:
+        options = ("--kind", kind_option)
+        if kind_option == "total":
+            options += ("--bound-L", "1")
+        first, again = tmp_path / "first.json", tmp_path / "again.json"
+        code = run("order-extend", *options, text, "--witness", str(first))
+        doc = json.loads(first.read_text())
+        assert doc["kind"] == kind and any(" " in w for w in doc["words"]), text
+        posed = ", ".join(doc["words"])
+        assert run("order-extend", *options, posed, "--witness", str(again)) == code
+        assert again.read_bytes() == first.read_bytes(), text

@@ -178,14 +178,6 @@ def test_decide_rg_three_outcomes():
     assert verdict.certificate.conjugator_bound == ro.DEFAULT_CONJUGATOR_BOUND
 
 
-def test_decide_rg_with_explicit_pivots():
-    verdict = ro.decide_rg(words("x' y' x y"), 2, pivots=words("x", "y"))
-    assert verdict.status == "UNKNOWN"
-    assert verdict.certificate.pivots == (w("x"), w("y"))
-    with pytest.raises(ValueError):
-        ro.rg_refute_bounded(words("x"), 1, 1, pivots=[fg.IDENTITY])
-
-
 def test_sign_search_runs_deeper_than_the_recursion_limit():
     # below an open root, one search level per pivot: 1,200 levels, none of
     # which adds a generator, so the first path that signs every pivot is
@@ -464,7 +456,7 @@ def test_representable_queries_solve_one_system(monkeypatch, tmp_path):
             assert outcome.functional == find_separator(calls[0])
     path = str(tmp_path / "order.json")
     calls.clear()
-    argv = ["order-extend", "--kind", "total", "--witness", path, "xx xy"]
+    argv = ["order-extend", "--kind", "total", "--witness", path, "xx, xy"]
     assert cli.main(argv) == 0
     assert len(calls) == 1
 

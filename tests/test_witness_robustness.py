@@ -167,22 +167,37 @@ def test_checking_loads_only_the_trusted_base(tmp_path):
     proof = certio.proof_doc(
         ca.CalculusId.GLGSTAR, [(goal, ro.decide_lg_cs(joins, 2).certificate)]
     )
-    path = tmp_path / "documents.json"
-    path.write_text(json.dumps([proof] + genuine_documents()))
-    code = (
-        "import json, pathlib, sys\n"
+    documents = [proof] + genuine_documents()
+    files = [str(tmp_path / f"{i}.json") for i in range(len(documents))]
+    for name, doc in zip(files, documents):
+        pathlib.Path(name).write_text(certio.dumps(doc))
+    library = (
         "from ordcalc import calculus, certio\n"
-        f"proof, *witnesses = json.loads(pathlib.Path({str(path)!r}).read_text())\n"
+        "proof, *witnesses = [\n"
+        f"    certio.loads(pathlib.Path(f).read_text()) for f in {files!r}\n"
+        "]\n"
         "declared, conjuncts = certio.load_proof(proof)\n"
         "assert all(calculus.check(declared, d, g) for g, d in conjuncts)\n"
         "assert all(certio.verify_witness_doc(doc) == [] for doc in witnesses)\n"
-        "print(json.dumps([m for m in sys.modules if m.startswith('ordcalc')]))\n"
     )
-    result = _run_capped(code)
-    assert result.returncode == 0, result.stderr[-2000:]
-    loaded = {name.removeprefix("ordcalc.") for name in json.loads(result.stdout)}
-    assert not loaded & set(SEARCH_MODULES)
-    assert loaded == {"ordcalc", *TRUSTED_BASE}
+    # ordcalc check FILE: the command line adds itself and its exit codes
+    command = (
+        "import contextlib, io\n"
+        "from ordcalc import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert all(cli.main(['check', f]) == 0 for f in {files!r})\n"
+    )
+    for check, front in ((library, set()), (command, {"cli", "verdicts"})):
+        code = (
+            "import json, pathlib, sys\n"
+            + check
+            + "print(json.dumps([m for m in sys.modules if m.startswith('ordcalc')]))\n"
+        )
+        result = _run_capped(code)
+        assert result.returncode == 0, result.stderr[-2000:]
+        loaded = {name.removeprefix("ordcalc.") for name in json.loads(result.stdout)}
+        assert not loaded & (set(SEARCH_MODULES) - front)
+        assert loaded == {"ordcalc", *TRUSTED_BASE, *front}
 
 
 def test_mutated_witness_documents_fail_only_as_format_errors():
