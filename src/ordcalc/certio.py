@@ -27,7 +27,7 @@ from .witnesses import (
     RefutationTree,
     SignAssignment,
     TruncatedRightOrder,
-    sign_pivots,
+    lists_sign_pivots,
     verify_refutation_tree,
 )
 
@@ -386,7 +386,7 @@ def verify_witness_doc(doc: dict) -> list[str]:
             pivot = _parse_word(_require(item, "pivot", str), arity)
             path.append((pivot, _require(item, "sign", int)))
         # the witness must sign every pivot the search branches on
-        if tuple(p for p, _ in path) != sign_pivots(words):
+        if not lists_sign_pivots((p for p, _ in path), words):
             return ["pivots are not the representatives of cis(words)"]
         if any(s not in (1, -1) for _, s in path):
             return ["every sign must be 1 or -1"]
@@ -411,7 +411,7 @@ def verify_witness_doc(doc: dict) -> list[str]:
             raise CertificateFormatError("conjugator bound must be >= 0")
         words = [_parse_word(w, arity) for w in _require(doc, "words", list)]
         pivots = tuple(_parse_word(p, arity) for p in _require(doc, "pivots", list))
-        if pivots != sign_pivots(words):
+        if not lists_sign_pivots(pivots, words):
             return ["pivots are not the representatives of cis(words)"]
         return []
     raise CertificateFormatError(f"unknown witness kind {kind!r}")

@@ -7,6 +7,12 @@ inverse literal step connect p to s; every pair therefore attests a
 nonempty freely-trivial walk.  The identity lies in the subsemigroup
 exactly when a pair connects the base state to itself, and replaying the
 provenance of that pair yields an explicit factorization.
+
+The growable closure the sign searches carry folds the petals together
+where they share a prefix: its states are the distinct proper prefixes
+of the generators.  A walk that leaves the base and first returns to it
+still reads exactly one generator, so the base-to-base walks, and with
+them the answer, are those of the flower.
 """
 
 from __future__ import annotations
@@ -129,19 +135,30 @@ class WordAutomaton:
 
 
 class IdentityClosure:
-    """Growable pair closure of a flower automaton that only decides
-    whether the identity is reached; no provenance is kept.
+    """Growable pair closure of a prefix-shared flower automaton that only
+    decides whether the identity is reached; no provenance is kept.
+
+    Besides the base 0 there is one state per distinct proper nonempty
+    prefix of the words grown so far: a word ``a1…an`` runs ``0 -a1-> [a1]
+    -a2-> … -an-> 0``, sharing the states of its prefixes with every other
+    word (a partial Stallings fold of the flower, Stallings, *Topology of
+    finite graphs*, 1983).  So the one state other than 0 past [P] by a
+    letter c is [Pc], and [Pc] is entered from [P] alone.  A walk from 0
+    that first returns to 0 thus reads exactly one generator, and the
+    base-to-base walks read the products of generators, as in the flower
+    with one petal per word: the answer is the flower's.
 
     The pairs are per-state int bitsets: ``succ[q]`` holds every r with a
     pair (q, r) and ``pred[r]`` every such q, so CONCAT takes one mask per
     side, and WRAP reads the transitions per letter as bitsets of their
-    sources (into a state) or targets (out of a state).  ``grow`` adds one
-    petal per new generator and resumes the closure from the new
-    transitions only: a new transition is either the first step of a walk
-    that returns by an old one (stretch {q} | succ[q]) or its last step
-    (stretch {r} | pred[r]); every other new pair follows from new pairs.
-    ``rollback`` undoes the last ``grow`` from a log of the bitsets it
-    changed.  Between grows the closure is at fixpoint, or has reached the
+    sources (into a state) or targets (out of a state).  ``grow`` adds the
+    transitions of the new generators that are not already present and
+    resumes the closure from those only: a new transition is either the
+    first step of a walk that returns by an old one (stretch {q} | succ[q])
+    or its last step (stretch {r} | pred[r]); every other new pair follows
+    from new pairs.  ``rollback`` undoes the last ``grow`` from a log of
+    the bitsets and transition tables it changed, and drops the states it
+    added.  Between grows the closure is at fixpoint, or has reached the
     identity.  This is Dyck (CFL) reachability, as in Reps, *Program
     analysis via graph reachability* (1998).
     """
@@ -152,8 +169,6 @@ class IdentityClosure:
         self._pred: list[int] = [0]
         self._in: list[dict[int, int]] = [{}]
         self._out: list[dict[int, int]] = [{}]
-        self._words: list[ReducedWord] = []
-        self._present: set[ReducedWord] = set()
         self._marks: list[tuple] = []
 
     @property
@@ -166,32 +181,42 @@ class IdentityClosure:
         succ, pred, ins, outs = self._succ, self._pred, self._in, self._out
         saved_succ: dict[int, int] = {}
         saved_pred: dict[int, int] = {}
+        saved_in: dict[int, dict[int, int]] = {}
+        saved_out: dict[int, dict[int, int]] = {}
+        n_states = len(succ)
         self._marks.append(
-            (len(succ), len(self._words), self.reached, dict(ins[0]), dict(outs[0]),
-             saved_succ, saved_pred)
+            (n_states, self.reached, saved_in, saved_out, saved_succ, saved_pred)
         )
         if self.reached:
             return True
         new: list[tuple[int, int, int]] = []
         for w in words:
-            if w in self._present:
-                continue
-            self._present.add(w)
-            self._words.append(w)
             if w.is_identity:
                 self.reached = True
                 return True
             prev = 0
-            for j, code in enumerate(w.letters):
-                nxt = 0 if j == len(w) - 1 else len(succ)
-                if nxt:
+            for j, code in enumerate(w.letters, 1):
+                # past prev by code lie at most the base and the one state
+                # whose prefix extends prev's by code
+                targets = outs[prev].get(code, 0)
+                if j == len(w):
+                    nxt = 0
+                elif not targets >> 1:
+                    nxt = len(succ)
                     succ.append(0)
                     pred.append(0)
                     ins.append({})
                     outs.append({})
-                outs[prev][code] = outs[prev].get(code, 0) | 1 << nxt
-                ins[nxt][code] = ins[nxt].get(code, 0) | 1 << prev
-                new.append((prev, code, nxt))
+                else:
+                    nxt = (targets >> 1).bit_length()
+                if not targets >> nxt & 1:
+                    if prev < n_states and prev not in saved_out:
+                        saved_out[prev] = dict(outs[prev])
+                    if nxt < n_states and nxt not in saved_in:
+                        saved_in[nxt] = dict(ins[nxt])
+                    outs[prev][code] = targets | 1 << nxt
+                    ins[nxt][code] = ins[nxt].get(code, 0) | 1 << prev
+                    new.append((prev, code, nxt))
                 prev = nxt
 
         queue: list[tuple[int, int]] = []
@@ -266,19 +291,19 @@ class IdentityClosure:
 
     def rollback(self) -> None:
         """Undo the last grow."""
-        n_states, n_words, reached, base_in, base_out, saved_succ, saved_pred = (
+        n_states, reached, saved_in, saved_out, saved_succ, saved_pred = (
             self._marks.pop()
         )
         for q, bits in saved_succ.items():
             self._succ[q] = bits
         for r, bits in saved_pred.items():
             self._pred[r] = bits
+        for q, table in saved_in.items():
+            self._in[q] = table
+        for p, table in saved_out.items():
+            self._out[p] = table
         for table in (self._succ, self._pred, self._in, self._out):
             del table[n_states:]
-        self._in[0] = base_in
-        self._out[0] = base_out
-        self._present.difference_update(self._words[n_words:])
-        del self._words[n_words:]
         self.reached = reached
 
 

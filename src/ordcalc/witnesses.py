@@ -131,6 +131,24 @@ def sign_pivots(words: Iterable[ReducedWord]) -> tuple[ReducedWord, ...]:
     return tuple(_unrank(r) for r in sorted(reps, key=lambda r: (len(r), r)))
 
 
+def lists_sign_pivots(pivots: Iterable[ReducedWord], words) -> bool:
+    """Whether ``pivots`` is exactly sign_pivots(words), found without
+    building it: the list must be strictly ShortLex increasing, hold the
+    representative of every inverse pair (the walk stops at the first it
+    lacks) and hold no other word."""
+    keys = [(len(r), r) for r in map(_ranks, pivots)]
+    if any(a >= b for a, b in zip(keys, keys[1:])):
+        return False
+    listed = {r for _, r in keys}
+    found = set()
+    for pair in _inverse_pairs(words):
+        rep = min(pair)
+        if rep not in listed:
+            return False
+        found.add(rep)
+    return len(found) == len(listed)
+
+
 def _ball_exceeds(arity: int, radius: int, limit: int) -> bool:
     """Whether more than ``limit`` nonidentity reduced words have length at
     most ``radius``; 2k(2k-1)^(n-1) of them have length n >= 1."""

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import product_leaf, w, words
 from schema1 import convert
-from ordcalc import abelian, certio, freegroup
+from ordcalc import abelian, certio, freegroup, witnesses
 from ordcalc import calculus as ca
 from ordcalc import rightorder as ro
 from ordcalc.calculus import CalculusId
@@ -223,6 +223,32 @@ def test_forged_sign_assignment_rejected():
         doc = certio.loads(certio.dumps(genuine))
         forge(doc["signs"])
         assert certio.verify_witness_doc(doc)
+
+
+def test_forged_pivot_lists_are_rejected_at_the_first_missing_pivot(monkeypatch):
+    # one 300-letter word has 45,150 quotients of initial subterms; a file
+    # that lists none of their representatives is rejected after the first
+    formed = 0
+    inverse_pairs = witnesses._inverse_pairs
+
+    def counted(words):
+        nonlocal formed
+        for pair in inverse_pairs(words):
+            formed += 1
+            yield pair
+
+    monkeypatch.setattr(witnesses, "_inverse_pairs", counted)
+    long_word = " ".join(["x", "y"] * 150)
+    base = {"schema_version": certio.SCHEMA_VERSION, "arity": 2, "words": [long_word]}
+    for doc in (
+        {**base, "kind": "sign_assignment", "signs": []},
+        {**base, "kind": "bounds_exhausted", "conjugator_bound": 1, "pivots": []},
+    ):
+        formed = 0
+        assert certio.verify_witness_doc(doc) == [
+            "pivots are not the representatives of cis(words)"
+        ]
+        assert formed == 1, (doc["kind"], formed)
 
 
 def test_out_of_range_witness_fields_are_format_errors():

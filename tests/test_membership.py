@@ -140,6 +140,77 @@ def test_identity_closure_agrees_through_grow_and_rollback(rng):
             steps += 1
     assert steps == 150 * 14
 
+
+def test_identity_closure_shares_prefixes():
+    # one state per distinct proper nonempty prefix besides the base: xy is
+    # a prefix of the other two words, so x and xy are the only states
+    generators = words("xy", "xyx'", "xyy")
+    closure = mb.IdentityClosure()
+    assert not closure.grow(generators)
+    prefixes = {u.letters[:j] for u in generators for j in range(1, len(u))}
+    assert len(closure._succ) == 1 + len(prefixes) == 3
+
+
+def _extension(rng, stem: fg.ReducedWord, extra: int) -> fg.ReducedWord:
+    """stem followed by up to extra random letters, reduced as written."""
+    letters = list(stem.letters)
+    for _ in range(rng.randint(0, extra)):
+        letters.append(rng.choice([c for c in (1, -1, 2, -2) if [-c] != letters[-1:]]))
+    return fg.ReducedWord(tuple(letters))
+
+
+def _transitions(closure: mb.IdentityClosure) -> set:
+    """The closure's transitions, each state named by the prefix that leads
+    to it from the base."""
+    name = {0: ()}
+    found = set()
+    for p, table in enumerate(closure._out):
+        for code, targets in table.items():
+            for q in range(len(closure._out)):
+                if targets >> q & 1:
+                    name.setdefault(q, name[p] + (code,))
+                    found.add((name[p], code, name[q]))
+    return found
+
+
+def _expected_transitions(present) -> set:
+    """Each word's run from the base through its prefixes back to the base."""
+    return {
+        (u.letters[: j - 1], code, u.letters[:j] if j < len(u) else ())
+        for u in present
+        for j, code in enumerate(u.letters, 1)
+    }
+
+
+def test_identity_closure_agrees_with_shared_stems(rng):
+    # words that extend a few shared stems, up to length 8, so that grows
+    # add transitions out of old prefix states and rollbacks remove them
+    out_of_old = 0
+    for _ in range(120):
+        stems = [_extension(rng, fg.IDENTITY, 4) for _ in range(2)]
+        closure = mb.IdentityClosure()
+        batches = []
+        for _ in range(12):
+            before = _expected_transitions(u for batch in batches for u in batch)
+            if batches and rng.random() < 0.35:
+                closure.rollback()
+                batches.pop()
+            else:
+                batch = [_extension(rng, rng.choice(stems), 4) for _ in range(3)]
+                batches.append([u for u in batch if not u.is_identity])
+                closure.grow(batches[-1])
+            present = [u for batch in batches for u in batch]
+            assert closure.reached == mb.contains_identity(present)[0], batches
+            expected = _expected_transitions(present)
+            old_states = {p for p, _, _ in before}
+            out_of_old += any(p in old_states for p, _, _ in expected - before if p)
+            if not closure.reached:
+                # every grow on the stack added all its words
+                assert _transitions(closure) == expected, batches
+                assert len(closure._succ) == 1 + len({q for _, _, q in expected if q})
+    assert out_of_old > 100, out_of_old
+
+
 # the 29 hm rows of the hard-search benchmark table: three words over two
 # generators whose sign search is long
 HARD_HM_SETS = (
