@@ -57,6 +57,11 @@ def magnus_sign(word: ReducedWord) -> int:
     """+1 or -1 according to the bi-order; the identity is not comparable."""
     if word.is_identity:
         raise ValueError("the identity has no sign")
+    # the degree-1 terms are the exponent sums, and they come first
+    for g in sorted(set(map(abs, word.letters))):
+        total = word.letters.count(g) - word.letters.count(-g)
+        if total:
+            return 1 if total > 0 else -1
     degree = 2
     while degree <= _MAX_DEGREE:
         coefficient = _leading_coefficient(word, degree)

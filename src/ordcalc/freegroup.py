@@ -108,15 +108,20 @@ def reduce(seq: Iterable[int]) -> ReducedWord:
     return ReducedWord(tuple(stack))
 
 
+def splice(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Product of two reduced letter tuples, unvalidated; only the boundary
+    between a and b can cancel."""
+    if not a or not b or a[-1] != -b[0]:
+        return a + b
+    k, n = 1, min(len(a), len(b))
+    while k < n and a[-1 - k] == -b[k]:
+        k += 1
+    return a[:-k] + b[k:]
+
+
 def mul(a: ReducedWord, b: ReducedWord) -> ReducedWord:
-    """Product in F(k); only the boundary between a and b can cancel."""
-    left = list(a.letters)
-    right = list(b.letters)
-    i = 0
-    while left and i < len(right) and left[-1] == -right[i]:
-        left.pop()
-        i += 1
-    return ReducedWord(tuple(left) + tuple(right[i:]))
+    """Product in F(k)."""
+    return ReducedWord(splice(a.letters, b.letters))
 
 
 def inv(a: ReducedWord) -> ReducedWord:
@@ -172,9 +177,9 @@ def ball(arity: int, radius: int) -> tuple[ReducedWord, ...]:
 
 
 class CancellationIndex:
-    """Words in insertion order, indexed by length, prefix and suffix, so
-    that the words whose product with a given word stays within a length
-    level are found without multiplying by every word.
+    """Words, as letter tuples, in insertion order, indexed by length,
+    prefix and suffix, so that the words whose product with a given word
+    stays within a length level are found without multiplying by every word.
 
     ``|u w| = |u| + |w| - 2k`` where the first k letters of w are the
     inverse of the last k of u, so ``|u w| <= level`` exactly when w begins
@@ -186,9 +191,9 @@ class CancellationIndex:
     word costs one entry per indexed letter.
     """
 
-    def __init__(self, level: int, words: Iterable[ReducedWord] = ()):
+    def __init__(self, level: int, words: Iterable[tuple[int, ...]] = ()):
         self.level = level
-        self.words: list[ReducedWord] = []
+        self.words: list[tuple[int, ...]] = []
         self._depth = (level + 1) // 2
         self._nodes: dict[tuple[int, int], int] = {}  # (node, letter) -> child; root 0
         # (length, node of a prefix, or of a suffix read backwards) -> positions
@@ -198,11 +203,11 @@ class CancellationIndex:
         for w in words:
             self.add(w)
 
-    def _keys(self, word: ReducedWord):
+    def _keys(self, word: tuple[int, ...]):
         """The (table, key) entries of the word's prefixes and suffixes."""
         nodes, n = self._nodes, len(word)
-        forwards = word.letters[: self._depth]
-        backwards = word.letters[::-1][: self._depth]
+        forwards = word[: self._depth]
+        backwards = word[::-1][: self._depth]
         for table, stem in ((self._starts, forwards), (self._ends, backwards)):
             node = 0
             yield table, (n, node)
@@ -210,7 +215,7 @@ class CancellationIndex:
                 node = nodes.setdefault((node, code), len(nodes) + 1)
                 yield table, (n, node)
 
-    def add(self, word: ReducedWord) -> None:
+    def add(self, word: tuple[int, ...]) -> None:
         position = len(self.words)
         self.words.append(word)
         self._lengths.add(len(word))
@@ -240,13 +245,13 @@ class CancellationIndex:
         out.sort()
         return out
 
-    def right_factors(self, u: ReducedWord) -> list[int]:
+    def right_factors(self, u: tuple[int, ...]) -> list[int]:
         """Positions, ascending, of the words w with ``|u w| <= level``."""
-        return self._factors(self._starts, len(u), (-c for c in reversed(u.letters)))
+        return self._factors(self._starts, len(u), (-c for c in reversed(u)))
 
-    def left_factors(self, u: ReducedWord) -> list[int]:
+    def left_factors(self, u: tuple[int, ...]) -> list[int]:
         """Positions, ascending, of the words v with ``|v u| <= level``."""
-        return self._factors(self._ends, len(u), (-c for c in u.letters))
+        return self._factors(self._ends, len(u), (-c for c in u))
 
 
 def abelianize(a: ReducedWord, arity: int) -> tuple[int, ...]:

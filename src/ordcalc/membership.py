@@ -64,15 +64,21 @@ class WordAutomaton:
             self.out_by_letter[sources[tid]].setdefault(letters[tid], []).append(tid)
         # epsilon[(p, q)] = provenance; insertion order keeps replay well-founded
         self.epsilon: dict[tuple[int, int], tuple] = {}
-        self._by_first: dict[int, list[int]] = {}
-        self._by_second: dict[int, list[int]] = {}
+        # the pairs by state, in order and as bitsets: succ[p] has q, pred[q] p
+        self._by_first: list[list[int]] = [[] for _ in range(n_states)]
+        self._by_second: list[list[int]] = [[] for _ in range(n_states)]
+        self._succ = [0] * n_states
+        self._pred = [0] * n_states
 
     def _add(self, pair: tuple[int, int], provenance: tuple, queue: deque) -> None:
-        if pair in self.epsilon:
+        p, q = pair
+        if self._succ[p] >> q & 1:
             return
+        self._succ[p] |= 1 << q
+        self._pred[q] |= 1 << p
         self.epsilon[pair] = provenance
-        self._by_first.setdefault(pair[0], []).append(pair[1])
-        self._by_second.setdefault(pair[1], []).append(pair[0])
+        self._by_first[p].append(q)
+        self._by_second[q].append(p)
         queue.append(pair)
 
     def saturate(self, stop_pair: tuple[int, int] | None = None) -> "WordAutomaton":
@@ -95,10 +101,17 @@ class WordAutomaton:
                         (_WRAP, t1, (q, r), t2),
                         queue,
                     )
-            for u in tuple(self._by_first.get(r, ())):
-                self._add((q, u), (_CONCAT, (q, r), (r, u)), queue)
-            for p in tuple(self._by_second.get(q, ())):
-                self._add((p, r), (_CONCAT, (p, q), (q, r)), queue)
+            # the pairs each CONCAT loop adds: none when q == r
+            fresh = self._succ[r] & ~self._succ[q]
+            if fresh:
+                for u in self._by_first[r]:
+                    if fresh >> u & 1:
+                        self._add((q, u), (_CONCAT, (q, r), (r, u)), queue)
+            fresh = self._pred[q] & ~self._pred[r]
+            if fresh:
+                for p in self._by_second[q]:
+                    if fresh >> p & 1:
+                        self._add((p, r), (_CONCAT, (p, q), (q, r)), queue)
         return self
 
     def expand_pair(self, pair: tuple[int, int]) -> list[int]:

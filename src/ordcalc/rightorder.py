@@ -49,11 +49,12 @@ def _joinands(words: Iterable[ReducedWord]) -> tuple[ReducedWord, ...]:
 
 
 class _Cone:
-    """A set of words closed under the products within a length bound,
-    grown and rolled back along the search as an IdentityClosure is."""
+    """A set of words, held as letter tuples, closed under the products
+    within a length bound, grown and rolled back along the search as an
+    IdentityClosure is."""
 
     def __init__(self, bound: int):
-        self.elements: set[ReducedWord] = set()
+        self.elements: set[tuple[int, ...]] = set()
         self.index = freegroup.CancellationIndex(bound)
         self._marks: list[int] = []
 
@@ -63,22 +64,21 @@ class _Cone:
         meets the elements present when it is taken, in insertion order,
         as w * v and then v * w; only the v whose product with w may stay
         within the bound are visited."""
-        elems, index = self.elements, self.index
+        elems, index, splice = self.elements, self.index, freegroup.splice
         self._marks.append(len(index.words))
-        queue: list[ReducedWord] = []
+        queue: list[tuple[int, ...]] = []
         for w in words:
-            if w not in elems:
-                elems.add(w)
-                index.add(w)
-                queue.append(w)
+            if w.letters not in elems:
+                elems.add(w.letters)
+                index.add(w.letters)
+                queue.append(w.letters)
         while queue:
             w = queue.pop()
             candidates = set(index.right_factors(w)).union(index.left_factors(w))
             for position in sorted(candidates):
                 v = index.words[position]
-                for a, b in ((w, v), (v, w)):
-                    p = freegroup.mul(a, b)
-                    if p.is_identity:
+                for p in (splice(w, v), splice(v, w)):
+                    if not p:
                         return True
                     if len(p) <= index.level and p not in elems:
                         elems.add(p)
@@ -107,7 +107,7 @@ def close_truncated(
             raise ValueError("generator exceeds the length bound")
     cone = _Cone(max_length)
     cone.grow(words)
-    return frozenset(cone.elements)
+    return frozenset(map(ReducedWord, cone.elements))
 
 
 def extend_right_order(
@@ -136,19 +136,21 @@ def extend_right_order(
         level = natural
     elif level < natural:
         raise ValueError("truncation level is below the longest input word")
-    pivots = [w for w in freegroup.ball(arity, level - 1) if not w.is_identity]
+    ball = freegroup.ball(arity, level - 1)[1:]  # the identity leads the ball
+    pivots = [(w, w.letters, freegroup.bar(w.letters)) for w in ball]
     cone = _Cone(level)
 
     def choose(path):
         elems = cone.elements
-        for w in pivots:
-            if w not in elems and freegroup.inv(w) not in elems:
+        for w, letters, inverse in pivots:
+            if letters not in elems and inverse not in elems:
                 return w, 1
         return None
 
     tree = _sign_search(cone, words, choose, *_IDENTITY_ONLY)
     if isinstance(tree, tuple):  # the cone stands as at the open leaf
-        return TruncatedRightOrder(arity, level, frozenset(cone.elements))
+        elements = frozenset(map(ReducedWord, cone.elements))
+        return TruncatedRightOrder(arity, level, elements)
     return tree
 
 

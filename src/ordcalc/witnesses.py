@@ -182,13 +182,14 @@ class TruncatedRightOrder:
             if w.max_generator() > self.arity:
                 issues.append(f"element {freegroup.word_to_text(w)} exceeds arity")
         # only the pairs the index finds can multiply to a word within the
-        # level; they are visited in the order of the elements
-        index = freegroup.CancellationIndex(self.level, elems)
-        for s in elems:
+        # level; they are visited in the order of the elements, as letters
+        words = [w.letters for w in elems]
+        present, index = set(words), freegroup.CancellationIndex(self.level, words)
+        for s in words:
             for position in index.right_factors(s):
-                t = index.words[position]
-                st = freegroup.mul(s, t)
-                if len(st) <= self.level and st not in elems:
+                t = words[position]
+                st = freegroup.splice(s, t)
+                if len(st) <= self.level and st not in present:
                     issues.append(
                         "closure gap: %s * %s"
                         % (freegroup.word_to_text(s), freegroup.word_to_text(t))
@@ -198,10 +199,9 @@ class TruncatedRightOrder:
         if _ball_exceeds(self.arity, self.level - 1, 2 * len(elems)):
             issues.append("too few elements to sign every word below the level")
             return issues
-        for w in freegroup.ball(self.arity, self.level - 1):
-            if w.is_identity:
-                continue
-            if w not in elems and freegroup.inv(w) not in elems:
+        # the identity leads the ball and takes no sign
+        for w in freegroup.ball(self.arity, self.level - 1)[1:]:
+            if w.letters not in present and freegroup.bar(w.letters) not in present:
                 issues.append(f"undetermined element {freegroup.word_to_text(w)}")
         return issues
 

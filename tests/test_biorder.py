@@ -60,3 +60,30 @@ def test_uniform_sign():
     assert biorder.uniform_sign([w("x'"), w("y'")]) == -1
     assert biorder.uniform_sign([w("x"), w("y'")]) is None
     assert biorder.uniform_sign([w("x"), fg.IDENTITY]) is None
+
+
+def _series_sign(word):
+    """The sign of the leading Magnus term, from the truncated series alone."""
+    degree = 2
+    coefficient = biorder._leading_coefficient(word, degree)
+    while coefficient is None:
+        degree *= 2
+        coefficient = biorder._leading_coefficient(word, degree)
+    return 1 if coefficient > 0 else -1
+
+
+def test_exponent_sums_settle_the_sign_as_the_series_does(rng):
+    # the degree-1 terms are the exponent sums; words whose sums all vanish
+    # (commutators) or vanish on the lower generators reach the series
+    vanishing = 0
+    for _ in range(1_500):
+        word = random_reduced_word(rng, 3, 7)
+        if rng.random() < 0.4:
+            u, v = random_reduced_word(rng, 3, 3), random_reduced_word(rng, 3, 3)
+            word = fg.mul(fg.mul(u, v), fg.mul(fg.inv(u), fg.inv(v)))
+        if word.is_identity:
+            continue
+        vanishing += not any(fg.abelianize(word, 3))
+        biorder.magnus_sign.cache_clear()
+        assert biorder.magnus_sign(word) == _series_sign(word), word
+    assert vanishing > 300

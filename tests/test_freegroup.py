@@ -34,6 +34,17 @@ def test_mul_inv_conjugate_examples():
     assert fg.inv(w("x y'")) == w("y x'")
 
 
+def test_splice_is_the_reduced_product(rng):
+    # on the letters of reduced words, with any amount of cancellation
+    for _ in range(3_000):
+        a = random_reduced_word(rng, 2, 6)
+        b = random_reduced_word(rng, 2, 6)
+        if rng.random() < 0.5:  # b starts by undoing a suffix of a
+            b = fg.mul(fg.inv(a).prefix(rng.randint(0, len(a))), b)
+        spliced = fg.splice(a.letters, b.letters)
+        assert spliced == fg.reduce(a.letters + b.letters).letters, (a, b)
+
+
 def test_group_laws_on_random_triples(rng):
     for _ in range(10_000):
         a = random_reduced_word(rng, 3, 6)
@@ -249,23 +260,26 @@ def test_word_to_text_agrees_with_the_original_writer(rng):
 def test_cancellation_index_lists_the_short_products(rng):
     # exactly the words whose product stays within the level, in insertion
     # order, while both factors are within it; a superset once one is
-    # longer; and truncation leaves the index of the words kept
+    # longer; and truncation leaves the index of the words kept.  The index
+    # holds letter tuples
     for _ in range(400):
         level = rng.randint(0, 6)
         pool = list(dict.fromkeys(
             random_reduced_word(rng, 2, rng.choice((level, 8)))
             for _ in range(rng.randint(0, 20))
         ))
-        index = fg.CancellationIndex(level, pool)
+        letters = [u.letters for u in pool]
+        index = fg.CancellationIndex(level, letters)
         kept = rng.randint(0, len(pool))
         index.truncate(kept)
-        rebuilt = fg.CancellationIndex(level, pool)
+        rebuilt = fg.CancellationIndex(level, letters)
         for held, idx in ((pool[:kept], index), (pool, rebuilt)):
+            assert idx.words == [v.letters for v in held]
             for u in pool:
                 exact = all(len(v) <= level for v in (u, *held))
                 for found, product in (
-                    (idx.right_factors(u), lambda v: fg.mul(u, v)),
-                    (idx.left_factors(u), lambda v: fg.mul(v, u)),
+                    (idx.right_factors(u.letters), lambda v: fg.mul(u, v)),
+                    (idx.left_factors(u.letters), lambda v: fg.mul(v, u)),
                 ):
                     lengths = [len(product(v)) for v in held]
                     short = [i for i, n in enumerate(lengths) if n <= level]

@@ -12,7 +12,7 @@ import resource
 import subprocess
 import sys
 
-from conftest import SEED, words
+from conftest import SEED, random_reduced_word, words
 from ordcalc import abelian, certio, witnesses
 from ordcalc import calculus as ca
 from ordcalc import freegroup as fg
@@ -425,3 +425,75 @@ def test_cone_closure_issues_match_the_all_pairs_oracle():
         assert issues == _all_pairs_violations(order), doc
         compared[not issues] += 1
     assert min(compared.values()) > 400, compared
+
+
+def _reduced_word_violations(order: TruncatedRightOrder) -> list[str]:
+    """TruncatedRightOrder.violations as it was over ReducedWord: products
+    by fg.mul, looked up among the elements, and the ball's words inverted
+    by fg.inv.  The cancellation index, which holds letter tuples, lists
+    the factors of each element's letters."""
+    issues = []
+    elems = order.elements
+    if fg.IDENTITY in elems:
+        issues.append("identity is in the cone")
+    for w in elems:
+        if len(w) > order.level:
+            issues.append(f"element {fg.word_to_text(w)} exceeds level")
+        if w.max_generator() > order.arity:
+            issues.append(f"element {fg.word_to_text(w)} exceeds arity")
+    listed = list(elems)
+    index = fg.CancellationIndex(order.level, [u.letters for u in listed])
+    for s in listed:
+        for position in index.right_factors(s.letters):
+            t = listed[position]
+            st = fg.mul(s, t)
+            if len(st) <= order.level and st not in elems:
+                issues.append(
+                    "closure gap: %s * %s" % (fg.word_to_text(s), fg.word_to_text(t))
+                )
+    if witnesses._ball_exceeds(order.arity, order.level - 1, 2 * len(elems)):
+        issues.append("too few elements to sign every word below the level")
+        return issues
+    for w in fg.ball(order.arity, order.level - 1):
+        if w.is_identity:
+            continue
+        if w not in elems and fg.inv(w) not in elems:
+            issues.append(f"undetermined element {fg.word_to_text(w)}")
+    return issues
+
+
+def _order_mutants(order: TruncatedRightOrder, rng: random.Random):
+    """The order with an element dropped, with an element inverted, and
+    with a word added that may exceed the level or the arity; three of
+    each, chosen by rng."""
+    elements = order.elements
+    for u in rng.sample(sorted(elements), min(3, len(elements))):
+        yield elements - {u}
+        yield elements - {u} | {fg.inv(u)}
+    for _ in range(3):
+        u = random_reduced_word(rng, order.arity + 1, order.level + 1)
+        while u.is_identity or u in elements:
+            u = random_reduced_word(rng, order.arity + 1, order.level + 1)
+        yield elements | {u}
+
+
+def test_cone_issues_match_the_reduced_word_oracle():
+    # the check runs on letter tuples and must list the same issues, in
+    # the same order, as it did over ReducedWord
+    pool = [u for u in fg.ball(2, 2) if not u.is_identity]
+    corpus = [s for k in (1, 2, 3) for s in itertools.combinations(pool, k)]
+    corpus += [words(*text.split(" | ")) for text in HARD_CS_SETS]
+    genuine = [ro.extend_right_order(subset, 2) for subset in corpus]
+    genuine = [order for order in genuine if isinstance(order, TruncatedRightOrder)]
+    assert len(genuine) == 460 + len(HARD_CS_SETS)
+    rng = random.Random(SEED)
+    rejected = 0
+    for order in genuine:
+        assert order.violations() == _reduced_word_violations(order) == [], order
+        for elements in _order_mutants(order, rng):
+            mutant = TruncatedRightOrder(order.arity, order.level, elements)
+            issues = mutant.violations()
+            assert issues == _reduced_word_violations(mutant), mutant
+            rejected += bool(issues)
+    # of the up to nine mutants of each order, most are rejected
+    assert rejected > 7 * len(genuine), rejected
