@@ -1,18 +1,20 @@
 """Membership of the identity in finitely generated subsemigroups of F(k).
 
-The generators are laid out as a flower automaton (one literal-labelled
-cycle per generator through a shared base state).  Saturation adds an
-epsilon pair (p, s) whenever a literal step, an epsilon stretch, and the
-inverse literal step connect p to s; every pair therefore attests a
-nonempty freely-trivial walk.  The identity lies in the subsemigroup
-exactly when a pair connects the base state to itself, and replaying the
-provenance of that pair yields an explicit factorization.
+The generators are laid out on their prefixes: besides a base state there
+is one state per distinct proper nonempty prefix, and a generator
+``a1…an`` runs from the base through the states of its prefixes back to
+the base, one literal-labelled transition per letter, shared with every
+generator that takes the same step.  A walk that leaves the base and
+first returns to it reads exactly one generator's letters, so the
+base-to-base walks read exactly the products of the generators.
+Saturation adds an epsilon pair (p, s) whenever a literal step, an
+epsilon stretch, and the inverse literal step connect p to s; every pair
+therefore attests a nonempty freely-trivial walk.  The identity lies in
+the subsemigroup exactly when a pair connects the base state to itself.
 
-The growable closure the sign searches carry folds the petals together
-where they share a prefix: its states are the distinct proper prefixes
-of the generators.  A walk that leaves the base and first returns to it
-still reads exactly one generator, so the base-to-base walks, and with
-them the answer, are those of the flower.
+Both engines use this layout: ``IdentityClosure``, the growable closure
+the sign searches carry, only decides, and ``WordAutomaton`` keeps the
+provenance of each pair, whose replay yields an explicit factorization.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ _DIRECT, _WRAP, _CONCAT = 0, 1, 2
 
 
 class WordAutomaton:
-    """Flower automaton over a generator list, with epsilon-pair bookkeeping."""
+    """The generators' prefix automaton (see IdentityClosure), with
+    epsilon-pair bookkeeping."""
 
     def __init__(self, words: Sequence[ReducedWord]):
         for i, w in enumerate(words):
@@ -36,32 +39,31 @@ class WordAutomaton:
                 raise ValueError(f"generator {i} is the empty word")
         self.words = tuple(words)
         self.base = 0
-        sources: list[int] = []
-        letters: list[int] = []
-        targets: list[int] = []
-        petal: list[tuple[int, int]] = []
-        n_states = 1
-        for i, w in enumerate(words):
+        # the first generator with each letter tuple, the state of each
+        # proper prefix by its parent and last letter, and the transitions
+        # in the order they first appear
+        self.first: dict[tuple[int, ...], int] = {}
+        prefixes: dict[tuple[int, int], int] = {}
+        transitions: dict[tuple[int, int, int], None] = {}
+        for i, w in enumerate(self.words):
+            if w.letters in self.first:
+                continue
+            self.first[w.letters] = i
             prev = self.base
-            for j, code in enumerate(w.letters):
-                nxt = self.base if j == len(w) - 1 else n_states
-                if nxt != self.base:
-                    n_states += 1
-                sources.append(prev)
-                letters.append(code)
-                targets.append(nxt)
-                petal.append((i, j))
+            for code in w.letters[:-1]:
+                nxt = prefixes.setdefault((prev, code), len(prefixes) + 1)
+                transitions[prev, code, nxt] = None
                 prev = nxt
-        self.n_states = n_states
-        self.sources = tuple(sources)
-        self.letters = tuple(letters)
-        self.targets = tuple(targets)
-        self.petal = tuple(petal)
+            transitions[prev, w.letters[-1], self.base] = None
+        n_states = self.n_states = len(prefixes) + 1
+        self.sources = tuple(p for p, _, _ in transitions)
+        self.letters = tuple(code for _, code, _ in transitions)
+        self.targets = tuple(q for _, _, q in transitions)
         self.trans_in: list[list[int]] = [[] for _ in range(n_states)]
         self.out_by_letter: list[dict[int, list[int]]] = [dict() for _ in range(n_states)]
-        for tid in range(len(sources)):
-            self.trans_in[targets[tid]].append(tid)
-            self.out_by_letter[sources[tid]].setdefault(letters[tid], []).append(tid)
+        for tid, (p, code, q) in enumerate(transitions):
+            self.trans_in[q].append(tid)
+            self.out_by_letter[p].setdefault(code, []).append(tid)
         # epsilon[(p, q)] = provenance; insertion order keeps replay well-founded
         self.epsilon: dict[tuple[int, int], tuple] = {}
         # the pairs by state, in order and as bitsets: succ[p] has q, pred[q] p
@@ -132,45 +134,54 @@ class WordAutomaton:
         return memo[current]
 
     def walk_factors(self, walk: Sequence[int]) -> list[int]:
-        """Read generator indices off a closed base walk (one per full cycle)."""
+        """Read generator indices off a closed base walk: each stretch from
+        the base back to it reads one generator's letters, and names the
+        first generator with them."""
         state = self.base
         factors: list[int] = []
+        read: list[int] = []
         for tid in walk:
             if self.sources[tid] != state:
                 raise AssertionError("walk is not path-consistent")
-            word_index, position = self.petal[tid]
-            if position == 0:
-                factors.append(word_index)
+            read.append(self.letters[tid])
             state = self.targets[tid]
+            if state == self.base:
+                factors.append(self.first[tuple(read)])
+                read.clear()
         if state != self.base:
             raise AssertionError("walk does not return to the base state")
         return factors
 
 
 class IdentityClosure:
-    """Growable pair closure of a prefix-shared flower automaton that only
+    """Growable pair closure of the generators' prefix automaton that only
     decides whether the identity is reached; no provenance is kept.
 
     Besides the base 0 there is one state per distinct proper nonempty
     prefix of the words grown so far: a word ``a1…an`` runs ``0 -a1-> [a1]
     -a2-> … -an-> 0``, sharing the states of its prefixes with every other
-    word (a partial Stallings fold of the flower, Stallings, *Topology of
-    finite graphs*, 1983).  So the one state other than 0 past [P] by a
+    word, and a transition that two words share is one transition (a
+    partial Stallings fold of the flower automaton, Stallings, *Topology
+    of finite graphs*, 1983).  So the one state other than 0 past [P] by a
     letter c is [Pc], and [Pc] is entered from [P] alone.  A walk from 0
-    that first returns to 0 thus reads exactly one generator, and the
-    base-to-base walks read the products of generators, as in the flower
-    with one petal per word: the answer is the flower's.
+    that first returns to 0 thus reads exactly one generator's letters,
+    and the base-to-base walks read exactly the products of generators.
+    ``WordAutomaton`` has the same layout.
 
     The pairs are per-state int bitsets: ``succ[q]`` holds every r with a
     pair (q, r) and ``pred[r]`` every such q, so CONCAT takes one mask per
     side, and WRAP reads the transitions per letter as bitsets of their
-    sources (into a state) or targets (out of a state).  ``grow`` adds the
-    transitions of the new generators that are not already present and
-    resumes the closure from those only: a new transition is either the
-    first step of a walk that returns by an old one (stretch {q} | succ[q])
-    or its last step (stretch {r} | pred[r]); every other new pair follows
-    from new pairs.  ``rollback`` undoes the last ``grow`` from a log of
-    the bitsets and transition tables it changed, and drops the states it
+    sources (into a state) or targets (out of a state).  Per letter, one
+    bitset holds the states that a transition by it leaves and one those
+    that it enters.  ``grow`` adds the transitions of the new generators
+    that are not already present and resumes the closure from those only:
+    a new transition p -c-> q is either the first step of a walk that
+    returns by a c' transition leaving {q} | succ[q], or the last step of
+    a walk that starts by a c' transition entering {p} | pred[p], and the
+    letter bitsets of c' pick those states out; every other new pair
+    follows from new pairs.  Each rule is applied only where it adds a
+    pair.  ``rollback`` undoes the last ``grow`` from a log of the
+    bitsets and transition tables it changed, and drops the states it
     added.  Between grows the closure is at fixpoint, or has reached the
     identity.  This is Dyck (CFL) reachability, as in Reps, *Program
     analysis via graph reachability* (1998).
@@ -182,6 +193,9 @@ class IdentityClosure:
         self._pred: list[int] = [0]
         self._in: list[dict[int, int]] = [{}]
         self._out: list[dict[int, int]] = [{}]
+        # per letter, the states a transition by it leaves and enters
+        self._leaving: dict[int, int] = {}
+        self._entering: dict[int, int] = {}
         self._marks: list[tuple] = []
 
     @property
@@ -192,27 +206,29 @@ class IdentityClosure:
     def grow(self, words: Iterable[ReducedWord]) -> bool:
         """Add the words as generators; True when the identity is reached."""
         succ, pred, ins, outs = self._succ, self._pred, self._in, self._out
+        leaving, entering = self._leaving, self._entering
         saved_succ: dict[int, int] = {}
         saved_pred: dict[int, int] = {}
         saved_in: dict[int, dict[int, int]] = {}
         saved_out: dict[int, dict[int, int]] = {}
+        saved_letters: dict[int, tuple[int, int]] = {}
         n_states = len(succ)
-        self._marks.append(
-            (n_states, self.reached, saved_in, saved_out, saved_succ, saved_pred)
-        )
+        saved = (saved_in, saved_out, saved_succ, saved_pred, saved_letters)
+        self._marks.append((n_states, self.reached, saved))
         if self.reached:
             return True
         new: list[tuple[int, int, int]] = []
         for w in words:
-            if w.is_identity:
+            letters = w.letters
+            if not letters:
                 self.reached = True
                 return True
             prev = 0
-            for j, code in enumerate(w.letters, 1):
+            for j, code in enumerate(letters, 1):
                 # past prev by code lie at most the base and the one state
                 # whose prefix extends prev's by code
                 targets = outs[prev].get(code, 0)
-                if j == len(w):
+                if j == len(letters):
                     nxt = 0
                 elif not targets >> 1:
                     nxt = len(succ)
@@ -227,18 +243,22 @@ class IdentityClosure:
                         saved_out[prev] = dict(outs[prev])
                     if nxt < n_states and nxt not in saved_in:
                         saved_in[nxt] = dict(ins[nxt])
+                    if code not in saved_letters:
+                        saved_letters[code] = (
+                            leaving.get(code, 0),
+                            entering.get(code, 0),
+                        )
                     outs[prev][code] = targets | 1 << nxt
                     ins[nxt][code] = ins[nxt].get(code, 0) | 1 << prev
+                    leaving[code] = leaving.get(code, 0) | 1 << prev
+                    entering[code] = entering.get(code, 0) | 1 << nxt
                     new.append((prev, code, nxt))
                 prev = nxt
 
         queue: list[tuple[int, int]] = []
 
-        def link(p: int, targets: int) -> None:
-            """Add the pairs (p, u) for u in targets."""
-            fresh = targets & ~succ[p]
-            if not fresh:
-                return
+        def link(p: int, fresh: int) -> None:
+            """Add the pairs (p, u) for u in fresh, none of them present."""
             if p not in saved_succ:
                 saved_succ[p] = succ[p]
             succ[p] |= fresh
@@ -252,11 +272,8 @@ class IdentityClosure:
                 pred[u] |= bit
                 queue.append((p, u))
 
-        def link_back(sources: int, r: int) -> None:
-            """Add the pairs (p, r) for p in sources."""
-            fresh = sources & ~pred[r]
-            if not fresh:
-                return
+        def link_back(fresh: int, r: int) -> None:
+            """Add the pairs (p, r) for p in fresh, none of them present."""
             if r not in saved_pred:
                 saved_pred[r] = pred[r]
             pred[r] |= fresh
@@ -272,20 +289,20 @@ class IdentityClosure:
 
         for p, code, q in new:
             # p -code-> q as the first step, back out of r by the inverse
-            stretch = 1 << q | succ[q]
+            stretch = (1 << q | succ[q]) & leaving.get(-code, 0)
             while stretch:
                 low = stretch & -stretch
-                targets = outs[low.bit_length() - 1].get(-code)
-                if targets:
-                    link(p, targets)
+                fresh = outs[low.bit_length() - 1][-code] & ~succ[p]
+                if fresh:
+                    link(p, fresh)
                 stretch ^= low
             # p -code-> q as the last step, entered at r by the inverse
-            stretch = 1 << p | pred[p]
+            stretch = (1 << p | pred[p]) & entering.get(-code, 0)
             while stretch:
                 low = stretch & -stretch
-                sources = ins[low.bit_length() - 1].get(-code)
-                if sources:
-                    link_back(sources, q)
+                fresh = ins[low.bit_length() - 1][-code] & ~pred[q]
+                if fresh:
+                    link_back(fresh, q)
                 stretch ^= low
         while queue and not succ[0] & 1:
             q, r = queue.pop()
@@ -295,18 +312,24 @@ class IdentityClosure:
                 if targets:
                     while sources:
                         low = sources & -sources
-                        link(low.bit_length() - 1, targets)
+                        p = low.bit_length() - 1
+                        fresh = targets & ~succ[p]
+                        if fresh:
+                            link(p, fresh)
                         sources ^= low
-            link(q, succ[r])
-            link_back(pred[q], r)
+            fresh = succ[r] & ~succ[q]
+            if fresh:
+                link(q, fresh)
+            fresh = pred[q] & ~pred[r]
+            if fresh:
+                link_back(fresh, r)
         self.reached = bool(succ[0] & 1)
         return self.reached
 
     def rollback(self) -> None:
         """Undo the last grow."""
-        n_states, reached, saved_in, saved_out, saved_succ, saved_pred = (
-            self._marks.pop()
-        )
+        n_states, reached, saved = self._marks.pop()
+        saved_in, saved_out, saved_succ, saved_pred, saved_letters = saved
         for q, bits in saved_succ.items():
             self._succ[q] = bits
         for r, bits in saved_pred.items():
@@ -315,6 +338,9 @@ class IdentityClosure:
             self._in[q] = table
         for p, table in saved_out.items():
             self._out[p] = table
+        for code, (sources, targets) in saved_letters.items():
+            self._leaving[code] = sources
+            self._entering[code] = targets
         for table in (self._succ, self._pred, self._in, self._out):
             del table[n_states:]
         self.reached = reached

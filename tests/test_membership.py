@@ -26,6 +26,8 @@ def identity_products_upto(gens, max_factors: int) -> Factorization | None:
 
 
 def test_flower_shapes():
+    # the flower folded on shared prefixes: one state per distinct proper
+    # nonempty prefix besides the base, one transition per distinct step
     single = mb.WordAutomaton(words("x"))
     assert single.n_states == 1
     assert len(single.sources) == 1
@@ -34,6 +36,15 @@ def test_flower_shapes():
     # one interior state for the length-2 cycle, base shared
     assert two.n_states == 2
     assert len(two.sources) == 3
+
+    # xy and xyx' share the state [x] and the step into it; [xy] is the
+    # one state more, and the duplicate xy adds nothing
+    shared = mb.WordAutomaton(words("xy", "xyx'", "xy"))
+    assert shared.n_states == 3
+    steps = set(zip(shared.sources, shared.letters, shared.targets))
+    assert len(steps) == len(shared.sources) == 4
+    x, y = w("x").letters[0], w("y").letters[0]
+    assert (0, x, 1) in steps and (1, y, 0) in steps and (1, y, 2) in steps
 
     empty = mb.WordAutomaton([])
     assert empty.n_states == 1
@@ -113,6 +124,49 @@ def test_monotonicity_under_superset(rng):
             assert mb.contains_identity(big)[0]
 
 
+def _check_leaf(gens) -> bool:
+    """contains_identity on gens against the closure, with its factors
+    multiplying to e, each the first generator with its letters."""
+    found, factorization = mb.contains_identity(gens)
+    assert found == mb.IdentityClosure().grow(gens), gens
+    if found:
+        assert factorization.product(tuple(gens)).is_identity, gens
+        first = {}
+        for i, u in enumerate(gens):
+            first.setdefault(u.letters, i)
+        assert all(first[gens[i].letters] == i for i in factorization.factors), gens
+    return found
+
+
+def test_prefix_automaton_factors_on_first_generators(rng):
+    # x is a proper prefix of xy and xy of xyx'; x and xy appear twice.
+    # Then random lists that extend two stems, some with a duplicate, the
+    # inverse of a product of two generators, or a proper prefix of the
+    # longest generator, in shuffled order
+    assert _check_leaf(words("xyx'", "x", "xy", "x", "xy", "y'x'"))
+    assert _check_leaf(words("xy", "xyx'", "x", "x", "x'"))
+    found = 0
+    for _ in range(400):
+        stems = [_extension(rng, fg.IDENTITY, 3) for _ in range(2)]
+        gens = [_extension(rng, rng.choice(stems), 3) for _ in range(rng.randint(1, 5))]
+        gens = [u for u in gens if not u.is_identity]
+        if not gens:
+            continue
+        if rng.random() < 0.5:
+            gens.append(rng.choice(gens))
+        if rng.random() < 0.3:
+            product = fg.mul(rng.choice(gens), rng.choice(gens))
+            if not product.is_identity:
+                gens.append(fg.inv(product))
+        longest = max(gens, key=len)
+        if len(longest) > 1 and rng.random() < 0.5:
+            cut = rng.randint(1, len(longest) - 1)
+            gens.append(fg.ReducedWord(longest.letters[:cut]))
+        rng.shuffle(gens)
+        found += _check_leaf(gens)
+    assert 80 < found < 300, found
+
+
 def test_walk_factors_rejects_garbage():
     auto = mb.WordAutomaton(words("xy", "y'x'"))
     with pytest.raises(AssertionError):
@@ -182,9 +236,31 @@ def _expected_transitions(present) -> set:
     }
 
 
+def _letter_bitsets(closure: mb.IdentityClosure) -> tuple:
+    """The closure's per-letter bitsets of the states that transitions
+    leave and enter, without empty ones."""
+    return tuple(
+        {code: bits for code, bits in table.items() if bits}
+        for table in (closure._leaving, closure._entering)
+    )
+
+
+def _recomputed_letter_bitsets(closure: mb.IdentityClosure) -> tuple:
+    """The same bitsets, read off the transition tables."""
+    bitsets = ({}, {})
+    for side, tables in zip(bitsets, (closure._out, closure._in)):
+        for state, table in enumerate(tables):
+            for code, states in table.items():
+                if states:
+                    side[code] = side.get(code, 0) | 1 << state
+    return bitsets
+
+
 def test_identity_closure_agrees_with_shared_stems(rng):
     # words that extend a few shared stems, up to length 8, so that grows
-    # add transitions out of old prefix states and rollbacks remove them
+    # add transitions out of old prefix states and rollbacks remove them;
+    # after each grow and rollback the per-letter bitsets must match the
+    # transition tables
     out_of_old = 0
     for _ in range(120):
         stems = [_extension(rng, fg.IDENTITY, 4) for _ in range(2)]
@@ -199,6 +275,7 @@ def test_identity_closure_agrees_with_shared_stems(rng):
                 batch = [_extension(rng, rng.choice(stems), 4) for _ in range(3)]
                 batches.append([u for u in batch if not u.is_identity])
                 closure.grow(batches[-1])
+            assert _letter_bitsets(closure) == _recomputed_letter_bitsets(closure)
             present = [u for batch in batches for u in batch]
             assert closure.reached == mb.contains_identity(present)[0], batches
             expected = _expected_transitions(present)

@@ -335,7 +335,8 @@ def test_cs_witnesses_and_refutations_are_pinned():
     # truncated_right_order digest was recorded before the cone closure
     # visited only candidate pairs, and again before the cone dropped its
     # provenance; the refutation digest was recorded once leaf
-    # factorizations came from the identity closure
+    # factorizations came from the identity closure, and again once leaves
+    # were factored on the generators' prefix states
     pool = [u for u in fg.ball(2, 2) if not u.is_identity]
     kinds = {"truncated_right_order": 0, "refutation": 0}
     digests = {kind: hashlib.sha256() for kind in kinds}
@@ -354,7 +355,7 @@ def test_cs_witnesses_and_refutations_are_pinned():
             "7f9c3b9a5ddf70f93f7088d2e2488d776635e89c85f4f72512623bd767cd2b2a"
         ),
         "refutation": (
-            "bd83f808c06c3495431044f349f05623a03b217ec5ecce703d217120f3f1c791"
+            "9029e872a6be25552cb361b18aecaa1f8fc64a3dd54c80f06c64bd0b9bb2d583"
         ),
     }
 
@@ -365,7 +366,9 @@ def test_hm_proofs_and_rg_refutations_are_pinned():
     # 1, hashed by kind in corpus order; both digests were recorded before
     # cs moved onto the search kernel hm and rg run, and the refutation
     # digest again once leaf factors lost their sign and a factor
-    # conjugated by e became its base index alone, with every tree unchanged
+    # conjugated by e became its base index alone, with every tree
+    # unchanged; both again once leaves were factored on the generators'
+    # prefix states, with every tree unchanged
     pool = [u for u in fg.ball(2, 2) if not u.is_identity]
     counts = {"proof": 0, "refutation": 0}
     digests = {kind: hashlib.sha256() for kind in counts}
@@ -385,9 +388,9 @@ def test_hm_proofs_and_rg_refutations_are_pinned():
                 digests[doc["kind"]].update(certio.dumps(doc).encode())
     assert counts == {"proof": 236, "refutation": 288}
     assert {kind: d.hexdigest() for kind, d in digests.items()} == {
-        "proof": "63dc6961238125a64b02c899d4ec48554d49e1faec1f2c09429faeab6a7af5e5",
+        "proof": "d012aca40d7f74aef6c7648046fdae692951172b9bbecdc6628c4aef6c7173f1",
         "refutation": (
-            "a4ead3687d8b72ece7d63d625e9e97fa660d58646f3393460668303585940073"
+            "14a9580f1e21b7c0cbb16096870511b2729c7bff6ac2f898a8c177833be5a9da"
         ),
     }
 
