@@ -180,9 +180,11 @@ class IdentityClosure:
     a walk that starts by a c' transition entering {p} | pred[p], and the
     letter bitsets of c' pick those states out; every other new pair
     follows from new pairs.  Each rule is applied only where it adds a
-    pair.  ``rollback`` undoes the last ``grow`` from a log of the
-    bitsets and transition tables it changed, and drops the states it
-    added.  Between grows the closure is at fixpoint, or has reached the
+    pair.  Each ``grow`` first pushes a snapshot: copies of the state
+    lists and letter bitsets, which share the states' transition tables;
+    so ``grow`` never edits a table in place but replaces it with an
+    extended copy, and ``rollback`` restores the last snapshot whole.
+    Between grows the closure is at fixpoint, or has reached the
     identity.  This is Dyck (CFL) reachability, as in Reps, *Program
     analysis via graph reachability* (1998).
     """
@@ -196,6 +198,7 @@ class IdentityClosure:
         # per letter, the states a transition by it leaves and enters
         self._leaving: dict[int, int] = {}
         self._entering: dict[int, int] = {}
+        # the state before each grow not rolled back
         self._marks: list[tuple] = []
 
     @property
@@ -207,14 +210,12 @@ class IdentityClosure:
         """Add the words as generators; True when the identity is reached."""
         succ, pred, ins, outs = self._succ, self._pred, self._in, self._out
         leaving, entering = self._leaving, self._entering
-        saved_succ: dict[int, int] = {}
-        saved_pred: dict[int, int] = {}
-        saved_in: dict[int, dict[int, int]] = {}
-        saved_out: dict[int, dict[int, int]] = {}
-        saved_letters: dict[int, tuple[int, int]] = {}
-        n_states = len(succ)
-        saved = (saved_in, saved_out, saved_succ, saved_pred, saved_letters)
-        self._marks.append((n_states, self.reached, saved))
+        # the snapshot shares each state's transition tables, so below a
+        # table is replaced by an extended copy, never edited in place
+        self._marks.append(
+            (list(succ), list(pred), list(ins), list(outs),
+             dict(leaving), dict(entering), self.reached)
+        )
         if self.reached:
             return True
         new: list[tuple[int, int, int]] = []
@@ -239,17 +240,8 @@ class IdentityClosure:
                 else:
                     nxt = (targets >> 1).bit_length()
                 if not targets >> nxt & 1:
-                    if prev < n_states and prev not in saved_out:
-                        saved_out[prev] = dict(outs[prev])
-                    if nxt < n_states and nxt not in saved_in:
-                        saved_in[nxt] = dict(ins[nxt])
-                    if code not in saved_letters:
-                        saved_letters[code] = (
-                            leaving.get(code, 0),
-                            entering.get(code, 0),
-                        )
-                    outs[prev][code] = targets | 1 << nxt
-                    ins[nxt][code] = ins[nxt].get(code, 0) | 1 << prev
+                    outs[prev] = {**outs[prev], code: targets | 1 << nxt}
+                    ins[nxt] = {**ins[nxt], code: ins[nxt].get(code, 0) | 1 << prev}
                     leaving[code] = leaving.get(code, 0) | 1 << prev
                     entering[code] = entering.get(code, 0) | 1 << nxt
                     new.append((prev, code, nxt))
@@ -259,31 +251,23 @@ class IdentityClosure:
 
         def link(p: int, fresh: int) -> None:
             """Add the pairs (p, u) for u in fresh, none of them present."""
-            if p not in saved_succ:
-                saved_succ[p] = succ[p]
             succ[p] |= fresh
             bit = 1 << p
             while fresh:
                 low = fresh & -fresh
                 u = low.bit_length() - 1
                 fresh ^= low
-                if u not in saved_pred:
-                    saved_pred[u] = pred[u]
                 pred[u] |= bit
                 queue.append((p, u))
 
         def link_back(fresh: int, r: int) -> None:
             """Add the pairs (p, r) for p in fresh, none of them present."""
-            if r not in saved_pred:
-                saved_pred[r] = pred[r]
             pred[r] |= fresh
             bit = 1 << r
             while fresh:
                 low = fresh & -fresh
                 p = low.bit_length() - 1
                 fresh ^= low
-                if p not in saved_succ:
-                    saved_succ[p] = succ[p]
                 succ[p] |= bit
                 queue.append((p, r))
 
@@ -328,22 +312,8 @@ class IdentityClosure:
 
     def rollback(self) -> None:
         """Undo the last grow."""
-        n_states, reached, saved = self._marks.pop()
-        saved_in, saved_out, saved_succ, saved_pred, saved_letters = saved
-        for q, bits in saved_succ.items():
-            self._succ[q] = bits
-        for r, bits in saved_pred.items():
-            self._pred[r] = bits
-        for q, table in saved_in.items():
-            self._in[q] = table
-        for p, table in saved_out.items():
-            self._out[p] = table
-        for code, (sources, targets) in saved_letters.items():
-            self._leaving[code] = sources
-            self._entering[code] = targets
-        for table in (self._succ, self._pred, self._in, self._out):
-            del table[n_states:]
-        self.reached = reached
+        (self._succ, self._pred, self._in, self._out,
+         self._leaving, self._entering, self.reached) = self._marks.pop()
 
 
 def contains_identity(

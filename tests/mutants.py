@@ -1,0 +1,157 @@
+"""Committed mutants: small faults in the program that named tests must catch.
+
+Run from anywhere, with pytest installed:  python tests/mutants.py
+
+For each mutant, ``src/`` and ``tests/`` are copied to a temporary
+directory, the mutant's old snippet, which must occur exactly once in its
+file, is replaced there, and only the mutant's tests run.  A mutant is
+killed when every one of its tests fails.  Exits 1 when a mutant
+survives, when its old snippet is missing or occurs more than once, or
+when its tests cannot be run.  Pytest does not collect this file, and it
+imports only the standard library.
+
+Each entry describes its fault in its name; add one here, with the tests
+that kill it, rather than describing a tried mutant in prose.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+MEMBERSHIP = "src/ordcalc/membership.py"
+
+
+def _membership_tests(*names: str) -> tuple[str, ...]:
+    return tuple(f"tests/test_membership.py::{name}" for name in names)
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "closure-concat-skips-the-base",
+        MEMBERSHIP,
+        "            fresh = succ[r] & ~succ[q]\n",
+        "            fresh = succ[r] & ~succ[q] & ~1\n",
+        _membership_tests(
+            "test_identity_closure_agrees_with_contains_identity_on_many_lists",
+        ),
+    ),
+    Mutant(
+        "closure-grow-edits-an-old-out-table",
+        MEMBERSHIP,
+        "outs[prev] = {**outs[prev], code: targets | 1 << nxt}",
+        "outs[prev][code] = targets | 1 << nxt",
+        _membership_tests(
+            "test_identity_closure_agrees_through_grow_and_rollback",
+            "test_identity_closure_agrees_with_shared_stems",
+        ),
+    ),
+    Mutant(
+        "closure-grow-edits-an-old-in-table",
+        MEMBERSHIP,
+        "ins[nxt] = {**ins[nxt], code: ins[nxt].get(code, 0) | 1 << prev}",
+        "ins[nxt][code] = ins[nxt].get(code, 0) | 1 << prev",
+        _membership_tests(
+            "test_identity_closure_agrees_through_grow_and_rollback",
+            "test_identity_closure_agrees_with_shared_stems",
+        ),
+    ),
+    Mutant(
+        "closure-rollback-keeps-the-letter-bitsets",
+        MEMBERSHIP,
+        "         self._leaving, self._entering, self.reached) = self._marks.pop()",
+        "         _, _, self.reached) = self._marks.pop()",
+        _membership_tests(
+            "test_identity_closure_agrees_through_grow_and_rollback",
+            "test_identity_closure_agrees_with_shared_stems",
+        ),
+    ),
+    Mutant(
+        "closure-seeding-reads-the-wrong-letter-bitset",
+        MEMBERSHIP,
+        "stretch = (1 << p | pred[p]) & entering.get(-code, 0)",
+        "stretch = (1 << p | pred[p]) & leaving.get(-code, 0)",
+        _membership_tests(
+            "test_identity_closure_agrees_through_grow_and_rollback",
+            "test_identity_closure_agrees_with_contains_identity_on_many_lists",
+        ),
+    ),
+    Mutant(
+        "walk-factors-names-the-last-generator",
+        MEMBERSHIP,
+        "factors.append(self.first[tuple(read)])",
+        "factors.append(max(i for i, u in enumerate(self.words) if u.letters == tuple(read)))",
+        _membership_tests("test_prefix_automaton_factors_on_first_generators"),
+    ),
+)
+
+
+def _failed(stdout: str) -> set[str]:
+    """The test ids that pytest's short summary (-rfE) reports failing."""
+    return {
+        line.split()[1]
+        for line in stdout.splitlines()
+        if line.startswith(("FAILED ", "ERROR "))
+    }
+
+
+def run(mutant: Mutant, workdir: Path) -> str | None:
+    """Apply one mutant to a fresh copy and run its tests; None when it is
+    killed, else what went wrong."""
+    for part in ("src", "tests"):
+        shutil.copytree(
+            ROOT / part,
+            workdir / part,
+            ignore=shutil.ignore_patterns("__pycache__", ".pytest_cache"),
+        )
+    target = workdir / mutant.path
+    text = target.read_text()
+    count = text.count(mutant.old)
+    if count != 1:
+        return f"old snippet occurs {count} times in {mutant.path}"
+    target.write_text(text.replace(mutant.old, mutant.new))
+    paths = [str(workdir / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+         *mutant.tests],
+        cwd=workdir,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    if result.returncode not in (0, 1):
+        return f"pytest exited {result.returncode}:\n{result.stdout}{result.stderr}"
+    survived = [test for test in mutant.tests if test not in _failed(result.stdout)]
+    if survived:
+        return "survives " + ", ".join(survived)
+    return None
+
+
+def main() -> int:
+    problems = 0
+    with tempfile.TemporaryDirectory() as scratch:
+        for i, mutant in enumerate(MUTANTS):
+            problem = run(mutant, Path(scratch) / str(i))
+            problems += problem is not None
+            print(f"{mutant.name}: {problem or 'killed'}", flush=True)
+    print(f"{len(MUTANTS) - problems} of {len(MUTANTS)} mutants killed")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -173,19 +173,37 @@ def test_walk_factors_rejects_garbage():
         auto.walk_factors([0])  # stops mid-cycle, not at the base state
 
 
+def _closure_state(closure: mb.IdentityClosure) -> tuple:
+    """A copy of everything a grow may change, down to the tables."""
+    return (
+        list(closure._succ),
+        list(closure._pred),
+        [dict(table) for table in closure._in],
+        [dict(table) for table in closure._out],
+        dict(closure._leaving),
+        dict(closure._entering),
+        closure.reached,
+    )
+
+
 def test_identity_closure_agrees_through_grow_and_rollback(rng):
-    steps = 0
+    # after each rollback the closure is exactly as before the matching
+    # grow, also when that grow reached the identity
+    steps = undone_reaching = 0
     for _ in range(150):
         closure = mb.IdentityClosure()
-        batches = []
+        batches, states = [], []
         for _ in range(14):
             if batches and rng.random() < 0.35:
+                undone_reaching += closure.reached and not states[-1][-1]
                 closure.rollback()
                 batches.pop()
+                assert _closure_state(closure) == states.pop(), batches
             else:
                 batch = [random_reduced_word(rng, 2, 4) for _ in range(rng.randint(0, 3))]
                 if rng.random() < 0.9:
                     batch = [u for u in batch if not u.is_identity]
+                states.append(_closure_state(closure))
                 assert closure.grow(batch) == closure.reached
                 batches.append(batch)
             assert closure.depth == len(batches)
@@ -193,6 +211,33 @@ def test_identity_closure_agrees_through_grow_and_rollback(rng):
             assert closure.reached == mb.contains_identity(present)[0], batches
             steps += 1
     assert steps == 150 * 14
+    assert undone_reaching > 40, undone_reaching
+
+
+def _random_word(rng, length: int) -> fg.ReducedWord:
+    """A random reduced word over two generators with this many letters."""
+    letters: list[int] = []
+    while len(letters) < length:
+        letters.append(rng.choice([c for c in (1, -1, 2, -2) if [-c] != letters[-1:]]))
+    return fg.ReducedWord(tuple(letters))
+
+
+def test_identity_closure_agrees_with_contains_identity_on_many_lists(rng):
+    # a closure that drops the base state from its forward CONCAT rule
+    # misses the identity in both pinned lists and, at each seed tried, in
+    # 1 to 4 of these 20,000 random lists of 1 to 5 words of length 1 to 5
+    pinned = ("y'y'xy' | yx'x'x' | xxy'xy | xx | yx", "x'y'y'x'y' | yx' | xxyxy'")
+    for text in pinned:
+        generators = words(*text.split(" | "))
+        assert mb.contains_identity(generators)[0], text
+        assert mb.IdentityClosure().grow(generators), text
+    found = 0
+    for _ in range(20_000):
+        generators = [_random_word(rng, rng.randint(1, 5)) for _ in range(rng.randint(1, 5))]
+        expected = mb.contains_identity(generators)[0]
+        assert mb.IdentityClosure().grow(generators) == expected, generators
+        found += expected
+    assert 3_000 < found < 5_000, found
 
 
 def test_identity_closure_shares_prefixes():
