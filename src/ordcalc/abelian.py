@@ -53,7 +53,8 @@ def verify_separator(vectors: Sequence[ExponentVector], y: Sequence[int]) -> boo
     return all(sum(a * b for a, b in zip(y, v)) < 0 for v in vectors)
 
 
-def _scaled_integers(values: Sequence[Fraction]) -> tuple[int, ...]:
+def scaled_integers(values: Sequence[Fraction]) -> tuple[int, ...]:
+    """The rational vector scaled to coprime integers, direction kept."""
     scale = math.lcm(*(value.denominator for value in values)) if values else 1
     scaled = [int(value * scale) for value in values]
     shrink = math.gcd(*scaled) if any(scaled) else 1
@@ -76,7 +77,7 @@ def find_combination(vectors: Sequence[ExponentVector]) -> tuple[int, ...] | Non
     solution = fm.solve(n, equalities, inequalities)
     if solution is None:
         return None
-    lam = _scaled_integers(solution)
+    lam = scaled_integers(solution)
     if not verify_combination(vectors, lam):
         raise AssertionError("combination solution failed verification")
     return lam
@@ -92,7 +93,7 @@ def find_separator(vectors: Sequence[ExponentVector]) -> tuple[int, ...] | None:
     solution = fm.solve(k, (), inequalities)
     if solution is None:
         return None
-    y = _scaled_integers(solution)
+    y = scaled_integers(solution)
     if not verify_separator(vectors, y):
         raise AssertionError("separator solution failed verification")
     return y

@@ -6,7 +6,8 @@ reaches the identity becomes a refutation leaf.  cs closes a cone under
 the products within a length bound and signs the first short word it
 leaves unsigned.  hm and rg sign a fixed pivot list over the exact
 subsemigroup closure of the words (hm) or of their conjugates up to a
-length bound (rg), once no Magnus or abelian bi-order settles the root.
+length bound (rg), once no Magnus or abelian bi-order settles the root;
+before it searches, rg also tries the germ order at +inf of affine maps.
 """
 
 from __future__ import annotations
@@ -374,14 +375,19 @@ def rg_refute_bounded(
 
     A returned tree proves validity in the representable variety; None
     proves nothing beyond the bounds being exhausted.  A bi-order that
-    makes every word positive ends the search before it starts.  A caller
-    that has already solved ``_root_functional(words, arity)`` hands its
-    answer in as ``functional``, so the system is solved once.
+    makes every word positive ends the search before it starts, with no
+    closure built: ``_root_order``'s, else the germ order at +inf of the
+    affine maps ``biorder.affine_germ_order`` finds, each with its kernel
+    ordered by the Magnus sign.  A caller that has already solved
+    ``_root_functional(words, arity)`` hands its answer in as
+    ``functional``, so that system is solved once.
     """
     if conjugator_bound < 0:
         raise ValueError("conjugator bound must be >= 0")
     words = _joinands(words)
     if _root_order(words, arity, functional) is not None:
+        return None
+    if biorder.affine_germ_order(words, arity) is not None:
         return None
     petal, leaf = _conjugating(freegroup.ball(arity, conjugator_bound))
     choose = _in_order(sign_pivots(words))

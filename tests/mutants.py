@@ -26,10 +26,16 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 MEMBERSHIP = "src/ordcalc/membership.py"
+BIORDER = "src/ordcalc/biorder.py"
+CERTIO = "src/ordcalc/certio.py"
 
 
 def _membership_tests(*names: str) -> tuple[str, ...]:
     return tuple(f"tests/test_membership.py::{name}" for name in names)
+
+
+def _biorder_tests(*names: str) -> tuple[str, ...]:
+    return tuple(f"tests/test_biorder.py::{name}" for name in names)
 
 
 class Mutant(NamedTuple):
@@ -96,6 +102,34 @@ MUTANTS = (
         "factors.append(self.first[tuple(read)])",
         "factors.append(max(i for i, u in enumerate(self.words) if u.letters == tuple(read)))",
         _membership_tests("test_prefix_automaton_factors_on_first_generators"),
+    ),
+    Mutant(
+        "germ-sign-puts-the-identity-germ-above",
+        BIORDER,
+        "    return (b > 0) - (b < 0)\n",
+        "    return 1 if b >= 0 else -1\n",
+        _biorder_tests("test_germ_signs"),
+    ),
+    Mutant(
+        "germ-inverse-keeps-the-shift-unscaled",
+        BIORDER,
+        "step, shift = 1 / step, -shift / step",
+        "step, shift = 1 / step, -shift",
+        _biorder_tests("test_germs_compose_exactly"),
+    ),
+    Mutant(
+        "germ-order-skips-the-exact-check",
+        BIORDER,
+        "            if all(germ_sign(*germ(maps, w)) == side for w in words):\n",
+        "            if True:\n",
+        _biorder_tests("test_germ_order_rechecks_what_the_solver_returns"),
+    ),
+    Mutant(
+        "certio-accepts-any-nonzero-sign",
+        CERTIO,
+        "if any(s not in (1, -1) for _, s in path):",
+        "if any(s == 0 for _, s in path):",
+        ("tests/test_certio.py::test_forged_sign_assignment_rejected",),
     ),
 )
 

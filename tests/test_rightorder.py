@@ -291,6 +291,21 @@ def test_excluded_roots_build_no_closure(monkeypatch):
         search.setattr(membership, "IdentityClosure", Forbidden)
         assert ro.decide_rg(by_functional, 2, 1).status == "INVALID"
         assert ro.decide_rg(by_magnus, 2, 1).status == "UNKNOWN"
+    # a hard-search row that neither settles, but the germs of affine maps
+    # at +inf do: rg ends UNKNOWN with no closure, and its bounds_exhausted
+    # file is the one the search wrote when it ended open
+    by_germ = words("y", "xxyy", "yxy'x'")
+    assert ro._root_order(by_germ, 2) is None
+    with monkeypatch.context() as search:
+        search.setattr(membership, "IdentityClosure", Forbidden)
+        assert ro.rg_refute_bounded(by_germ, 2, 1) is None
+        verdict = ro.decide_rg(by_germ, 2, 1)
+    assert verdict.status == "UNKNOWN"
+    doc = certio.bounds_doc(by_germ, 2, verdict.certificate)
+    assert certio.verify_witness_doc(doc) == []
+    assert hashlib.sha256(certio.dumps(doc).encode()).hexdigest() == (
+        "4920f8563bfe6408e2d4f9d0a6de9fba3ad10bf647180b5cd33b70ba9f98a3bd"
+    )
 
 
 def test_hm_invalid_assignments_are_pinned():
@@ -459,7 +474,8 @@ def test_representable_queries_solve_one_system(monkeypatch, tmp_path):
 
     monkeypatch.setattr(ro.abelian, "find_separator", counted)
     # two separators, a root the Magnus order settles without a functional,
-    # and an open root whose search exhausts its bounds
+    # and a root the affine germ order settles, which solves its systems
+    # through fourier_motzkin and not through find_separator
     cases = {
         "xx | xy": "INVALID",
         "x'y'xy": "UNKNOWN",
@@ -512,22 +528,36 @@ def test_search_state_dies_with_its_query(monkeypatch):
     mul = fg.mul
     monkeypatch.setattr(fg, "mul", tracked_products)
     queries = (
-        # an hm search below an open root, an rg search that exhausts its
-        # bounds, a successful membership test, a cone dead at its root,
-        # and two cs searches that branch below an open root: a hard-search
-        # row and the set of the branch_example_valid golden
+        # an hm search below an open root, an rg search that refutes its
+        # root and extracts its leaves, an rg search that exhausts its
+        # bounds below a root no producer settles, a successful membership
+        # test, a cone dead at its root, and two cs searches that branch
+        # below an open root: a hard-search row and the set of the
+        # branch_example_valid golden
         lambda: ro.decide_lg_hm(words("yx'yxy", "x'y'x", "x'y'y'"), 2).status,
-        lambda: ro.decide_rg(words("yx'y", "yx'y'x", "yxxy'"), 2, 1).status,
+        lambda: ro.decide_rg(words("yxyxx", "xy'x", "x'y'y'x'y"), 2, 1).status,
+        lambda: ro.decide_rg(words("yyxy'x", "yy", "y'x'x'"), 2, 1).status,
         lambda: membership.contains_identity(words("xy", "y'x'"))[0],
         lambda: type(ro.extend_right_order(words("x", "x'y", "y'y'"), 2)).__name__,
         lambda: ro.decide_lg_cs(words("x'x'yxx", "xy'y'y'y'", "yx'x'"), 2).status,
         lambda: ro.decide_lg_cs(words(*S_WORDS), 2).status,
     )
-    answers = ("INVALID", "UNKNOWN", True, "RefutationLeaf", "INVALID", "VALID")
+    answers = (
+        "INVALID", "VALID", "UNKNOWN", True, "RefutationLeaf", "INVALID", "VALID"
+    )
     # the cs queries multiply letter tuples, so their cone and its index
     # are what they leave to free
     cone = {"_Cone", "CancellationIndex"}
-    built = ({"IdentityClosure"}, {"IdentityClosure"}, {"WordAutomaton"}, cone, cone, cone)
+    searched = {"IdentityClosure", "WordAutomaton"}
+    built = (
+        {"IdentityClosure"},
+        searched,
+        {"IdentityClosure"},
+        {"WordAutomaton"},
+        cone,
+        cone,
+        cone,
+    )
     enabled = gc.isenabled()
     gc.disable()
     try:
