@@ -6,8 +6,8 @@ reaches the identity becomes a refutation leaf.  cs closes a cone under
 the products within a length bound and signs the first short word it
 leaves unsigned.  hm and rg sign a fixed pivot list over the exact
 subsemigroup closure of the words (hm) or of their conjugates up to a
-length bound (rg), once no Magnus or abelian bi-order settles the root;
-before it searches, rg also tries the germ order at +inf of affine maps.
+length bound (rg), once no bi-order settles the root: a separator's, else
+the Magnus order or, for rg, the germ order at +inf of affine maps.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .witnesses import cis, initial_subterms, sign_pivots  # noqa: F401
 DEFAULT_CONJUGATOR_BOUND = 3
 
 _Path = tuple[tuple[ReducedWord, int], ...]
-_UNSOLVED = object()  # a root functional not computed yet
 
 
 def _joinands(words: Iterable[ReducedWord]) -> tuple[ReducedWord, ...]:
@@ -159,40 +158,28 @@ def extend_right_order(
 # sign search over pivots, settled at the root when a bi-order can
 
 
-def _root_functional(words, arity: int) -> tuple[int, ...] | None:
-    """Integer functional strictly positive on all words, when one exists."""
-    separator = abelian.find_separator(
-        [freegroup.abelianize(w, arity) for w in words]
-    )
-    if separator is None:
-        return None
-    return tuple(-c for c in separator)
-
-
-def _root_order(
-    words, arity: int, functional: tuple[int, ...] | None | object = _UNSOLVED
-) -> Callable[[ReducedWord], int] | None:
+def _root_order(words, arity: int) -> Callable[[ReducedWord], int] | None:
     """A function that gives each nonidentity word its sign in a bi-invariant
     order making every word positive, or None when neither certificate
     below finds such an order.
 
-    The order ranks by an integer functional positive on every word and
-    breaks the functional's kernel by the Magnus sign; without such a
-    functional, it is the Magnus order, or its reverse, when every word has
-    one Magnus sign.  Its positive cone is closed under products and under
-    conjugation, and it holds the words and every pivot signed as it says.
-    So no branch of the sign search closes along that path, for any petal
-    made of conjugates, and the path is the search's answer.  A caller
-    that has solved ``_root_functional(words, arity)`` passes its answer.
+    The order ranks by the negation of a separator, an integer functional
+    negative on every word, and breaks its kernel by the Magnus sign;
+    without a separator, it is the Magnus order, or its reverse, when
+    every word has one Magnus sign.  Its positive cone is closed under
+    products and under conjugation, and it holds the words and every pivot
+    signed as it says.  So no branch of the sign search closes along that
+    path, for any petal made of conjugates: that path is the answer.
     """
-    if functional is _UNSOLVED:
-        functional = _root_functional(words, arity)
-    if functional is not None:
+    separator = abelian.find_separator(
+        [freegroup.abelianize(w, arity) for w in words]
+    )
+    if separator is not None:
 
         def sign(pivot: ReducedWord) -> int:
             vector = freegroup.abelianize(pivot, arity)
-            value = sum(a * b for a, b in zip(functional, vector))
-            return (value > 0) - (value < 0) or biorder.magnus_sign(pivot)
+            value = sum(a * b for a, b in zip(separator, vector))
+            return (value < 0) - (value > 0) or biorder.magnus_sign(pivot)
 
         return sign
     side = biorder.uniform_sign(words)
@@ -233,7 +220,7 @@ def _sign_search(
     to sign and the sign to try first, or None at an open leaf.  Returns
     a refutation tree, whose leaves carry ``leaf(generators)``, or
     the first open leaf's path, with the closure left as it stands there.
-    Callers settle the roots that ``_root_order`` excludes without it.
+    Callers settle the roots that a bi-order excludes without it.
     """
     result = freegroup.unwind(_sign_node(closure, words, choose, petal, ()))
     if isinstance(result, tuple):
@@ -368,24 +355,21 @@ def rg_refute_bounded(
     words: Iterable[ReducedWord],
     arity: int,
     conjugator_bound: int = DEFAULT_CONJUGATOR_BOUND,
-    *,
-    functional: tuple[int, ...] | None | object = _UNSOLVED,
 ) -> RefutationTree | None:
     """Sign-branching refutation over conjugate-closed generator sets.
 
     A returned tree proves validity in the representable variety; None
     proves nothing beyond the bounds being exhausted.  A bi-order that
     makes every word positive ends the search before it starts, with no
-    closure built: ``_root_order``'s, else the germ order at +inf of the
-    affine maps ``biorder.affine_germ_order`` finds, each with its kernel
-    ordered by the Magnus sign.  A caller that has already solved
-    ``_root_functional(words, arity)`` hands its answer in as
-    ``functional``, so that system is solved once.
+    closure built: the Magnus order or its reverse, else the germ order at
+    +inf of the affine maps ``biorder.affine_germ_order`` finds, with its
+    kernel ordered by the Magnus sign.  The germ order settles every root
+    that an integer functional positive on every word settles.
     """
     if conjugator_bound < 0:
         raise ValueError("conjugator bound must be >= 0")
     words = _joinands(words)
-    if _root_order(words, arity, functional) is not None:
+    if biorder.uniform_sign(words) is not None:
         return None
     if biorder.affine_germ_order(words, arity) is not None:
         return None
@@ -400,17 +384,18 @@ def extend_order(
     arity: int,
     conjugator_bound: int = DEFAULT_CONJUGATOR_BOUND,
 ) -> Union[RefutationTree, abelian.Separator, BoundsReport]:
-    """A refutation tree (no order makes every word positive), else a
-    functional negative on every word (its negation orders them all
+    """A functional negative on every word (its negation orders them all
+    positive), else a refutation tree (no order makes every word
     positive), else the bounds the search exhausted."""
     words = _joinands(words)
-    # the separator is the root functional negated: one system per query
-    functional = _root_functional(words, arity)
-    tree = rg_refute_bounded(words, arity, conjugator_bound, functional=functional)
+    separator = abelian.find_separator(
+        [freegroup.abelianize(w, arity) for w in words]
+    )
+    if separator is not None:
+        return abelian.Separator(separator)
+    tree = rg_refute_bounded(words, arity, conjugator_bound)
     if tree is not None:
         return tree
-    if functional is not None:
-        return abelian.Separator(tuple(-c for c in functional))
     return BoundsReport(conjugator_bound, sign_pivots(words))
 
 

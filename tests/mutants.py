@@ -28,6 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 MEMBERSHIP = "src/ordcalc/membership.py"
 BIORDER = "src/ordcalc/biorder.py"
 CERTIO = "src/ordcalc/certio.py"
+RIGHTORDER = "src/ordcalc/rightorder.py"
 
 
 def _membership_tests(*names: str) -> tuple[str, ...]:
@@ -36,6 +37,10 @@ def _membership_tests(*names: str) -> tuple[str, ...]:
 
 def _biorder_tests(*names: str) -> tuple[str, ...]:
     return tuple(f"tests/test_biorder.py::{name}" for name in names)
+
+
+def _rightorder_tests(*names: str) -> tuple[str, ...]:
+    return tuple(f"tests/test_rightorder.py::{name}" for name in names)
 
 
 class Mutant(NamedTuple):
@@ -123,6 +128,23 @@ MUTANTS = (
         "            if all(germ_sign(*germ(maps, w)) == side for w in words):\n",
         "            if True:\n",
         _biorder_tests("test_germ_order_rechecks_what_the_solver_returns"),
+    ),
+    Mutant(
+        "rg-settlement-skips-the-magnus-order",
+        RIGHTORDER,
+        "    if biorder.uniform_sign(words) is not None:\n        return None\n",
+        "",
+        _rightorder_tests("test_excluded_roots_build_no_closure"),
+    ),
+    Mutant(
+        "extend-order-searches-before-the-separator",
+        RIGHTORDER,
+        "    if separator is not None:\n        return abelian.Separator(separator)\n",
+        "",
+        _rightorder_tests(
+            "test_decide_rg_three_outcomes",
+            "test_representable_queries_solve_one_system",
+        ),
     ),
     Mutant(
         "certio-accepts-any-nonzero-sign",

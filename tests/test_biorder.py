@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_reduced_word, w, words
+from ordcalc import abelian as ab
 from ordcalc import biorder, freegroup as fg
 from ordcalc import fourier_motzkin as fm
 from ordcalc import membership
@@ -304,6 +305,25 @@ def test_affine_germ_orders_leave_the_search_open(rng):
             assert _open_along(path, joins, bound), (joins, bound)
         searched += 1
     assert 25 < searched - len(unsettled) < 60
+
+
+def test_germ_order_settles_every_root_a_separator_settles(rng):
+    # a functional strictly positive on every word makes the widest one
+    # strict on every word too, so no word keeps multiplier 1 and b = 0
+    # works; rg_refute_bounded asks for no separator on that account
+    settled = 0
+    for _ in range(1000):
+        joins = fg.dedupe(
+            random_reduced_word(rng, 2, 5) for _ in range(rng.randint(1, 4))
+        )
+        if any(u.is_identity for u in joins):
+            continue
+        vectors = [fg.abelianize(u, 2) for u in joins]
+        if ab.find_separator(vectors) is None:
+            continue
+        settled += 1
+        assert biorder.affine_germ_order(joins, 2) is not None, joins
+    assert settled > 300
 
 
 def test_germ_order_fails_where_the_search_refutes():

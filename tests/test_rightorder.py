@@ -8,7 +8,7 @@ import pytest
 
 from conftest import random_reduced_word, w, words
 from ordcalc import calculus as ca
-from ordcalc import certio, cli
+from ordcalc import biorder, certio, cli
 from ordcalc import freegroup as fg
 from ordcalc import membership
 from ordcalc import rightorder as ro
@@ -268,9 +268,13 @@ def test_exclusion_never_holds_above_an_open_set(rng, monkeypatch):
 
 
 def test_excluded_roots_build_no_closure(monkeypatch):
-    # a functional positive on every word, then one Magnus sign without one
+    # a functional positive on every word, then one Magnus sign without one,
+    # then a word of the second derived subgroup: Aff+(Q) is metabelian, so
+    # its germ is the identity's, and only the Magnus order settles it
     by_functional = words("xx", "xy", "yx'")
     by_magnus = words("x'y'xy")
+    by_magnus_only = words("x y x' y' x y' x' y y x y' x' y' x y x'")
+    assert biorder.affine_germ_order(by_magnus_only, 2) is None
 
     class Forbidden:
         def __init__(self):
@@ -278,7 +282,7 @@ def test_excluded_roots_build_no_closure(monkeypatch):
 
     # the search is forbidden a closure; the independent check of its
     # witness builds one of its own
-    for joins in (by_functional, by_magnus):
+    for joins in (by_functional, by_magnus, by_magnus_only):
         assert ro._root_order(joins, 2) is not None
         with monkeypatch.context() as search:
             search.setattr(membership, "IdentityClosure", Forbidden)
@@ -291,6 +295,7 @@ def test_excluded_roots_build_no_closure(monkeypatch):
         search.setattr(membership, "IdentityClosure", Forbidden)
         assert ro.decide_rg(by_functional, 2, 1).status == "INVALID"
         assert ro.decide_rg(by_magnus, 2, 1).status == "UNKNOWN"
+        assert ro.decide_rg(by_magnus_only, 2, 1).status == "UNKNOWN"
     # a hard-search row that neither settles, but the germs of affine maps
     # at +inf do: rg ends UNKNOWN with no closure, and its bounds_exhausted
     # file is the one the search wrote when it ended open
@@ -463,8 +468,9 @@ def test_cone_agrees_through_grow_and_rollback(rng):
 
 
 def test_representable_queries_solve_one_system(monkeypatch, tmp_path):
-    # the fallback separator is the root functional negated, so neither
-    # decide_rg nor order-extend --kind total solves the system twice
+    # the separator is solved first and returned before any search, which
+    # settles the other roots without it, so neither decide_rg nor
+    # order-extend --kind total solves the system twice
     calls = []
     find_separator = ro.abelian.find_separator
 
