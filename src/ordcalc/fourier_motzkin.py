@@ -84,7 +84,8 @@ def solve(
 
     def tidy(candidates):
         # scale rows to a canonical form and drop duplicates and rows with
-        # no variables left; an unsatisfiable constant row ends the search
+        # no variables left; an unsatisfiable constant row ends the search,
+        # and a row whose first coefficient is 1 or -1 is already canonical
         kept = {}
         for coeffs, bound in candidates:
             pivot = next((c for c in coeffs if c != 0), None)
@@ -93,7 +94,10 @@ def solve(
                     return None
                 continue
             scale = abs(pivot)
-            kept[tuple(c / scale for c in coeffs), bound / scale] = None
+            if scale == 1:
+                kept[tuple(coeffs), bound] = None
+            else:
+                kept[tuple(c / scale for c in coeffs), bound / scale] = None
         return [(list(c), b) for c, b in kept]
 
     # Fourier-Motzkin on the remaining inequality system.

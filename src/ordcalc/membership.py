@@ -180,13 +180,18 @@ class IdentityClosure:
     a walk that starts by a c' transition entering {p} | pred[p], and the
     letter bitsets of c' pick those states out; every other new pair
     follows from new pairs.  Each rule is applied only where it adds a
-    pair.  Each ``grow`` first pushes a snapshot: copies of the state
-    lists and letter bitsets, which share the states' transition tables;
-    so ``grow`` never edits a table in place but replaces it with an
-    extended copy, and ``rollback`` restores the last snapshot whole.
-    Between grows the closure is at fixpoint, or has reached the
-    identity.  This is Dyck (CFL) reachability, as in Reps, *Program
-    analysis via graph reachability* (1998).
+    pair.  Between grows the closure is at fixpoint, or has reached the
+    identity, so ``holds`` reads membership of a word off the pairs, and
+    ``grow`` first asks it about each word: a held word is skipped, since
+    it leaves the subsemigroup as it is, and a word whose inverse is held
+    reaches the identity at once.  A grow that keeps no word pushes only
+    its prior ``reached`` flag; one that keeps some first pushes a
+    snapshot: copies of the state lists and letter bitsets, which share
+    the states' transition tables; so ``grow`` never edits a table in
+    place but replaces it with an extended copy, and ``rollback`` restores
+    the last snapshot whole.  A closure with no transition holds nothing,
+    so its first grow asks nothing.  This is Dyck (CFL) reachability, as
+    in Reps, *Program analysis via graph reachability* (1998).
     """
 
     def __init__(self) -> None:
@@ -206,24 +211,60 @@ class IdentityClosure:
         """The number of grows not rolled back."""
         return len(self._marks)
 
+    def holds(self, letters: Sequence[int]) -> bool:
+        """Whether the nonempty reduced word with these letters is a product
+        of the generators, exact while the identity is not reached: a walk
+        reads it exactly when it is an epsilon stretch, its first letter, a
+        stretch, and so on to its last letter and a stretch."""
+        succ, outs, leaving = self._succ, self._out, self._leaving
+        states = 1 | succ[0]
+        for code in letters:
+            stretch = states & leaving.get(code, 0)
+            states = 0
+            while stretch:
+                low = stretch & -stretch
+                states |= outs[low.bit_length() - 1][code]
+                stretch ^= low
+            # succ is transitive at fixpoint, so one pass closes the states
+            stretch = states
+            while stretch:
+                low = stretch & -stretch
+                states |= succ[low.bit_length() - 1]
+                stretch ^= low
+            if not states:
+                return False
+        return bool(states & 1)
+
     def grow(self, words: Iterable[ReducedWord]) -> bool:
         """Add the words as generators; True when the identity is reached."""
         succ, pred, ins, outs = self._succ, self._pred, self._in, self._out
         leaving, entering = self._leaving, self._entering
+        if self.reached:
+            self._marks.append(True)
+            return True
+        # skip the held words; a held inverse reaches the identity
+        tested = bool(outs[0])
+        kept: list[tuple[int, ...]] = []
+        for w in words:
+            letters = w.letters
+            if tested and letters and self.holds(letters):
+                continue
+            if not letters or tested and self.holds(freegroup.bar(letters)):
+                self._marks.append(False)
+                self.reached = True
+                return True
+            kept.append(letters)
+        if not kept:
+            self._marks.append(False)
+            return False
         # the snapshot shares each state's transition tables, so below a
         # table is replaced by an extended copy, never edited in place
         self._marks.append(
             (list(succ), list(pred), list(ins), list(outs),
-             dict(leaving), dict(entering), self.reached)
+             dict(leaving), dict(entering))
         )
-        if self.reached:
-            return True
         new: list[tuple[int, int, int]] = []
-        for w in words:
-            letters = w.letters
-            if not letters:
-                self.reached = True
-                return True
+        for letters in kept:
             prev = 0
             for j, code in enumerate(letters, 1):
                 # past prev by code lie at most the base and the one state
@@ -312,8 +353,13 @@ class IdentityClosure:
 
     def rollback(self) -> None:
         """Undo the last grow."""
-        (self._succ, self._pred, self._in, self._out,
-         self._leaving, self._entering, self.reached) = self._marks.pop()
+        mark = self._marks.pop()
+        if isinstance(mark, bool):
+            self.reached = mark
+        else:
+            (self._succ, self._pred, self._in, self._out,
+             self._leaving, self._entering) = mark
+            self.reached = False
 
 
 def contains_identity(

@@ -61,9 +61,10 @@ class _Cone:
     def grow(self, words: Iterable[ReducedWord]) -> bool:
         """Add the words and close, in one grow that one rollback undoes;
         True when a product reaches the identity.  Each queued element w
-        meets the elements present when it is taken, in insertion order,
-        as w * v and then v * w; only the v whose product with w may stay
-        within the bound are visited."""
+        meets the elements present when it is taken, as w * v for the v
+        that the index lists as right factors of w and then as v * w for
+        its left factors, so only products that may stay within the bound
+        are computed."""
         elems, index, splice = self.elements, self.index, freegroup.splice
         self._marks.append(len(index.words))
         queue: list[tuple[int, ...]] = []
@@ -74,16 +75,16 @@ class _Cone:
                 queue.append(w.letters)
         while queue:
             w = queue.pop()
-            candidates = set(index.right_factors(w)).union(index.left_factors(w))
-            for position in sorted(candidates):
-                v = index.words[position]
-                for p in (splice(w, v), splice(v, w)):
-                    if not p:
-                        return True
-                    if len(p) <= index.level and p not in elems:
-                        elems.add(p)
-                        index.add(p)
-                        queue.append(p)
+            at = index.words
+            products = [splice(w, at[i]) for i in index.right_factors(w)]
+            products += [splice(at[i], w) for i in index.left_factors(w)]
+            for p in products:
+                if not p:
+                    return True
+                if len(p) <= index.level and p not in elems:
+                    elems.add(p)
+                    index.add(p)
+                    queue.append(p)
         return False
 
     def rollback(self) -> None:

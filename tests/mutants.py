@@ -84,8 +84,8 @@ MUTANTS = (
     Mutant(
         "closure-rollback-keeps-the-letter-bitsets",
         MEMBERSHIP,
-        "         self._leaving, self._entering, self.reached) = self._marks.pop()",
-        "         _, _, self.reached) = self._marks.pop()",
+        "             self._leaving, self._entering) = mark",
+        "             _, _) = mark",
         _membership_tests(
             "test_identity_closure_agrees_through_grow_and_rollback",
             "test_identity_closure_agrees_with_shared_stems",
@@ -100,6 +100,33 @@ MUTANTS = (
             "test_identity_closure_agrees_through_grow_and_rollback",
             "test_identity_closure_agrees_with_contains_identity_on_many_lists",
         ),
+    ),
+    Mutant(
+        "closure-holds-whatever-reaches-a-state",
+        MEMBERSHIP,
+        "        return bool(states & 1)\n",
+        "        return bool(states)\n",
+        _membership_tests(
+            "test_identity_closure_agrees_through_grow_and_rollback",
+            "test_identity_closure_agrees_with_shared_stems",
+        ),
+    ),
+    Mutant(
+        "closure-inverse-test-reverses-without-inverting",
+        MEMBERSHIP,
+        "self.holds(freegroup.bar(letters))",
+        "self.holds(letters[::-1])",
+        _membership_tests(
+            "test_identity_closure_agrees_through_grow_and_rollback",
+            "test_identity_closure_agrees_with_shared_stems",
+        ),
+    ),
+    Mutant(
+        "closure-holds-skips-the-stretch-after-a-letter",
+        MEMBERSHIP,
+        "            stretch = states\n",
+        "            stretch = 0\n",
+        _membership_tests("test_most_pivot_grows_of_hard_searches_add_no_transition"),
     ),
     Mutant(
         "walk-factors-names-the-last-generator",

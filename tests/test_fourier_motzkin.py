@@ -60,3 +60,31 @@ def test_random_systems_against_grid_oracle():
             # no point on a half-integer grid may satisfy the system
             for point in itertools.product(grid, repeat=n):
                 assert not _satisfies(point, eqs, ineqs)
+
+
+def test_solutions_satisfy_every_row_with_unit_and_other_pivots():
+    # rows whose first nonzero coefficient is 1 or -1 are kept as they are,
+    # the others scaled; every solution must satisfy every input row exactly
+    rng = random.Random(SEED)
+    solved = 0
+    pivots = {"unit": 0, "other": 0}
+    for _ in range(400):
+        n = rng.randint(2, 4)
+        eqs = [
+            fm.eq([rng.randint(-3, 3) for _ in range(n)], rng.randint(-3, 3))
+            for _ in range(rng.randint(0, 1))
+        ]
+        ineqs = [
+            fm.le([rng.randint(-3, 3) for _ in range(n)], rng.randint(-4, 2))
+            for _ in range(rng.randint(1, 6))
+        ]
+        for row in eqs + ineqs:
+            first = next((c for c in row.coeffs if c), None)
+            if first is not None:
+                pivots["unit" if abs(first) == 1 else "other"] += 1
+        solution = fm.solve(n, eqs, ineqs)
+        if solution is not None:
+            assert _satisfies(solution, eqs, ineqs), (eqs, ineqs)
+            solved += 1
+    assert min(pivots.values()) > 300, pivots
+    assert 100 < solved < 380, solved
