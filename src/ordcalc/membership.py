@@ -184,7 +184,9 @@ class IdentityClosure:
     identity, so ``holds`` reads membership of a word off the pairs, and
     ``grow`` first asks it about each word: a held word is skipped, since
     it leaves the subsemigroup as it is, and a word whose inverse is held
-    reaches the identity at once.  A grow that keeps no word pushes only
+    reaches the identity at once.  After a grow that leaves the identity
+    out, ``kept`` counts the words it kept, so 0 tells a sign search that
+    the closure held them all.  A grow that keeps no word pushes only
     its prior ``reached`` flag; one that keeps some first pushes a
     snapshot: copies of the state lists and letter bitsets, which share
     the states' transition tables; so ``grow`` never edits a table in
@@ -196,6 +198,7 @@ class IdentityClosure:
 
     def __init__(self) -> None:
         self.reached = False
+        self.kept = 0
         self._succ: list[int] = [0]
         self._pred: list[int] = [0]
         self._in: list[dict[int, int]] = [{}]
@@ -254,6 +257,7 @@ class IdentityClosure:
                 self.reached = True
                 return True
             kept.append(letters)
+        self.kept = len(kept)
         if not kept:
             self._marks.append(False)
             return False

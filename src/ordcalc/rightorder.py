@@ -51,9 +51,10 @@ def _joinands(words: Iterable[ReducedWord]) -> tuple[ReducedWord, ...]:
 class _Cone:
     """A set of words, held as letter tuples, closed under the products
     within a length bound, grown and rolled back along the search as an
-    IdentityClosure is."""
+    IdentityClosure is; ``kept`` counts the words the last grow added."""
 
     def __init__(self, bound: int):
+        self.kept = 0
         self.elements: set[tuple[int, ...]] = set()
         self.index = freegroup.CancellationIndex(bound)
         self._marks: list[int] = []
@@ -73,6 +74,7 @@ class _Cone:
                 elems.add(w.letters)
                 index.add(w.letters)
                 queue.append(w.letters)
+        self.kept = len(queue)
         while queue:
             w = queue.pop()
             at = index.words
@@ -190,10 +192,12 @@ def _root_order(words, arity: int) -> Callable[[ReducedWord], int] | None:
 
 
 class _Closed:
-    """A search leaf whose generators reach the identity; its witness is
-    built only if the search returns a tree.  A truncated cone lies inside
-    the subsemigroup its generators make, so where the cone reaches the
-    identity, ``contains_identity`` finds a factorization of it too."""
+    """A search leaf whose generators, the words and the signed pivots on
+    ``path`` (the tree's branches above it), reach the identity; its
+    witness is built only if the search returns a tree.  A truncated cone
+    lies inside the subsemigroup its generators make, so where the cone
+    reaches the identity, ``contains_identity`` finds a factorization of
+    it too."""
 
     __slots__ = ("path",)
 
@@ -215,39 +219,54 @@ def _sign_search(
 
     A node's generators are the words and the signed pivots on its path.
     The caller's empty closure, an IdentityClosure or a _Cone, takes the
-    petals of the words at the root and ``petal(pivot, sign)`` at each
-    node below, one grow each; a branch closes when its grow reaches the
-    identity.  At a node that stays open, ``choose(path)`` gives the pivot
-    to sign and the sign to try first, or None at an open leaf.  Returns
-    a refutation tree, whose leaves carry ``leaf(generators)``, or
-    the first open leaf's path, with the closure left as it stands there.
-    Callers settle the roots that a bi-order excludes without it.
+    petals of the words at the root and ``petal(pivot, sign)`` for each
+    signed pivot below, one grow each; a branch closes when its grow
+    reaches the identity.  At a node that stays open, ``choose(path)``
+    gives the pivot to sign and the sign to try first, or None at an open
+    leaf.  A sign whose grow keeps no word, the closure holding its whole
+    petal, is forced: the other sign's grow would reach the identity at
+    once, so the search descends along the forced sign alone, and the
+    tree has no branch for that pivot.  Returns a refutation tree, whose
+    leaves carry ``leaf(generators)`` over the words and the signed pivots
+    the tree branches on above them, or the first open leaf's path, forced
+    pivots included, with the closure left as it stands there.  Callers
+    settle the roots that a bi-order excludes without it.
     """
-    result = freegroup.unwind(_sign_node(closure, words, choose, petal, ()))
-    if isinstance(result, tuple):
-        return result
+    if closure.grow(u for w in words for u in petal(w, 1)):
+        result = _Closed(())
+    else:
+        result = freegroup.unwind(_sign_node(closure, words, choose, petal, (), ()))
+        if isinstance(result, tuple):
+            return result
+    closure.rollback()
     return freegroup.unwind(_extract(words, leaf, result))
 
 
-def _sign_node(closure, words, choose, petal, path: _Path) -> Pass:
-    """The search below the node that ``path`` reaches; see _sign_search."""
-    # the closure holds the petals of the words and of the path above this
-    # node; one grow adds this node's own, and one rollback takes it out
-    added = petal(*path[-1]) if path else (u for w in words for u in petal(w, 1))
-    if closure.grow(added):
-        closure.rollback()
-        return _Closed(path)
+def _sign_node(closure, words, choose, petal, path: _Path, branched: _Path) -> Pass:
+    """The search below the open node that ``path`` reaches, whose petals
+    the closure holds; ``branched`` is the part of ``path`` that the tree
+    branches on.  See _sign_search."""
     choice = choose(path)
     if choice is None:
         return path
     pivot, first = choice
     subtrees = {}
     for sign in (first, -first):
-        below = path + ((pivot, sign),)
-        subtrees[sign] = yield _sign_node(closure, words, choose, petal, below)
-        if isinstance(subtrees[sign], tuple):
-            return subtrees[sign]
-    closure.rollback()
+        signed = ((pivot, sign),)
+        # one grow adds this sign's petal, and one rollback takes it out
+        if closure.grow(petal(pivot, sign)):
+            closure.rollback()
+            subtrees[sign] = _Closed(branched + signed)
+            continue
+        forced = not closure.kept
+        above = branched if forced else branched + signed
+        subtree = yield _sign_node(closure, words, choose, petal, path + signed, above)
+        if isinstance(subtree, tuple):
+            return subtree
+        closure.rollback()
+        if forced:  # the other sign closes, or closed, at once
+            return subtree
+        subtrees[sign] = subtree
     return RefutationBranch(pivot, subtrees[1], subtrees[-1])
 
 

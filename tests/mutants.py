@@ -29,6 +29,7 @@ MEMBERSHIP = "src/ordcalc/membership.py"
 BIORDER = "src/ordcalc/biorder.py"
 CERTIO = "src/ordcalc/certio.py"
 RIGHTORDER = "src/ordcalc/rightorder.py"
+WITNESSES = "src/ordcalc/witnesses.py"
 
 
 def _membership_tests(*names: str) -> tuple[str, ...]:
@@ -41,6 +42,10 @@ def _biorder_tests(*names: str) -> tuple[str, ...]:
 
 def _rightorder_tests(*names: str) -> tuple[str, ...]:
     return tuple(f"tests/test_rightorder.py::{name}" for name in names)
+
+
+def _certio_tests(*names: str) -> tuple[str, ...]:
+    return tuple(f"tests/test_certio.py::{name}" for name in names)
 
 
 class Mutant(NamedTuple):
@@ -178,7 +183,45 @@ MUTANTS = (
         CERTIO,
         "if any(s not in (1, -1) for _, s in path):",
         "if any(s == 0 for _, s in path):",
-        ("tests/test_certio.py::test_forged_sign_assignment_rejected",),
+        _certio_tests("test_forged_sign_assignment_rejected"),
+    ),
+    Mutant(
+        "sign-search-forces-a-sign-whose-grow-skipped-some-word",
+        RIGHTORDER,
+        "        forced = not closure.kept\n",
+        "        forced = closure.kept < len(tuple(petal(pivot, sign)))\n",
+        _rightorder_tests(
+            "test_hard_search_rg_proofs_are_pinned",
+            "test_forced_signs_agree_with_branching_on_every_pivot",
+        ),
+    ),
+    Mutant(
+        "sign-search-factors-leaves-over-forced-pivots",
+        RIGHTORDER,
+        "above = branched if forced else branched + signed",
+        "above = branched + signed",
+        _rightorder_tests(
+            "test_hard_search_rg_proofs_are_pinned",
+            "test_forced_signs_agree_with_branching_on_every_pivot",
+        ),
+    ),
+    Mutant(
+        "refutation-walk-reads-negative-factor-indexes-from-the-end",
+        WITNESSES,
+        "if any(not 0 <= e.base < len(generators) for e in entries):",
+        "if any(e.base >= len(generators) for e in entries):",
+        _certio_tests("test_leaf_factor_indexes_out_of_range_are_rejected"),
+    ),
+    Mutant(
+        "pivot-list-check-passes-over-a-missing-pivot",
+        WITNESSES,
+        "        if rep not in listed:\n            return False\n",
+        "        if rep not in listed:\n            continue\n",
+        _certio_tests(
+            "test_pivot_lists_missing_any_pivot_are_rejected",
+            "test_forged_pivot_lists_are_rejected_at_the_first_missing_pivot",
+            "test_forged_sign_assignment_rejected",
+        ),
     ),
 )
 

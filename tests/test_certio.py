@@ -225,6 +225,35 @@ def test_forged_sign_assignment_rejected():
         assert certio.verify_witness_doc(doc)
 
 
+def test_pivot_lists_missing_any_pivot_are_rejected():
+    # the whole list is accepted, and every list that drops one pivot is not
+    for texts in (S_WORDS, T_WORDS, ("yxyxx", "xy'x", "x'y'y'x'y")):
+        joins = words(*texts)
+        pivots = ro.sign_pivots(joins)
+        assert witnesses.lists_sign_pivots(pivots, joins)
+        for i in range(len(pivots)):
+            missing = pivots[:i] + pivots[i + 1 :]
+            assert not witnesses.lists_sign_pivots(missing, joins), (texts, i)
+
+
+def test_leaf_factor_indexes_out_of_range_are_rejected():
+    # x | x' refutes at its root with the leaf x * x'; an index past the
+    # generators names none, and neither does a negative one, though read
+    # from the end of the list, as Python would, [0, -1] and [-2, 1] are
+    # x * x' too
+    joins = words("x", "x'")
+    doc = certio.refutation_doc(joins, 1, ro.rg_refute_bounded(joins, 1, 0), "order")
+    assert doc["tree"][0]["factors"] == [0, 1]
+    assert certio.verify_witness_doc(doc) == []
+    for factors in ([0, -1], [0, 2], [-2, 1]):
+        forged = certio.loads(certio.dumps(doc))
+        forged["tree"][0]["factors"] = factors
+        assert certio.verify_witness_doc(forged) == ["factor index out of range"]
+    # below a branch, the signed pivot is the generator after the words
+    tree = RefutationBranch(w("x"), product_leaf([1, 2]), product_leaf([0, -1]))
+    assert verify_refutation_tree(tuple(joins), tree) == "factor index out of range"
+
+
 def test_forged_pivot_lists_are_rejected_at_the_first_missing_pivot(monkeypatch):
     # one 300-letter word has 45,150 quotients of initial subterms; a file
     # that lists none of their representatives is rejected after the first

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import itertools
+import os
 import signal
 import weakref
 
@@ -413,6 +414,134 @@ def test_hm_proofs_and_rg_refutations_are_pinned():
             "14a9580f1e21b7c0cbb16096870511b2729c7bff6ac2f898a8c177833be5a9da"
         ),
     }
+
+
+# the rg VALID rows of the hard-search benchmark table, posed at --bound-L 1
+HARD_RG_VALID_SETS = (
+    "yxyxx | xy'x | x'y'y'x'y",
+    "x'y'y' | yyy | xxyx'y",
+    "yyyy | x'y'y'x'y | x'yxxy'",
+)
+
+
+def _leaf_factor_counts(tree):
+    """The number of factors of each leaf of a refutation tree."""
+    counts, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, RefutationLeaf):
+            counts.append(len(node.witness.entries))
+        else:
+            stack += [node.negative, node.positive]
+    return counts
+
+
+def test_hard_search_rg_proofs_are_pinned(tmp_path):
+    # the search does not branch on a pivot whose sign the closure forces,
+    # so these trees have 13 leaves of 67 factors in all, and the proofs
+    # 10,734, 11,992 and 18,924 bytes; branching on every pivot made 36
+    # leaves of 138 factors, and proofs of 27,625, 31,070 and 34,515 bytes
+    factors, sizes = [], []
+    for i, text in enumerate(HARD_RG_VALID_SETS):
+        tree = ro.rg_refute_bounded(words(*text.split(" | ")), 2, 1)
+        factors += _leaf_factor_counts(tree)
+        path = str(tmp_path / f"proof{i}.json")
+        argv = ["prove", "--variety", "representable", "--bound-L", "1", text]
+        assert cli.main([*argv, "--proof", path]) == 0
+        assert cli.main(["check", path]) == 0
+        sizes.append(os.path.getsize(path))
+    assert (len(factors), sum(factors)) == (13, 67)
+    assert sizes == [10_734, 11_992, 18_924]
+
+
+def _branching_node(closure, words, choose, petal, path):
+    """The sign search's node as it was before forced signs: it branches on
+    every pivot it signs, and a leaf is factored over every signed pivot
+    above it.  Returns the node's searched tree and the tree's shape, cut
+    down at each branch where the closure holds every petal word of one
+    sign to the shape below that sign; or, for an open node, its path and
+    None."""
+    added = petal(*path[-1]) if path else (u for w in words for u in petal(w, 1))
+    if closure.grow(added):
+        closure.rollback()
+        return ro._Closed(path), "leaf"
+    choice = choose(path)
+    if choice is None:
+        return path, None
+    pivot, first = choice
+    held = [
+        sign
+        for sign in (first, -first)
+        if all(closure.holds(u.letters) for u in petal(pivot, sign))
+    ]
+    subtrees, shapes = {}, {}
+    for sign in (first, -first):
+        below = path + ((pivot, sign),)
+        subtrees[sign], shapes[sign] = yield _branching_node(
+            closure, words, choose, petal, below
+        )
+        if shapes[sign] is None:
+            return subtrees[sign], None
+    closure.rollback()
+    shape = shapes[held[0]] if held else (pivot, shapes[1], shapes[-1])
+    return RefutationBranch(pivot, subtrees[1], subtrees[-1]), shape
+
+
+def _branching_search(words, choose, petal, leaf):
+    """A refutation tree and its cut shape, or an open path and None; see
+    _branching_node."""
+    closure = membership.IdentityClosure()
+    found, shape = fg.unwind(_branching_node(closure, words, choose, petal, ()))
+    if shape is None:
+        return found, None
+    return fg.unwind(ro._extract(words, leaf, found)), shape
+
+
+def _shape(tree):
+    """A refutation tree's pivots and where its leaves are."""
+    if isinstance(tree, RefutationLeaf):
+        return "leaf"
+    return (tree.pivot, _shape(tree.positive), _shape(tree.negative))
+
+
+def test_forced_signs_agree_with_branching_on_every_pivot(rng):
+    # the kernel against the search that branches on every pivot, with the
+    # pivots, petals and leaves of hm (conjugator bound 0, which rg's bound
+    # 0 shares) and of rg at bound 1, over the hard-search rows and random
+    # sets, their roots unsettled: the same open paths, which are the hm
+    # sign assignments, and trees that verify, have no more leaves, and
+    # branch exactly where no sign's petal is held already
+    pool = [words(*text.split(" | ")) for text in HARD_RG_VALID_SETS]
+    while len(pool) < 150:
+        joins = fg.dedupe(random_reduced_word(rng, 2, 4) for _ in range(3))
+        if len(joins) == 3 and min(map(len, joins)) >= 2:
+            pool.append(joins)
+    builders = {0: ro._IDENTITY_ONLY, 1: ro._conjugating(fg.ball(2, 1))}
+    opened = {0: 0, 1: 0}
+    leaves = {0: [0, 0], 1: [0, 0]}
+    for joins in pool:
+        joins = tuple(joins)
+        choose = ro._in_order(ro.sign_pivots(joins))
+        for bound, (petal, leaf) in builders.items():
+            closure = membership.IdentityClosure()
+            found = ro._sign_search(closure, joins, choose, petal, leaf)
+            oracle, shape = _branching_search(joins, choose, petal, leaf)
+            assert isinstance(found, tuple) == (shape is None), joins
+            if shape is None:
+                assert found == oracle, joins
+                opened[bound] += 1
+                continue
+            assert verify_refutation_tree(joins, found, bound > 0) is None, joins
+            assert _shape(found) == shape, joins
+            ours = len(_leaf_factor_counts(found))
+            theirs = len(_leaf_factor_counts(oracle))
+            assert ours <= theirs, joins
+            leaves[bound][0] += ours
+            leaves[bound][1] += theirs
+    assert min(opened.values()) > 20, opened
+    # the table rows alone drop 23 leaves at bound 1
+    assert leaves[1][1] - leaves[1][0] >= 23, leaves
+    assert leaves[0][0] >= 10, leaves
 
 
 def _naive_cone(words, level):
