@@ -392,7 +392,7 @@ def verify_witness_doc(doc: dict) -> list[str]:
             return ["every sign must be 1 or -1"]
         # a yes or no is all the check needs, so no provenance is kept
         signed = tuple(freegroup.signed(p, s) for p, s in path)
-        found = membership.IdentityClosure().grow(words + signed)
+        found = membership.reaches_identity(words + signed)
         return ["signed generators reach the identity"] if found else []
     if kind == "refutation":
         flavor = _require(doc, "flavor", str)

@@ -12,9 +12,13 @@ epsilon stretch, and the inverse literal step connect p to s; every pair
 therefore attests a nonempty freely-trivial walk.  The identity lies in
 the subsemigroup exactly when a pair connects the base state to itself.
 
-Both engines use this layout: ``IdentityClosure``, the growable closure
-the sign searches carry, only decides, and ``WordAutomaton`` keeps the
-provenance of each pair, whose replay yields an explicit factorization.
+Three engines read this layout.  ``IdentityClosure``, the growable
+closure the sign searches carry, only decides.  ``WordAutomaton`` keeps
+the provenance of each pair, whose replay yields an explicit
+factorization.  ``reaches_identity``, the one-shot decision the
+``sign_assignment`` check answers with, first merges the prefix states
+with the same right language; the base-to-base first returns still read
+exactly the generators, so the argument above carries over unchanged.
 """
 
 from __future__ import annotations
@@ -193,7 +197,9 @@ class IdentityClosure:
     place but replaces it with an extended copy, and ``rollback`` restores
     the last snapshot whole.  A closure with no transition holds nothing,
     so its first grow asks nothing.  This is Dyck (CFL) reachability, as
-    in Reps, *Program analysis via graph reachability* (1998).
+    in Reps, *Program analysis via graph reachability* (1998).  Only the
+    searches decide with it: certificate checks answer through
+    ``reaches_identity``, which shares no code with it.
     """
 
     def __init__(self) -> None:
@@ -364,6 +370,127 @@ class IdentityClosure:
             (self._succ, self._pred, self._in, self._out,
              self._leaving, self._entering) = mark
             self.reached = False
+
+
+def _minimal_automaton(words: Iterable[Sequence[int]]) -> list[dict[int, int]]:
+    """The prefix automaton of the nonempty letter tuples (see
+    IdentityClosure) with every two prefix states of the same right
+    language merged, the minimal acyclic automaton of Revuz, *Minimisation
+    of acyclic deterministic automata in linear time* (TCS, 1992): per
+    state, each letter's targets as a bitset, the base 0 first.
+
+    The right language of a prefix P is the set of suffixes S with PS a
+    generator.  In the trie of the proper prefixes, a step from P by c
+    returns to the base when Pc is a generator and continues to [Pc] when
+    Pc is a proper prefix, both when it is both; so the steps out of P,
+    with the merged state each continues to, determine P's right language,
+    and one pass from the trie's leaves up registers each state by them.
+    Walks that leave the base and first return to it still read exactly
+    the generators, and the base is merged with nothing, since no finite
+    language is its own right language under a nonempty prefix.
+    """
+    # per trie node, each letter's [continuing node or 0, returns to base];
+    # a node is numbered after its parent
+    steps: list[dict[int, list]] = [{}]
+    for letters in words:
+        node = 0
+        for code in letters[:-1]:
+            step = steps[node].setdefault(code, [0, False])
+            if not step[0]:
+                step[0] = len(steps)
+                steps.append({})
+            node = step[0]
+        steps[node].setdefault(letters[-1], [0, False])[1] = True
+    # children first, so each signature names merged states only
+    state = [0] * len(steps)
+    register: dict[frozenset, int] = {}
+    for node in range(len(steps) - 1, 0, -1):
+        signature = frozenset(
+            (code, state[child], final) for code, (child, final) in steps[node].items()
+        )
+        state[node] = register.setdefault(signature, len(register) + 1)
+    outs: list[dict[int, int]] = [{} for _ in range(len(register) + 1)]
+    for node, table in enumerate(steps):
+        out = outs[state[node]]
+        if not out:
+            for code, (child, final) in table.items():
+                out[code] = (1 << state[child] if child else 0) | final
+    return outs
+
+
+def reaches_identity(words: Iterable[ReducedWord]) -> bool:
+    """Decide e in the subsemigroup generated by ``words``, keeping no
+    provenance: one pair closure, to fixpoint or to the pair (0, 0), of
+    the generators' minimal automaton.  It shares no code with
+    IdentityClosure, so a certificate check through it does not trust the
+    closure a sign search decides with.
+    """
+    gens = [w.letters for w in words]
+    if not all(gens):
+        return True
+    outs = _minimal_automaton(gens)
+    n_states = len(outs)
+    # ins[q] holds, per letter, the states with a transition by it into q
+    ins: list[dict[int, int]] = [{} for _ in range(n_states)]
+    for p, out in enumerate(outs):
+        for code, targets in out.items():
+            while targets:
+                low = targets & -targets
+                into = ins[low.bit_length() - 1]
+                into[code] = into.get(code, 0) | 1 << p
+                targets ^= low
+    # ends[p] holds every s with a pair (p, s), starts[s] every such p
+    ends = [0] * n_states
+    starts = [0] * n_states
+    # a pair (q, q) stands for the empty stretch at q: its WRAP step is
+    # the DIRECT rule, and its CONCAT steps add nothing
+    queue = [(q, q) for q in range(n_states)]
+
+    def pairs_from(p: int, extra: int) -> None:
+        """Add the pairs (p, s) for s in extra, none of them present."""
+        ends[p] |= extra
+        bit = 1 << p
+        while extra:
+            low = extra & -extra
+            s = low.bit_length() - 1
+            extra ^= low
+            starts[s] |= bit
+            queue.append((p, s))
+
+    def pairs_into(extra: int, s: int) -> None:
+        """Add the pairs (p, s) for p in extra, none of them present."""
+        starts[s] |= extra
+        bit = 1 << s
+        while extra:
+            low = extra & -extra
+            p = low.bit_length() - 1
+            extra ^= low
+            ends[p] |= bit
+            queue.append((p, s))
+
+    while queue and not ends[0] & 1:
+        q, r = queue.pop()
+        # WRAP: p -c-> q, the stretch (q, r), then r -c'-> s
+        out_r = outs[r]
+        for code, sources in ins[q].items():
+            targets = out_r.get(-code)
+            if not targets:
+                continue
+            while sources:
+                low = sources & -sources
+                p = low.bit_length() - 1
+                sources ^= low
+                extra = targets & ~ends[p]
+                if extra:
+                    pairs_from(p, extra)
+        # CONCAT: (q, r) then (r, s), and (p, q) then (q, r)
+        extra = ends[r] & ~ends[q]
+        if extra:
+            pairs_from(q, extra)
+        extra = starts[q] & ~starts[r]
+        if extra:
+            pairs_into(extra, r)
+    return bool(ends[0] & 1)
 
 
 def contains_identity(

@@ -134,6 +134,35 @@ MUTANTS = (
         _membership_tests("test_most_pivot_grows_of_hard_searches_add_no_transition"),
     ),
     Mutant(
+        "minimal-automaton-signature-ignores-whether-a-child-is-final",
+        MEMBERSHIP,
+        "(code, state[child], final) for code, (child, final)",
+        "(code, state[child]) for code, (child, final)",
+        _membership_tests(
+            "test_minimal_automaton_merges_equal_right_languages",
+            "test_identity_closure_agrees_with_contains_identity_on_many_lists",
+        ),
+    ),
+    Mutant(
+        "minimal-automaton-prefix-generator-loses-its-return-to-the-base",
+        MEMBERSHIP,
+        "out[code] = (1 << state[child] if child else 0) | final",
+        "out[code] = 1 << state[child] if child else final",
+        _membership_tests(
+            "test_minimal_automaton_merges_equal_right_languages",
+            "test_identity_closure_agrees_with_contains_identity_on_many_lists",
+        ),
+    ),
+    Mutant(
+        "reaches-identity-concat-skips-the-base",
+        MEMBERSHIP,
+        "        extra = ends[r] & ~ends[q]\n",
+        "        extra = ends[r] & ~ends[q] & ~1\n",
+        _membership_tests(
+            "test_identity_closure_agrees_with_contains_identity_on_many_lists",
+        ),
+    ),
+    Mutant(
         "walk-factors-names-the-last-generator",
         MEMBERSHIP,
         "factors.append(self.first[tuple(read)])",

@@ -7,7 +7,8 @@ import pytest
 
 from conftest import product_leaf, w, words
 from schema1 import convert
-from ordcalc import abelian, certio, freegroup, witnesses
+from test_membership import HARD_HM_SETS
+from ordcalc import abelian, certio, freegroup, membership, witnesses
 from ordcalc import calculus as ca
 from ordcalc import rightorder as ro
 from ordcalc.calculus import CalculusId
@@ -198,6 +199,29 @@ def test_sign_assignment_document():
     # flipping the first sign makes the signed set reach the identity
     doc["signs"][0]["sign"] = -doc["signs"][0]["sign"]
     assert certio.verify_witness_doc(doc)
+
+
+def test_sign_assignment_check_builds_no_identity_closure(monkeypatch):
+    # the check must not trust the closure the hm search decides with: with
+    # that closure forbidden, it still accepts the golden witness and the
+    # hard-search witnesses, and rejects each with its first sign flipped
+    docs = [certio.loads(_golden("hm_example_invalid.witness.json"))]
+    for text in HARD_HM_SETS:
+        joins = words(*text.split(" | "))
+        verdict = ro.decide_lg_hm(joins, 2)
+        docs.append(certio.sign_assignment_doc(joins, 2, verdict.certificate))
+
+    class Forbidden:
+        def __init__(self):
+            raise AssertionError("the check built the search's closure")
+
+    monkeypatch.setattr(membership, "IdentityClosure", Forbidden)
+    for doc in docs:
+        assert certio.verify_witness_doc(doc) == [], doc["words"]
+        doc["signs"][0]["sign"] = -doc["signs"][0]["sign"]
+        assert certio.verify_witness_doc(doc) == [
+            "signed generators reach the identity"
+        ], doc["words"]
 
 
 def test_forged_sign_assignment_rejected():

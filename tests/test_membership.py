@@ -225,19 +225,44 @@ def _random_word(rng, length: int) -> fg.ReducedWord:
 def test_identity_closure_agrees_with_contains_identity_on_many_lists(rng):
     # a closure that drops the base state from its forward CONCAT rule
     # misses the identity in both pinned lists and, at each seed tried, in
-    # 1 to 4 of these 20,000 random lists of 1 to 5 words of length 1 to 5
+    # 1 to 4 of these 20,000 random lists of 1 to 5 words of length 1 to 5;
+    # reaches_identity must answer as contains_identity does too, and with
+    # the same fault it misses the first pinned list and 5 to 12 of these
     pinned = ("y'y'xy' | yx'x'x' | xxy'xy | xx | yx", "x'y'y'x'y' | yx' | xxyxy'")
     for text in pinned:
         generators = words(*text.split(" | "))
         assert mb.contains_identity(generators)[0], text
         assert mb.IdentityClosure().grow(generators), text
+        assert mb.reaches_identity(generators), text
     found = 0
     for _ in range(20_000):
         generators = [_random_word(rng, rng.randint(1, 5)) for _ in range(rng.randint(1, 5))]
         expected = mb.contains_identity(generators)[0]
         assert mb.IdentityClosure().grow(generators) == expected, generators
+        assert mb.reaches_identity(generators) == expected, generators
         found += expected
     assert 3_000 < found < 5_000, found
+    # lists over up to three generators in which some words are proper
+    # prefixes of others, so that minimal states both return to the base
+    # and continue, and merge across words
+    found = prefixed = 0
+    for _ in range(10_000):
+        arity = rng.randint(1, 3)
+        stems = [random_reduced_word(rng, arity, 5) for _ in range(rng.randint(1, 4))]
+        generators = [u for u in stems if not u.is_identity]
+        prefixes = [
+            fg.ReducedWord(u.letters[: rng.randint(1, len(u) - 1)])
+            for u in generators
+            if len(u) > 1 and rng.random() < 0.5
+        ]
+        generators += prefixes
+        prefixed += bool(prefixes)
+        expected = mb.contains_identity(generators)[0]
+        assert mb.IdentityClosure().grow(generators) == expected, generators
+        assert mb.reaches_identity(generators) == expected, generators
+        found += expected
+    assert prefixed > 5_000, prefixed
+    assert 2_000 < found < 8_000, found
 
 
 def test_identity_closure_shares_prefixes():
@@ -248,6 +273,22 @@ def test_identity_closure_shares_prefixes():
     assert not closure.grow(generators)
     prefixes = {u.letters[:j] for u in generators for j in range(1, len(u))}
     assert len(closure._succ) == 1 + len(prefixes) == 3
+
+
+def test_minimal_automaton_merges_equal_right_languages():
+    # [x] and [y] of xy | yy have the right language {y}: one state
+    assert len(mb._minimal_automaton([u.letters for u in words("xy", "yy")])) == 2
+    x, y = w("x").letters[0], w("y").letters[0]
+    # xy returns from [x] to the base and continues to [xy]; yy only
+    # continues, so [x] and [y] stay apart though [xy] and [yy] merge
+    outs = mb._minimal_automaton([u.letters for u in words("xyx", "xy", "yyx")])
+    assert len(outs) == 4
+    assert outs[0][x] != outs[0][y]
+    assert outs[outs[0][x].bit_length() - 1][y] & 1
+    assert not outs[outs[0][y].bit_length() - 1][y] & 1
+    # merging [x] and [y] there would read yy as a generator
+    assert mb.reaches_identity(words("xyx", "xy", "y'x'"))
+    assert not mb.reaches_identity(words("xyx", "xy", "yyx", "y'y'"))
 
 
 def _extension(rng, stem: fg.ReducedWord, extra: int) -> fg.ReducedWord:
@@ -383,10 +424,13 @@ HARD_HM_SETS = (
 
 
 def test_identity_closure_agrees_on_hard_sign_assignments():
-    # the sign_assignment check runs the closure that the search decides
-    # with; on each hard witness, and on it with one signed pivot flipped,
-    # the closure must answer as the provenance-keeping automaton does
+    # the search decides with the closure and the sign_assignment check
+    # with reaches_identity; on each hard witness, and on it with one
+    # signed pivot flipped, both must answer as the provenance-keeping
+    # automaton does; merging the prefix states of the same right language
+    # leaves 597 of the witnesses' 1,359 states
     answers = {True: 0, False: 0}
+    states = merged = 0
     for text in HARD_HM_SETS:
         joins = tuple(words(*text.split(" | ")))
         verdict = ro.decide_lg_hm(joins, 2)
@@ -400,9 +444,14 @@ def test_identity_closure_agrees_on_hard_sign_assignments():
             generators = joins + tuple(variant)
             found = mb.IdentityClosure().grow(generators)
             assert found == mb.contains_identity(generators)[0], (text, i)
+            assert mb.reaches_identity(generators) == found, (text, i)
             assert not (found and i == 0), text  # the witness itself holds
             answers[found] += 1
+        generators = joins + tuple(signed)
+        states += mb.WordAutomaton(generators).n_states
+        merged += len(mb._minimal_automaton([u.letters for u in generators]))
     assert min(answers.values()) > 100, answers
+    assert (merged, states) == (597, 1_359)
 
 
 def _transition_count(closure: mb.IdentityClosure) -> int:
