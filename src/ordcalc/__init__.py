@@ -13,8 +13,7 @@ Importing the package loads none of its modules; import the one you need:
 - ``ordcalc.cli``: the ``ordcalc`` command.
 
 The checker's trusted base is ``certio`` with what it imports:
-``freegroup``, ``witnesses``, ``membership`` and ``calculus``; it never
-loads the search.
+``freegroup``, ``witnesses`` and ``calculus``; it never loads the search.
 """
 
 __version__ = "0.1.0"

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from typing import Any, Callable, Sequence
 
-from . import freegroup, membership
+from . import freegroup
 from .calculus import (
     CalculusId,
     Derivation,
@@ -29,6 +29,7 @@ from .witnesses import (
     TruncatedRightOrder,
     lists_sign_pivots,
     verify_refutation_tree,
+    verify_sign_assignment,
 )
 
 SCHEMA_VERSION = 2
@@ -379,21 +380,14 @@ def verify_witness_doc(doc: dict) -> list[str]:
     if kind == "sign_assignment":
         arity = _arity(doc)
         words = tuple(_parse_word(w, arity) for w in _require(doc, "words", list))
-        path = []
+        signs = []
         for item in _require(doc, "signs", list):
             if not isinstance(item, dict):
                 raise CertificateFormatError("sign entries must be objects")
             pivot = _parse_word(_require(item, "pivot", str), arity)
-            path.append((pivot, _require(item, "sign", int)))
-        # the witness must sign every pivot the search branches on
-        if not lists_sign_pivots((p for p, _ in path), words):
-            return ["pivots are not the representatives of cis(words)"]
-        if any(s not in (1, -1) for _, s in path):
-            return ["every sign must be 1 or -1"]
-        # a yes or no is all the check needs, so no provenance is kept
-        signed = tuple(freegroup.signed(p, s) for p, s in path)
-        found = membership.reaches_identity(words + signed)
-        return ["signed generators reach the identity"] if found else []
+            signs.append((pivot, _require(item, "sign", int)))
+        error = verify_sign_assignment(words, signs)
+        return [error] if error else []
     if kind == "refutation":
         flavor = _require(doc, "flavor", str)
         if flavor not in ("right_order", "order"):

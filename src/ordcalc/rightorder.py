@@ -28,8 +28,9 @@ from .witnesses import (
     SignAssignment,
     TruncatedRightOrder,
 )
-# the pivots live with the witnesses that carry them; rightorder.cis and
-# rightorder.initial_subterms remain names of the same functions
+# cis and initial_subterms live with the witnesses; the benchmark tracer
+# wraps them here by name, as it wraps close_truncated, which nothing else
+# in src/ calls, so all three stay rightorder attributes
 from .witnesses import cis, initial_subterms, sign_pivots  # noqa: F401
 
 DEFAULT_CONJUGATOR_BOUND = 3
@@ -114,15 +115,14 @@ def close_truncated(
 
 
 def extend_right_order(
-    words: Iterable[ReducedWord], arity: int, level: int | None = None
+    words: Iterable[ReducedWord], arity: int
 ) -> Union[TruncatedRightOrder, RefutationTree]:
     """Either a truncated right order containing the words, or a refutation tree.
 
-    The truncation level defaults to the maximal input length, which is
-    already decisive; a deeper level may be requested for diagnostics and
-    never changes the verdict.  The search signs the first word of the
-    shorter ball, in ShortLex order, that neither is nor inverts an
-    element of the cone, positive sign first.
+    The truncation level is the maximal input length, which is already
+    decisive.  The search signs the first word of the shorter ball, in
+    ShortLex order, that neither is nor inverts an element of the cone,
+    positive sign first.
     """
     words = freegroup.dedupe(words)
     if not words:
@@ -134,11 +134,7 @@ def extend_right_order(
     top = max(w.max_generator() for w in words)
     if top > arity:
         raise ValueError(f"generator {top} exceeds arity {arity}")
-    natural = max(len(w) for w in words)
-    if level is None:
-        level = natural
-    elif level < natural:
-        raise ValueError("truncation level is below the longest input word")
+    level = max(len(w) for w in words)
     ball = freegroup.ball(arity, level - 1)[1:]  # the identity leads the ball
     pivots = [(w, w.letters, freegroup.bar(w.letters)) for w in ball]
     cone = _Cone(level)

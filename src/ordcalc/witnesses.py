@@ -7,7 +7,7 @@ certificates can be re-checked independently of the search that found them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from . import freegroup
 from .freegroup import Pass, ReducedWord
@@ -207,6 +207,149 @@ class TruncatedRightOrder:
 
     def verify(self) -> bool:
         return not self.violations()
+
+
+def _minimal_automaton(words: Iterable[Sequence[int]]) -> list[dict[int, int]]:
+    """The generators' prefix automaton with every two prefix states of the
+    same right language merged, the minimal acyclic automaton of Revuz,
+    *Minimisation of acyclic deterministic automata in linear time* (TCS,
+    1992): per state, each letter's targets as a bitset, the base 0 first.
+
+    The prefix automaton has one state [P] per distinct proper nonempty
+    prefix P besides the base, and a generator ``a1…an`` runs ``0 -a1->
+    [a1] -a2-> … -an-> 0``, so a walk that leaves the base and first
+    returns to it reads one generator.  The right language of P is the set
+    of suffixes S with PS a generator.  In the trie of the proper
+    prefixes, a step from P by c returns to the base when Pc is a
+    generator and continues to [Pc] when Pc is a proper prefix, both when
+    it is both; so the steps out of P, with the merged state each
+    continues to, determine P's right language, and one pass from the
+    trie's leaves up registers each state by them.  Merged, the first
+    returns still read exactly the generators, and the base is merged
+    with nothing, since no finite language is its own right language
+    under a nonempty prefix.
+    """
+    # per trie node, each letter's [continuing node or 0, returns to base];
+    # a node is numbered after its parent
+    steps: list[dict[int, list]] = [{}]
+    for letters in words:
+        node = 0
+        for code in letters[:-1]:
+            step = steps[node].setdefault(code, [0, False])
+            if not step[0]:
+                step[0] = len(steps)
+                steps.append({})
+            node = step[0]
+        steps[node].setdefault(letters[-1], [0, False])[1] = True
+    # children first, so each signature names merged states only
+    state = [0] * len(steps)
+    register: dict[frozenset, int] = {}
+    for node in range(len(steps) - 1, 0, -1):
+        signature = frozenset(
+            (code, state[child], final) for code, (child, final) in steps[node].items()
+        )
+        state[node] = register.setdefault(signature, len(register) + 1)
+    outs: list[dict[int, int]] = [{} for _ in range(len(register) + 1)]
+    for node, table in enumerate(steps):
+        out = outs[state[node]]
+        if not out:
+            for code, (child, final) in table.items():
+                out[code] = (1 << state[child] if child else 0) | final
+    return outs
+
+
+def reaches_identity(words: Iterable[ReducedWord]) -> bool:
+    """Decide e in the subsemigroup generated by ``words``, keeping no
+    provenance: one pair closure, to fixpoint or to the pair (0, 0), of
+    the generators' minimal automaton, whose base-to-base walks read
+    exactly their products.  A pair (p, s) is added when a letter step, a
+    stretch (empty, or a pair) and the inverse letter step connect p to
+    s, and when pairs (p, q) and (q, s) meet, so each pair attests a
+    nonempty freely-trivial walk.  It shares no code with the search's
+    ``membership.IdentityClosure``, so a check through it trusts no search.
+    """
+    gens = [w.letters for w in words]
+    if not all(gens):
+        return True
+    outs = _minimal_automaton(gens)
+    n_states = len(outs)
+    # ins[q] holds, per letter, the states with a transition by it into q
+    ins: list[dict[int, int]] = [{} for _ in range(n_states)]
+    for p, out in enumerate(outs):
+        for code, targets in out.items():
+            while targets:
+                low = targets & -targets
+                into = ins[low.bit_length() - 1]
+                into[code] = into.get(code, 0) | 1 << p
+                targets ^= low
+    # ends[p] holds every s with a pair (p, s), starts[s] every such p
+    ends = [0] * n_states
+    starts = [0] * n_states
+    # a pair (q, q) stands for the empty stretch at q: its WRAP step is
+    # the DIRECT rule, and its CONCAT steps add nothing
+    queue = [(q, q) for q in range(n_states)]
+
+    def pairs_from(p: int, extra: int) -> None:
+        """Add the pairs (p, s) for s in extra, none of them present."""
+        ends[p] |= extra
+        bit = 1 << p
+        while extra:
+            low = extra & -extra
+            s = low.bit_length() - 1
+            extra ^= low
+            starts[s] |= bit
+            queue.append((p, s))
+
+    def pairs_into(extra: int, s: int) -> None:
+        """Add the pairs (p, s) for p in extra, none of them present."""
+        starts[s] |= extra
+        bit = 1 << s
+        while extra:
+            low = extra & -extra
+            p = low.bit_length() - 1
+            extra ^= low
+            ends[p] |= bit
+            queue.append((p, s))
+
+    while queue and not ends[0] & 1:
+        q, r = queue.pop()
+        # WRAP: p -c-> q, the stretch (q, r), then r -c'-> s
+        out_r = outs[r]
+        for code, sources in ins[q].items():
+            targets = out_r.get(-code)
+            if not targets:
+                continue
+            while sources:
+                low = sources & -sources
+                p = low.bit_length() - 1
+                sources ^= low
+                extra = targets & ~ends[p]
+                if extra:
+                    pairs_from(p, extra)
+        # CONCAT: (q, r) then (r, s), and (p, q) then (q, r)
+        extra = ends[r] & ~ends[q]
+        if extra:
+            pairs_from(q, extra)
+        extra = starts[q] & ~starts[r]
+        if extra:
+            pairs_into(extra, r)
+    return bool(ends[0] & 1)
+
+
+def verify_sign_assignment(
+    words: tuple[ReducedWord, ...], signs: Sequence[tuple[ReducedWord, int]]
+) -> str | None:
+    """Check a failed right-order extension; None means it verifies: it
+    signs every pivot the search branches on, sign_pivots(words), and no
+    other, in order, each by 1 or -1, and the words with the signed pivots
+    do not reach the identity."""
+    if not lists_sign_pivots((p for p, _ in signs), words):
+        return "pivots are not the representatives of cis(words)"
+    if any(s not in (1, -1) for _, s in signs):
+        return "every sign must be 1 or -1"
+    signed = tuple(freegroup.signed(p, s) for p, s in signs)
+    found = reaches_identity(words + signed)
+    return "signed generators reach the identity" if found else None
 
 
 def verify_refutation_tree(

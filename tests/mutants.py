@@ -27,7 +27,6 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 MEMBERSHIP = "src/ordcalc/membership.py"
 BIORDER = "src/ordcalc/biorder.py"
-CERTIO = "src/ordcalc/certio.py"
 RIGHTORDER = "src/ordcalc/rightorder.py"
 WITNESSES = "src/ordcalc/witnesses.py"
 
@@ -135,7 +134,7 @@ MUTANTS = (
     ),
     Mutant(
         "minimal-automaton-signature-ignores-whether-a-child-is-final",
-        MEMBERSHIP,
+        WITNESSES,
         "(code, state[child], final) for code, (child, final)",
         "(code, state[child]) for code, (child, final)",
         _membership_tests(
@@ -145,7 +144,7 @@ MUTANTS = (
     ),
     Mutant(
         "minimal-automaton-prefix-generator-loses-its-return-to-the-base",
-        MEMBERSHIP,
+        WITNESSES,
         "out[code] = (1 << state[child] if child else 0) | final",
         "out[code] = 1 << state[child] if child else final",
         _membership_tests(
@@ -155,7 +154,7 @@ MUTANTS = (
     ),
     Mutant(
         "reaches-identity-concat-skips-the-base",
-        MEMBERSHIP,
+        WITNESSES,
         "        extra = ends[r] & ~ends[q]\n",
         "        extra = ends[r] & ~ends[q] & ~1\n",
         _membership_tests(
@@ -208,10 +207,10 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "certio-accepts-any-nonzero-sign",
-        CERTIO,
-        "if any(s not in (1, -1) for _, s in path):",
-        "if any(s == 0 for _, s in path):",
+        "sign-assignment-check-accepts-any-nonzero-sign",
+        WITNESSES,
+        "if any(s not in (1, -1) for _, s in signs):",
+        "if any(s == 0 for _, s in signs):",
         _certio_tests("test_forged_sign_assignment_rejected"),
     ),
     Mutant(

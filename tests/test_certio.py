@@ -240,13 +240,17 @@ def test_forged_sign_assignment_rejected():
     )
     assert certio.verify_witness_doc(genuine) == []
     for forge in (
-        lambda signs: signs.pop(),  # a pivot left unsigned
-        lambda signs: signs.reverse(),  # pivots out of search order
-        lambda signs: signs[0].update(sign=2),  # a sign outside 1, -1
+        lambda doc: doc["signs"].pop(),  # a pivot left unsigned
+        lambda doc: doc["signs"].reverse(),  # pivots out of search order
+        lambda doc: doc["signs"][0].update(sign=2),  # a sign outside 1, -1
     ):
         doc = certio.loads(certio.dumps(genuine))
-        forge(doc["signs"])
+        forge(doc)
         assert certio.verify_witness_doc(doc)
+    # e among the words: its one pivot x is signed, and e alone is a product
+    # of the generators that reaches the identity
+    doc = dict(forged, words=["e", "x"], signs=[{"pivot": "x", "sign": 1}])
+    assert certio.verify_witness_doc(doc) == ["signed generators reach the identity"]
 
 
 def test_pivot_lists_missing_any_pivot_are_rejected():

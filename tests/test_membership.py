@@ -6,6 +6,7 @@ from conftest import random_reduced_word, w, words
 from ordcalc import freegroup as fg
 from ordcalc import membership as mb
 from ordcalc import rightorder as ro
+from ordcalc import witnesses
 from ordcalc.witnesses import Factorization
 
 
@@ -206,7 +207,7 @@ def test_identity_closure_agrees_through_grow_and_rollback(rng):
                 states.append(_closure_state(closure))
                 assert closure.grow(batch) == closure.reached
                 batches.append(batch)
-            assert closure.depth == len(batches)
+            assert len(closure._marks) == len(batches)
             present = [u for batch in batches for u in batch]
             assert closure.reached == mb.contains_identity(present)[0], batches
             steps += 1
@@ -233,13 +234,13 @@ def test_identity_closure_agrees_with_contains_identity_on_many_lists(rng):
         generators = words(*text.split(" | "))
         assert mb.contains_identity(generators)[0], text
         assert mb.IdentityClosure().grow(generators), text
-        assert mb.reaches_identity(generators), text
+        assert witnesses.reaches_identity(generators), text
     found = 0
     for _ in range(20_000):
         generators = [_random_word(rng, rng.randint(1, 5)) for _ in range(rng.randint(1, 5))]
         expected = mb.contains_identity(generators)[0]
         assert mb.IdentityClosure().grow(generators) == expected, generators
-        assert mb.reaches_identity(generators) == expected, generators
+        assert witnesses.reaches_identity(generators) == expected, generators
         found += expected
     assert 3_000 < found < 5_000, found
     # lists over up to three generators in which some words are proper
@@ -259,7 +260,7 @@ def test_identity_closure_agrees_with_contains_identity_on_many_lists(rng):
         prefixed += bool(prefixes)
         expected = mb.contains_identity(generators)[0]
         assert mb.IdentityClosure().grow(generators) == expected, generators
-        assert mb.reaches_identity(generators) == expected, generators
+        assert witnesses.reaches_identity(generators) == expected, generators
         found += expected
     assert prefixed > 5_000, prefixed
     assert 2_000 < found < 8_000, found
@@ -277,18 +278,18 @@ def test_identity_closure_shares_prefixes():
 
 def test_minimal_automaton_merges_equal_right_languages():
     # [x] and [y] of xy | yy have the right language {y}: one state
-    assert len(mb._minimal_automaton([u.letters for u in words("xy", "yy")])) == 2
+    assert len(witnesses._minimal_automaton([u.letters for u in words("xy", "yy")])) == 2
     x, y = w("x").letters[0], w("y").letters[0]
     # xy returns from [x] to the base and continues to [xy]; yy only
     # continues, so [x] and [y] stay apart though [xy] and [yy] merge
-    outs = mb._minimal_automaton([u.letters for u in words("xyx", "xy", "yyx")])
+    outs = witnesses._minimal_automaton([u.letters for u in words("xyx", "xy", "yyx")])
     assert len(outs) == 4
     assert outs[0][x] != outs[0][y]
     assert outs[outs[0][x].bit_length() - 1][y] & 1
     assert not outs[outs[0][y].bit_length() - 1][y] & 1
     # merging [x] and [y] there would read yy as a generator
-    assert mb.reaches_identity(words("xyx", "xy", "y'x'"))
-    assert not mb.reaches_identity(words("xyx", "xy", "yyx", "y'y'"))
+    assert witnesses.reaches_identity(words("xyx", "xy", "y'x'"))
+    assert not witnesses.reaches_identity(words("xyx", "xy", "yyx", "y'y'"))
 
 
 def _extension(rng, stem: fg.ReducedWord, extra: int) -> fg.ReducedWord:
@@ -444,12 +445,12 @@ def test_identity_closure_agrees_on_hard_sign_assignments():
             generators = joins + tuple(variant)
             found = mb.IdentityClosure().grow(generators)
             assert found == mb.contains_identity(generators)[0], (text, i)
-            assert mb.reaches_identity(generators) == found, (text, i)
+            assert witnesses.reaches_identity(generators) == found, (text, i)
             assert not (found and i == 0), text  # the witness itself holds
             answers[found] += 1
         generators = joins + tuple(signed)
         states += mb.WordAutomaton(generators).n_states
-        merged += len(mb._minimal_automaton([u.letters for u in generators]))
+        merged += len(witnesses._minimal_automaton([u.letters for u in generators]))
     assert min(answers.values()) > 100, answers
     assert (merged, states) == (597, 1_359)
 
@@ -468,7 +469,7 @@ def test_most_pivot_grows_of_hard_searches_add_no_transition(monkeypatch):
     class Counting(mb.IdentityClosure):
         def grow(self, words):
             nonlocal grows, unchanged
-            root, before = not self.depth, _transition_count(self)
+            root, before = not self._marks, _transition_count(self)
             reached = super().grow(words)
             if not root:
                 grows += 1

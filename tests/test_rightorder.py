@@ -70,20 +70,6 @@ def test_extend_right_order_trivial_and_identity_cases():
     assert outcome.witness.entries == (ConjugateEntry(fg.IDENTITY, 0),)
 
 
-def test_extend_right_order_deeper_level_keeps_verdicts():
-    outcome = ro.extend_right_order(words(*S_WORDS), 2, level=3)
-    assert isinstance(outcome, (RefutationLeaf, RefutationBranch))
-    assert verify_refutation_tree(tuple(words(*S_WORDS)), outcome) is None
-
-    outcome = ro.extend_right_order(words(*T_WORDS), 2, level=3)
-    assert isinstance(outcome, TruncatedRightOrder)
-    assert outcome.level == 3
-    assert outcome.verify()
-
-    with pytest.raises(ValueError):
-        ro.extend_right_order(words(*T_WORDS), 2, level=1)
-
-
 def test_initial_subterms_and_cis():
     prefixes = ro.initial_subterms(words("xx"))
     assert prefixes == frozenset([fg.IDENTITY, w("x"), w("xx")])
@@ -129,7 +115,19 @@ def test_decide_lg_hm_on_worked_examples():
     assignment = dict(verdict.certificate.signs)
     assert assignment[w("x")] == 1 and assignment[w("y")] == 1
 
-    assert ro.decide_lg_hm([fg.IDENTITY], 2).status == "VALID"
+    # a joinand e is valid at once, in every procedure, with a one-node
+    # gv proof
+    goal = ca.hypersequent_of_words([fg.IDENTITY])
+    for decide, calculus in (
+        (ro.decide_lg_hm, ca.CalculusId.GLGSTAR),
+        (ro.decide_lg_cs, ca.CalculusId.GLGSTAR),
+        (ro.decide_rg, ca.CalculusId.GRGSTAR),
+    ):
+        verdict = decide([fg.IDENTITY], 2)
+        assert verdict.status == "VALID"
+        proof = verdict.certificate
+        assert proof.instance.rule == "gv" and proof.premises == ()
+        assert ca.check(calculus, proof, goal).ok
 
 
 def test_procedures_agree_on_short_sets():

@@ -150,6 +150,7 @@ def test_genuine_documents_verify():
 
 # the search, query parsing, verdicts and the command line: no check needs them
 SEARCH_MODULES = (
+    "membership",
     "rightorder",
     "abelian",
     "biorder",
@@ -158,7 +159,7 @@ SEARCH_MODULES = (
     "verdicts",
     "cli",
 )
-TRUSTED_BASE = ("calculus", "certio", "freegroup", "membership", "witnesses")
+TRUSTED_BASE = ("calculus", "certio", "freegroup", "witnesses")
 
 
 def test_checking_loads_only_the_trusted_base(tmp_path):
