@@ -97,6 +97,14 @@ def _arity(doc: dict) -> int:
     return arity
 
 
+def _word_texts(doc: dict) -> list:
+    """The words a witness is written for; no query has zero joinands."""
+    texts = _require(doc, "words", list)
+    if not texts:
+        raise CertificateFormatError("a witness needs at least one word")
+    return texts
+
+
 def _word_list(words) -> list[str]:
     return [freegroup.word_to_text(w) for w in words]
 
@@ -359,7 +367,7 @@ def verify_witness_doc(doc: dict) -> list[str]:
         # the cone must hold the words it claims to order positive
         issues = [
             f"word {text!r} is not an element"
-            for text in _require(doc, "words", list)
+            for text in _word_texts(doc)
             if _parse_word(text, arity) not in elements
         ]
         return issues + TruncatedRightOrder(arity, level, elements).violations()
@@ -371,7 +379,7 @@ def verify_witness_doc(doc: dict) -> list[str]:
             raise CertificateFormatError("functional needs one integer per generator")
         side = _FUNCTIONAL_SIDE[kind]
         issues = []
-        for text in _require(doc, "words", list):
+        for text in _word_texts(doc):
             vector = freegroup.abelianize(_parse_word(text, arity), arity)
             if side * sum(a * b for a, b in zip(y, vector)) <= 0:
                 name = "positive" if side > 0 else "negative"
@@ -379,7 +387,7 @@ def verify_witness_doc(doc: dict) -> list[str]:
         return issues
     if kind == "sign_assignment":
         arity = _arity(doc)
-        words = tuple(_parse_word(w, arity) for w in _require(doc, "words", list))
+        words = tuple(_parse_word(w, arity) for w in _word_texts(doc))
         signs = []
         for item in _require(doc, "signs", list):
             if not isinstance(item, dict):
@@ -393,7 +401,7 @@ def verify_witness_doc(doc: dict) -> list[str]:
         if flavor not in ("right_order", "order"):
             raise CertificateFormatError(f"unknown refutation flavor {flavor!r}")
         arity = _arity(doc)
-        words = tuple(_parse_word(w, arity) for w in _require(doc, "words", list))
+        words = tuple(_parse_word(w, arity) for w in _word_texts(doc))
         tree = _node_to_tree(_require(doc, "tree", list), arity)
         error = verify_refutation_tree(words, tree, conjugate=flavor == "order")
         return [error] if error else []
@@ -403,7 +411,7 @@ def verify_witness_doc(doc: dict) -> list[str]:
         arity = _arity(doc)
         if _require(doc, "conjugator_bound", int) < 0:
             raise CertificateFormatError("conjugator bound must be >= 0")
-        words = [_parse_word(w, arity) for w in _require(doc, "words", list)]
+        words = [_parse_word(w, arity) for w in _word_texts(doc)]
         pivots = tuple(_parse_word(p, arity) for p in _require(doc, "pivots", list))
         if not lists_sign_pivots(pivots, words):
             return ["pivots are not the representatives of cis(words)"]

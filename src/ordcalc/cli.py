@@ -73,6 +73,8 @@ def _parse_goals(text: str, arity: int | None):
         inferred = max(normal.max_generator(), 1)
         goals = [calculus.hypersequent_of_words(j) for j in normal.conjuncts]
         return goals, (arity or inferred)
+    if not all(part.strip() for part in stripped.split("|")):
+        raise UsageError("blank sequent; write e for the identity")
     raws = [freegroup.scan_literals(part, arity) for part in stripped.split("|")]
     inferred = max((abs(c) for raw in raws for c in raw), default=1)
     goal = Hypersequent.of(Sequent(raw) for raw in raws)

@@ -14,8 +14,9 @@ the subsemigroup exactly when a pair connects the base state to itself.
 
 Two engines read this layout, both for the searches; no certificate check
 loads this module.  ``IdentityClosure``, the growable closure the sign
-searches carry, only decides.  ``WordAutomaton`` keeps the provenance of
-each pair, whose replay yields an explicit factorization of a leaf.
+searches carry, only holds words and decides; which words it grows is the
+search's choice.  ``WordAutomaton`` keeps the provenance of each pair,
+whose replay yields an explicit factorization of a leaf.
 """
 
 from __future__ import annotations
@@ -84,8 +85,9 @@ class WordAutomaton:
         self._by_second[q].append(p)
         queue.append(pair)
 
-    def saturate(self, stop_pair: tuple[int, int] | None = None) -> "WordAutomaton":
-        """Run the pair closure to fixpoint (or until stop_pair appears)."""
+    def saturate(self) -> "WordAutomaton":
+        """Run the pair closure to fixpoint, or until (base, base) appears."""
+        target = (self.base, self.base)
         queue: deque[tuple[int, int]] = deque()
         for q in range(self.n_states):
             for t1 in self.trans_in[q]:
@@ -94,7 +96,7 @@ class WordAutomaton:
                         (self.sources[t1], self.targets[t2]), (_DIRECT, t1, t2), queue
                     )
         while queue:
-            if stop_pair is not None and stop_pair in self.epsilon:
+            if target in self.epsilon:
                 return self
             q, r = queue.popleft()
             for t1 in self.trans_in[q]:
@@ -177,26 +179,18 @@ class IdentityClosure:
     letter bitsets of c' pick those states out; every other new pair
     follows from new pairs.  Each rule is applied only where it adds a
     pair.  Between grows the closure is at fixpoint, or has reached the
-    identity, so ``holds`` reads membership of a word off the pairs, and
-    ``grow`` first asks it about each word: a held word is skipped, since
-    it leaves the subsemigroup as it is, and a word whose inverse is held
-    reaches the identity at once.  After a grow that leaves the identity
-    out, ``kept`` counts the words it kept, so 0 tells a sign search that
-    the closure held them all.  A grow that keeps no word pushes only
-    its prior ``reached`` flag; one that keeps some first pushes a
-    snapshot: copies of the state lists and letter bitsets, which share
-    the states' transition tables; so ``grow`` never edits a table in
-    place but replaces it with an extended copy, and ``rollback`` restores
-    the last snapshot whole.  A closure with no transition holds nothing,
-    so its first grow asks nothing.  This is Dyck (CFL) reachability, as
-    in Reps, *Program analysis via graph reachability* (1998).  Only the
-    searches decide with it: certificate checks answer through
-    ``witnesses.reaches_identity``, which shares no code with it.
+    identity, the pair (0, 0), which the empty word sets; so ``holds``
+    reads membership of a word off the pairs, and a sign search asks it
+    which words to grow at all.  Each grow first pushes a snapshot: copies
+    of the state lists and letter bitsets, which share the states'
+    transition tables; so ``grow`` never edits a table in place but
+    replaces it with an extended copy, and ``rollback`` restores the last
+    snapshot whole.  This is Dyck (CFL) reachability, as in Reps, *Program
+    analysis via graph reachability* (1998).  Certificate checks answer
+    through ``witnesses.reaches_identity``, which shares no code with it.
     """
 
     def __init__(self) -> None:
-        self.reached = False
-        self.kept = 0
         self._succ: list[int] = [0]
         self._pred: list[int] = [0]
         self._in: list[dict[int, int]] = [{}]
@@ -206,6 +200,11 @@ class IdentityClosure:
         self._entering: dict[int, int] = {}
         # the state before each grow not rolled back
         self._marks: list[tuple] = []
+
+    @property
+    def reached(self) -> bool:
+        """Whether the identity is reached: the pair (0, 0) is present."""
+        return bool(self._succ[0] & 1)
 
     def holds(self, letters: Sequence[int]) -> bool:
         """Whether the nonempty reduced word with these letters is a product
@@ -235,33 +234,16 @@ class IdentityClosure:
         """Add the words as generators; True when the identity is reached."""
         succ, pred, ins, outs = self._succ, self._pred, self._in, self._out
         leaving, entering = self._leaving, self._entering
-        if self.reached:
-            self._marks.append(True)
-            return True
-        # skip the held words; a held inverse reaches the identity
-        tested = bool(outs[0])
-        kept: list[tuple[int, ...]] = []
-        for w in words:
-            letters = w.letters
-            if tested and letters and self.holds(letters):
-                continue
-            if not letters or tested and self.holds(freegroup.bar(letters)):
-                self._marks.append(False)
-                self.reached = True
-                return True
-            kept.append(letters)
-        self.kept = len(kept)
-        if not kept:
-            self._marks.append(False)
-            return False
         # the snapshot shares each state's transition tables, so below a
         # table is replaced by an extended copy, never edited in place
-        self._marks.append(
-            (list(succ), list(pred), list(ins), list(outs),
-             dict(leaving), dict(entering))
-        )
+        self._marks.append((list(succ), list(pred), list(ins), list(outs),
+                            dict(leaving), dict(entering)))
         new: list[tuple[int, int, int]] = []
-        for letters in kept:
+        for w in words:
+            letters = w.letters
+            if not letters:  # the empty word is the pair (0, 0)
+                succ[0] |= 1
+                pred[0] |= 1
             prev = 0
             for j, code in enumerate(letters, 1):
                 # past prev by code lie at most the base and the one state
@@ -345,18 +327,12 @@ class IdentityClosure:
             fresh = pred[q] & ~pred[r]
             if fresh:
                 link_back(fresh, r)
-        self.reached = bool(succ[0] & 1)
         return self.reached
 
     def rollback(self) -> None:
         """Undo the last grow."""
-        mark = self._marks.pop()
-        if isinstance(mark, bool):
-            self.reached = mark
-        else:
-            (self._succ, self._pred, self._in, self._out,
-             self._leaving, self._entering) = mark
-            self.reached = False
+        (self._succ, self._pred, self._in, self._out,
+         self._leaving, self._entering) = self._marks.pop()
 
 
 def contains_identity(
@@ -371,11 +347,8 @@ def contains_identity(
     for i, w in enumerate(gens):
         if w.is_identity:
             return True, Factorization((i,))
-    if not gens:
-        return False, None
-    automaton = WordAutomaton(gens)
+    automaton = WordAutomaton(gens).saturate()
     target = (automaton.base, automaton.base)
-    automaton.saturate(stop_pair=target)
     if target not in automaton.epsilon:
         return False, None
     walk = automaton.expand_pair(target)

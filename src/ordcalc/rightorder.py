@@ -52,13 +52,16 @@ def _joinands(words: Iterable[ReducedWord]) -> tuple[ReducedWord, ...]:
 class _Cone:
     """A set of words, held as letter tuples, closed under the products
     within a length bound, grown and rolled back along the search as an
-    IdentityClosure is; ``kept`` counts the words the last grow added."""
+    IdentityClosure is."""
 
     def __init__(self, bound: int):
-        self.kept = 0
         self.elements: set[tuple[int, ...]] = set()
         self.index = freegroup.CancellationIndex(bound)
         self._marks: list[int] = []
+
+    def holds(self, letters: tuple[int, ...]) -> bool:
+        """Whether the word with these letters is an element."""
+        return letters in self.elements
 
     def grow(self, words: Iterable[ReducedWord]) -> bool:
         """Add the words and close, in one grow that one rollback undoes;
@@ -75,7 +78,6 @@ class _Cone:
                 elems.add(w.letters)
                 index.add(w.letters)
                 queue.append(w.letters)
-        self.kept = len(queue)
         while queue:
             w = queue.pop()
             at = index.words
@@ -140,9 +142,8 @@ def extend_right_order(
     cone = _Cone(level)
 
     def choose(path):
-        elems = cone.elements
         for w, letters, inverse in pivots:
-            if letters not in elems and inverse not in elems:
+            if not cone.holds(letters) and not cone.holds(inverse):
                 return w, 1
         return None
 
@@ -215,18 +216,17 @@ def _sign_search(
 
     A node's generators are the words and the signed pivots on its path.
     The caller's empty closure, an IdentityClosure or a _Cone, takes the
-    petals of the words at the root and ``petal(pivot, sign)`` for each
-    signed pivot below, one grow each; a branch closes when its grow
-    reaches the identity.  At a node that stays open, ``choose(path)``
-    gives the pivot to sign and the sign to try first, or None at an open
-    leaf.  A sign whose grow keeps no word, the closure holding its whole
-    petal, is forced: the other sign's grow would reach the identity at
-    once, so the search descends along the forced sign alone, and the
-    tree has no branch for that pivot.  Returns a refutation tree, whose
-    leaves carry ``leaf(generators)`` over the words and the signed pivots
-    the tree branches on above them, or the first open leaf's path, forced
-    pivots included, with the closure left as it stands there.  Callers
-    settle the roots that a bi-order excludes without it.
+    petals of the words at the root, and for each signed pivot below the
+    words of ``petal(pivot, sign)`` it does not hold (see _grow_unheld).
+    At a node that stays open, ``choose(path)`` gives the pivot to sign
+    and the sign to try first, or None at an open leaf.  A sign whose
+    whole petal the closure holds is forced: the other sign closes at
+    once, so the search descends along it alone, and the tree has no
+    branch for that pivot.  Returns a refutation tree, whose leaves carry
+    ``leaf(generators)`` over the words and the signed pivots the tree
+    branches on above them, or the first open leaf's path, forced pivots
+    included, with the closure left as it stands there.  Callers settle
+    the roots that a bi-order excludes without it.
     """
     if closure.grow(u for w in words for u in petal(w, 1)):
         result = _Closed(())
@@ -249,21 +249,36 @@ def _sign_node(closure, words, choose, petal, path: _Path, branched: _Path) -> P
     subtrees = {}
     for sign in (first, -first):
         signed = ((pivot, sign),)
-        # one grow adds this sign's petal, and one rollback takes it out
-        if closure.grow(petal(pivot, sign)):
-            closure.rollback()
+        added = _grow_unheld(closure, petal(pivot, sign))
+        if added is None:
             subtrees[sign] = _Closed(branched + signed)
             continue
-        forced = not closure.kept
+        forced = not added
         above = branched if forced else branched + signed
         subtree = yield _sign_node(closure, words, choose, petal, path + signed, above)
-        if isinstance(subtree, tuple):
+        if isinstance(subtree, tuple) or forced:  # forced: the other sign closes
             return subtree
         closure.rollback()
-        if forced:  # the other sign closes, or closed, at once
-            return subtree
         subtrees[sign] = subtree
     return RefutationBranch(pivot, subtrees[1], subtrees[-1])
+
+
+def _grow_unheld(closure, petal: Iterable[ReducedWord]) -> list[ReducedWord] | None:
+    """Grow the closure by the petal words it does not hold, if any, in one
+    grow that one rollback undoes, and return them; None, with the closure
+    as before, when the sign closes: the closure holds the inverse of a
+    petal word, or the grow reaches the identity."""
+    added = []
+    for u in petal:
+        if closure.holds(u.letters):
+            continue
+        if closure.holds(freegroup.bar(u.letters)):
+            return None
+        added.append(u)
+    if added and closure.grow(added):
+        closure.rollback()
+        return None
+    return added
 
 
 def _in_order(pivots: Sequence[ReducedWord]) -> _Choose:

@@ -29,6 +29,8 @@ MEMBERSHIP = "src/ordcalc/membership.py"
 BIORDER = "src/ordcalc/biorder.py"
 RIGHTORDER = "src/ordcalc/rightorder.py"
 WITNESSES = "src/ordcalc/witnesses.py"
+CALCULUS = "src/ordcalc/calculus.py"
+CERTIO = "src/ordcalc/certio.py"
 
 
 def _membership_tests(*names: str) -> tuple[str, ...]:
@@ -45,6 +47,10 @@ def _rightorder_tests(*names: str) -> tuple[str, ...]:
 
 def _certio_tests(*names: str) -> tuple[str, ...]:
     return tuple(f"tests/test_certio.py::{name}" for name in names)
+
+
+def _calculus_tests(*names: str) -> tuple[str, ...]:
+    return tuple(f"tests/test_calculus.py::{name}" for name in names)
 
 
 class Mutant(NamedTuple):
@@ -88,8 +94,8 @@ MUTANTS = (
     Mutant(
         "closure-rollback-keeps-the-letter-bitsets",
         MEMBERSHIP,
-        "             self._leaving, self._entering) = mark",
-        "             _, _) = mark",
+        "         self._leaving, self._entering) = self._marks.pop()",
+        "         _, _) = self._marks.pop()",
         _membership_tests(
             "test_identity_closure_agrees_through_grow_and_rollback",
             "test_identity_closure_agrees_with_shared_stems",
@@ -111,18 +117,8 @@ MUTANTS = (
         "        return bool(states & 1)\n",
         "        return bool(states)\n",
         _membership_tests(
-            "test_identity_closure_agrees_through_grow_and_rollback",
             "test_identity_closure_agrees_with_shared_stems",
-        ),
-    ),
-    Mutant(
-        "closure-inverse-test-reverses-without-inverting",
-        MEMBERSHIP,
-        "self.holds(freegroup.bar(letters))",
-        "self.holds(letters[::-1])",
-        _membership_tests(
-            "test_identity_closure_agrees_through_grow_and_rollback",
-            "test_identity_closure_agrees_with_shared_stems",
+            "test_most_pivot_grows_of_hard_searches_add_no_transition",
         ),
     ),
     Mutant(
@@ -214,10 +210,20 @@ MUTANTS = (
         _certio_tests("test_forged_sign_assignment_rejected"),
     ),
     Mutant(
-        "sign-search-forces-a-sign-whose-grow-skipped-some-word",
+        "sign-search-inverse-test-reverses-without-inverting",
         RIGHTORDER,
-        "        forced = not closure.kept\n",
-        "        forced = closure.kept < len(tuple(petal(pivot, sign)))\n",
+        "closure.holds(freegroup.bar(u.letters))",
+        "closure.holds(u.letters[::-1])",
+        _rightorder_tests(
+            "test_hard_search_rg_proofs_are_pinned",
+            "test_forced_signs_agree_with_branching_on_every_pivot",
+        ),
+    ),
+    Mutant(
+        "sign-search-forces-a-sign-whose-petal-has-some-held-word",
+        RIGHTORDER,
+        "        forced = not added\n",
+        "        forced = len(added) < len(tuple(petal(pivot, sign)))\n",
         _rightorder_tests(
             "test_hard_search_rg_proofs_are_pinned",
             "test_forced_signs_agree_with_branching_on_every_pivot",
@@ -249,6 +255,32 @@ MUTANTS = (
             "test_pivot_lists_missing_any_pivot_are_rejected",
             "test_forged_pivot_lists_are_rejected_at_the_first_missing_pivot",
             "test_forged_sign_assignment_rejected",
+        ),
+    ),
+    Mutant(
+        "star-rule-accepts-the-identity-as-pivot",
+        CALCULUS,
+        "        if pivot.is_identity:\n"
+        "            return \"side condition failed: discharged sequent is group valid\"\n",
+        "",
+        _calculus_tests("test_star_side_condition_enforced"),
+    ),
+    Mutant(
+        "rule-check-skips-the-conclusion-context",
+        CALCULUS,
+        "    if node.conclusion.words != context | active_c:\n",
+        "    if False:\n",
+        _calculus_tests("test_premise_components_outside_the_conclusion_are_rejected")
+        + ("tests/test_acceptance.py::test_checker_verdicts_on_golden_mutants_are_pinned",),
+    ),
+    Mutant(
+        "tree-table-accepts-a-node-no-node-uses",
+        CERTIO,
+        "    if unused:\n        raise CertificateFormatError",
+        "    if False:\n        raise CertificateFormatError",
+        _certio_tests(
+            "test_proof_tables_must_be_trees",
+            "test_refutation_tables_must_be_trees",
         ),
     ),
 )

@@ -106,6 +106,24 @@ def test_star_side_condition_enforced():
     assert not result.ok and "side condition" in result.message
 
 
+def test_premise_components_outside_the_conclusion_are_rejected():
+    # e <= x' fails, but a star whose premises both carry an extra e, each
+    # a gv axiom, would discharge it if the conclusion's context were
+    # not compared with the premises'
+    goal = _goal("x'")
+    premises = tuple(
+        Derivation(
+            Hypersequent.of([*goal.sequents, Sequent((c,)), Sequent(())]),
+            rule_instance("gv", gamma=()),
+        )
+        for c in (2, -2)
+    )
+    node = Derivation(goal, rule_instance("star", delta=(2,)), premises)
+    result = ca.check(CalculusId.GLGSTAR, node, goal)
+    assert not result.ok
+    assert result.message == "conclusion context does not match the rule schema"
+
+
 def test_check_locates_single_corrupted_certificate():
     verdict = ro.decide_lg_cs(words("xx", "yy", "x'y'"), 2)
     goal = _goal("xx", "yy", "x'y'")

@@ -343,6 +343,19 @@ def test_usage_errors_exit_three(capsys, monkeypatch, tmp_path):
     assert "rejected: unsupported schema version" in capsys.readouterr().err
 
 
+def test_blank_sequents_exit_three(capsys, tmp_path):
+    # a blank part of a hypersequent is not read as e, which would make
+    # e <= x \/ e VALID; the identity is written e
+    proof = tmp_path / "proof.json"
+    for text in ("x |", "x | | y", "| x", "x |  "):
+        for verb in ("decide", "prove"):
+            assert run(verb, "--variety", "lgroup", text, "--proof", str(proof)) == 3
+            assert "write e" in capsys.readouterr().err, (verb, text)
+    assert not proof.exists()
+    assert run("decide", "--variety", "lgroup", "x | e") == 0
+    assert run("decide", "--variety", "lgroup", "x") == 1
+
+
 def test_internal_value_error_exits_four(capsys, monkeypatch):
     def broken(words, arity):
         raise ValueError("a fault inside the decider")

@@ -13,7 +13,7 @@ import subprocess
 import sys
 
 from conftest import SEED, random_reduced_word, words
-from ordcalc import abelian, certio, witnesses
+from ordcalc import abelian, certio, cli, witnesses
 from ordcalc import calculus as ca
 from ordcalc import freegroup as fg
 from ordcalc import rightorder as ro
@@ -146,6 +146,38 @@ def fuzz(seed: int, count: int) -> list[str]:
 def test_genuine_documents_verify():
     for doc in genuine_documents():
         assert certio.verify_witness_doc(doc) == [], doc["kind"]
+
+
+def _emptied(doc: dict) -> dict:
+    """The document with no words, and no signs or pivots where it lists
+    them, so that nothing but the missing words is wrong with it."""
+    cleared = {key: [] for key in ("words", "signs", "pivots") if key in doc}
+    return {**doc, **cleared}
+
+
+def test_witnesses_of_no_words_are_malformed(tmp_path):
+    # no query has zero joinands, so a file with no words proves nothing
+    kinds = set()
+    for doc in genuine_documents():
+        forged = _emptied(doc)
+        try:
+            certio.verify_witness_doc(forged)
+        except certio.CertificateFormatError as error:
+            assert "at least one word" in str(error), doc["kind"]
+        else:
+            raise AssertionError(f"{doc['kind']} file with no words accepted")
+        path = tmp_path / f"{doc['kind']}.json"
+        path.write_text(certio.dumps(forged))
+        assert cli.main(["check", str(path)]) == 3, doc["kind"]
+        kinds.add(doc["kind"])
+    assert kinds == {
+        "truncated_right_order",
+        "separator",
+        "abelian_order_witness",
+        "sign_assignment",
+        "refutation",
+        "bounds_exhausted",
+    }
 
 
 # the search, query parsing, verdicts and the command line: no check needs them
