@@ -1,39 +1,66 @@
 """Membership of the identity in finitely generated subsemigroups of F(k).
 
-The generators are laid out on their prefixes: besides a base state there
-is one state per distinct proper nonempty prefix, and a generator
-``a1…an`` runs from the base through the states of its prefixes back to
-the base, one literal-labelled transition per letter, shared with every
-generator that takes the same step.  A walk that leaves the base and
-first returns to it reads exactly one generator's letters, so the
-base-to-base walks read exactly the products of the generators.
-Saturation adds an epsilon pair (p, s) whenever a literal step, an
-epsilon stretch, and the inverse literal step connect p to s; every pair
-therefore attests a nonempty freely-trivial walk.  The identity lies in
-the subsemigroup exactly when a pair connects the base state to itself.
+Both engines here lay the generators out as an automaton with a base
+state, in which a walk that leaves the base and first returns to it
+reads exactly one generator's letters, so the base-to-base walks read
+exactly the products of the generators.  Saturation adds an epsilon pair
+(p, s) whenever a literal step, an epsilon stretch, and the inverse
+literal step connect p to s, or two pairs meet; every pair therefore
+attests a nonempty freely-trivial walk.  The identity lies in the
+subsemigroup exactly when a pair connects the base state to itself.
 
-Two engines read this layout, both for the searches; no certificate check
-loads this module.  ``IdentityClosure``, the growable closure the sign
-searches carry, only holds words and decides; which words it grows is the
-search's choice.  ``WordAutomaton`` keeps the provenance of each pair,
-whose replay yields an explicit factorization of a leaf.
+Two engines, both for the searches; no certificate check loads this
+module.  ``IdentityClosure``, the growable closure the sign searches
+carry, lays the generators out on their prefixes, only holds words and
+decides; which words it grows is the search's choice.  ``WordAutomaton``
+factors a refutation leaf: it saturates the generators' minimal
+automaton cheapest first and keeps the provenance of each pair, whose
+replay yields a factorization of the identity with the fewest factors.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Sequence
 
 from . import freegroup
 from .freegroup import Pass, ReducedWord
-from .witnesses import Factorization
+from .witnesses import Factorization, _minimal_automaton
 
 _DIRECT, _WRAP, _CONCAT = 0, 1, 2
 
 
+def _bits(mask: int):
+    """The positions of the set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class WordAutomaton:
-    """The generators' prefix automaton (see the module docstring), with
-    epsilon-pair bookkeeping."""
+    """The generators' minimal automaton (``witnesses._minimal_automaton``),
+    saturated cheapest first.
+
+    A pair's cost is the number of base returns on its walk, so the cost
+    of (base, base) is the number of factors its walk reads, and every
+    rule adds the returns of its steps to the costs of its pairs: Knuth's
+    generalization of Dijkstra's algorithm (*A generalization of
+    Dijkstra's algorithm*, IPL, 1977) finds each pair at its least cost
+    when the pairs are taken cheapest first and a rule fires only on pairs
+    taken.  Here the costs are taken level by level, on per-state bitsets.
+    A WRAP or DIRECT step adds 0, 1 or 2 returns to its stretch's, so it
+    files its pairs at that level, or takes them at the current one;
+    CONCAT joins two pairs of a and b returns at level a + b, when that
+    level starts if both are positive, and as the pairs are taken
+    otherwise.  A pair is taken once, at its least cost, and its
+    provenance is the step that took it, which refers to pairs taken
+    before, so its replay is well-founded and reads a walk with the fewest
+    returns.  Among walks of one cost, short ones come first: each filed
+    pair keeps the fewest letters filed for it, and a level takes its
+    filed pairs by their letters before any other.  The states are
+    numbered in the order the generators first reach them, so that ties
+    go to the earlier generators.
+    """
 
     def __init__(self, words: Sequence[ReducedWord]):
         for i, w in enumerate(words):
@@ -41,82 +68,155 @@ class WordAutomaton:
                 raise ValueError(f"generator {i} is the empty word")
         self.words = tuple(words)
         self.base = 0
-        # the first generator with each letter tuple, the state of each
-        # proper prefix by its parent and last letter, and the transitions
-        # in the order they first appear
+        # the first generator with each letter tuple, whose index names it
         self.first: dict[tuple[int, ...], int] = {}
-        prefixes: dict[tuple[int, int], int] = {}
-        transitions: dict[tuple[int, int, int], None] = {}
         for i, w in enumerate(self.words):
-            if w.letters in self.first:
-                continue
-            self.first[w.letters] = i
-            prev = self.base
-            for code in w.letters[:-1]:
-                nxt = prefixes.setdefault((prev, code), len(prefixes) + 1)
-                transitions[prev, code, nxt] = None
-                prev = nxt
-            transitions[prev, w.letters[-1], self.base] = None
-        n_states = self.n_states = len(prefixes) + 1
-        self.sources = tuple(p for p, _, _ in transitions)
-        self.letters = tuple(code for _, code, _ in transitions)
-        self.targets = tuple(q for _, _, q in transitions)
-        self.trans_in: list[list[int]] = [[] for _ in range(n_states)]
-        self.out_by_letter: list[dict[int, list[int]]] = [dict() for _ in range(n_states)]
-        for tid, (p, code, q) in enumerate(transitions):
-            self.trans_in[q].append(tid)
-            self.out_by_letter[p].setdefault(code, []).append(tid)
-        # epsilon[(p, q)] = provenance; insertion order keeps replay well-founded
+            self.first.setdefault(w.letters, i)
+        merged = _minimal_automaton(self.first)
+        # a merged state's transitions by a letter reach the base, one
+        # other state, or both
+        number = {0: 0}
+        for letters in self.first:
+            state = 0
+            for code in letters[:-1]:
+                state = (merged[state][code] >> 1).bit_length()
+                number.setdefault(state, len(number))
+        n_states = self.n_states = len(merged)
+        self._outs: list[dict[int, int]] = [{} for _ in range(n_states)]
+        for state, out in enumerate(merged):
+            self._outs[number[state]] = {
+                code: targets & 1 | (1 << number[(targets >> 1).bit_length()] if targets >> 1 else 0)
+                for code, targets in out.items()
+            }
+        # per state and letter, the sources of its transitions in by it
+        self._ins: list[dict[int, int]] = [{} for _ in range(n_states)]
+        steps = [
+            (p, code, q)
+            for p, out in enumerate(self._outs)
+            for code, targets in out.items()
+            for q in _bits(targets)
+        ]
+        for p, code, q in steps:
+            into = self._ins[q]
+            into[code] = into.get(code, 0) | 1 << p
+        self._transition = {step: tid for tid, step in enumerate(steps)}
+        self.sources = tuple(p for p, _, _ in steps)
+        self.letters = tuple(code for _, code, _ in steps)
+        self.targets = tuple(q for _, _, q in steps)
+        # epsilon[(p, q)]: the provenance of each pair taken
         self.epsilon: dict[tuple[int, int], tuple] = {}
-        # the pairs by state, in order and as bitsets: succ[p] has q, pred[q] p
-        self._by_first: list[list[int]] = [[] for _ in range(n_states)]
-        self._by_second: list[list[int]] = [[] for _ in range(n_states)]
-        self._succ = [0] * n_states
-        self._pred = [0] * n_states
-
-    def _add(self, pair: tuple[int, int], provenance: tuple, queue: deque) -> None:
-        p, q = pair
-        if self._succ[p] >> q & 1:
-            return
-        self._succ[p] |= 1 << q
-        self._pred[q] |= 1 << p
-        self.epsilon[pair] = provenance
-        self._by_first[p].append(q)
-        self._by_second[q].append(p)
-        queue.append(pair)
 
     def saturate(self) -> "WordAutomaton":
-        """Run the pair closure to fixpoint, or until (base, base) appears."""
-        target = (self.base, self.base)
-        queue: deque[tuple[int, int]] = deque()
-        for q in range(self.n_states):
-            for t1 in self.trans_in[q]:
-                for t2 in self.out_by_letter[q].get(-self.letters[t1], ()):
-                    self._add(
-                        (self.sources[t1], self.targets[t2]), (_DIRECT, t1, t2), queue
-                    )
-        while queue:
-            if target in self.epsilon:
-                return self
-            q, r = queue.popleft()
-            for t1 in self.trans_in[q]:
-                for t2 in self.out_by_letter[r].get(-self.letters[t1], ()):
-                    self._add(
-                        (self.sources[t1], self.targets[t2]),
-                        (_WRAP, t1, (q, r), t2),
-                        queue,
-                    )
-            # the pairs each CONCAT loop adds: none when q == r
-            fresh = self._succ[r] & ~self._succ[q]
+        """Take the pairs cheapest first, to fixpoint or until (base, base)
+        is taken."""
+        n, base, epsilon = self.n_states, self.base, self.epsilon
+        ins, outs = self._ins, self._outs
+        # the pairs taken, by first state and by second, and by returns:
+        # rows and columns per level, and each level's pairs in order;
+        # size[p * n + q]: the letters of the walk of a pair (p, q) taken
+        taken, taken_col = [0] * n, [0] * n
+        rows: list[list[int]] = []
+        cols: list[list[int]] = []
+        taken_at: list[list[tuple[int, int]]] = []
+        size: dict[int, int] = {}
+        # filed[level]: the letters and provenance of the shortest walk
+        # filed at that level for each pair; a pair filed at two levels is
+        # taken at the lower one and passed over at the other
+        filed: dict[int, dict[tuple[int, int], tuple]] = {}
+
+        def file(level: int, sources: int, s: int, letters: int, provenance: tuple) -> None:
+            """File the pairs (p, s), p in sources, not taken yet."""
+            fresh = sources & ~taken_col[s]
             if fresh:
-                for u in self._by_first[r]:
-                    if fresh >> u & 1:
-                        self._add((q, u), (_CONCAT, (q, r), (r, u)), queue)
-            fresh = self._pred[q] & ~self._pred[r]
-            if fresh:
-                for p in self._by_second[q]:
-                    if fresh >> p & 1:
-                        self._add((p, r), (_CONCAT, (p, q), (q, r)), queue)
+                offers = filed.setdefault(level, {})
+                for p in _bits(fresh):
+                    known = offers.get((p, s))
+                    if known is None or letters < known[0]:
+                        offers[p, s] = (letters, provenance)
+
+        def take(p: int, s: int, letters: int, provenance: tuple) -> None:
+            """Take the pair (p, s) at the current level, whose row, column
+            and pairs the loop below sets."""
+            taken[p] |= 1 << s
+            taken_col[s] |= 1 << p
+            row[p] |= 1 << s
+            col[s] |= 1 << p
+            pairs.append((p, s))
+            size[p * n + s] = letters
+            epsilon[p, s] = provenance
+
+        for q in range(n):
+            for code, sources in ins[q].items():
+                for s in _bits(outs[q].get(-code, 0)):
+                    file((q == base) + (s == base), sources, s, 2, (_DIRECT, code, q))
+        level = top = 0  # top: the most returns of a pair taken
+        while filed or level <= 2 * top:
+            row, col, pairs = [0] * n, [0] * n, []
+            rows.append(row)
+            cols.append(col)
+            taken_at.append(pairs)
+            offers = filed.pop(level, {})
+            for p, s in sorted(offers, key=lambda pair: (offers[pair][0], pair[1], pair[0])):
+                if not taken[p] >> s & 1:
+                    take(p, s, *offers[p, s])
+            # CONCAT of pairs of a and level - a > 0 returns, read off the
+            # fewer of the two
+            for a in range(1, level):
+                if taken[base] & 1:
+                    return self
+                b = level - a
+                if len(taken_at[a]) <= len(taken_at[b]):
+                    right = rows[b]
+                    for p, q in taken_at[a]:
+                        fresh = right[q] & ~taken[p]
+                        if fresh:
+                            head, at = size[p * n + q], q * n
+                            for r in _bits(fresh):
+                                take(p, r, head + size[at + r], (_CONCAT, q))
+                else:
+                    left = cols[a]
+                    for q, r in taken_at[b]:
+                        fresh = left[q] & ~taken_col[r]
+                        if fresh:
+                            tail = size[q * n + r]
+                            for p in _bits(fresh):
+                                take(p, r, size[p * n + q] + tail, (_CONCAT, q))
+            for q, r in pairs:  # the list grows as pairs are taken
+                if taken[base] & 1:
+                    return self
+                letters = size[q * n + r]
+                # WRAP: a step into q, the stretch (q, r), the inverse step
+                # out of r, to the base or to one other state
+                out_r = outs[r]
+                for code, sources in ins[q].items():
+                    ends = out_r.get(-code)
+                    if not ends:
+                        continue
+                    wrap = (_WRAP, code, q, r)
+                    if ends & 1:
+                        file(level + (q == base) + 1, sources, base, letters + 2, wrap)
+                    s = (ends >> 1).bit_length()
+                    if not s:
+                        continue
+                    if q == base:
+                        file(level + 1, sources, s, letters + 2, wrap)
+                        continue
+                    fresh = sources & ~taken_col[s]
+                    if fresh:
+                        for p in _bits(fresh):
+                            take(p, s, letters + 2, wrap)
+                # CONCAT with the pairs of no returns
+                fresh = cols[0][q] & ~taken_col[r]
+                if fresh:
+                    for p in _bits(fresh):
+                        take(p, r, size[p * n + q] + letters, (_CONCAT, q))
+                fresh = rows[0][r] & ~taken[q]
+                if fresh:
+                    for u in _bits(fresh):
+                        take(q, u, letters + size[r * n + u], (_CONCAT, r))
+            if pairs:
+                top = level
+            level += 1
         return self
 
     def expand_pair(self, pair: tuple[int, int]) -> list[int]:
@@ -126,14 +226,18 @@ class WordAutomaton:
     def _expand(self, current: tuple[int, int], memo: dict) -> Pass:
         """The transition walk of one pair; see expand_pair."""
         if current not in memo:
-            prov = self.epsilon[current]
-            if prov[0] == _DIRECT:
-                memo[current] = [prov[1], prov[2]]
-            elif prov[0] == _WRAP:
-                memo[current] = [prov[1], *(yield self._expand(prov[2], memo)), prov[3]]
+            p, s = current
+            record = self.epsilon[current]
+            if record[0] == _CONCAT:
+                q = record[1]
+                walk = yield self._expand((p, q), memo)
+                walk = walk + (yield self._expand((q, s), memo))
             else:
-                first = yield self._expand(prov[1], memo)
-                memo[current] = first + (yield self._expand(prov[2], memo))
+                code, q = record[1], record[2]
+                r = q if record[0] == _DIRECT else record[3]
+                inner = [] if record[0] == _DIRECT else (yield self._expand((q, r), memo))
+                walk = [self._transition[p, code, q], *inner, self._transition[r, -code, s]]
+            memo[current] = walk
         return memo[current]
 
     def walk_factors(self, walk: Sequence[int]) -> list[int]:
@@ -160,11 +264,13 @@ class IdentityClosure:
     """Growable pair closure of the generators' prefix automaton that only
     decides whether the identity is reached; no provenance is kept.
 
-    The layout is the module's over the words grown so far, base 0 and
-    [P] the state of a prefix P, as in ``WordAutomaton``: a partial
-    Stallings fold of the flower automaton (Stallings, *Topology of finite
-    graphs*, 1983).  So the one state other than 0 past [P] by a letter c
-    is [Pc], and [Pc] is entered from [P] alone.
+    The layout is the prefix automaton of the words grown so far: base 0,
+    one state [P] per distinct proper nonempty prefix P, and a generator
+    ``a1…an`` runs ``0 -a1-> [a1] -a2-> … -an-> 0``, one transition per
+    distinct step; a partial Stallings fold of the flower automaton
+    (Stallings, *Topology of finite graphs*, 1983).  So the one state
+    other than 0 past [P] by a letter c is [Pc], and [Pc] is entered from
+    [P] alone.
 
     The pairs are per-state int bitsets: ``succ[q]`` holds every r with a
     pair (q, r) and ``pred[r]`` every such q, so CONCAT takes one mask per
@@ -340,8 +446,9 @@ def contains_identity(
 ) -> tuple[bool, Factorization | None]:
     """Decide e in the subsemigroup generated by ``words`` (nonempty products).
 
-    On success the factorization indexes the input list and multiplies to
-    the identity exactly.
+    On success the factorization indexes the input list, names the first
+    generator with each factor's letters, has the fewest factors of any,
+    and multiplies to the identity exactly.
     """
     gens = tuple(words)
     for i, w in enumerate(gens):

@@ -191,10 +191,10 @@ def _root_order(words, arity: int) -> Callable[[ReducedWord], int] | None:
 class _Closed:
     """A search leaf whose generators, the words and the signed pivots on
     ``path`` (the tree's branches above it), reach the identity; its
-    witness is built only if the search returns a tree.  A truncated cone
-    lies inside the subsemigroup its generators make, so where the cone
-    reaches the identity, ``contains_identity`` finds a factorization of
-    it too."""
+    witness is built only if the search returns a tree and the branches
+    above it keep its side.  A truncated cone lies inside the subsemigroup
+    its generators make, so where the cone reaches the identity,
+    ``contains_identity`` finds a factorization of it too."""
 
     __slots__ = ("path",)
 
@@ -224,9 +224,10 @@ def _sign_search(
     once, so the search descends along it alone, and the tree has no
     branch for that pivot.  Returns a refutation tree, whose leaves carry
     ``leaf(generators)`` over the words and the signed pivots the tree
-    branches on above them, or the first open leaf's path, forced pivots
-    included, with the closure left as it stands there.  Callers settle
-    the roots that a bi-order excludes without it.
+    branches on above them, with no branch whose pivot the leaves below
+    one side do not use (see _extract), or the first open leaf's path,
+    forced pivots included, with the closure left as it stands there.
+    Callers settle the roots that a bi-order excludes without it.
     """
     if closure.grow(u for w in words for u in petal(w, 1)):
         result = _Closed(())
@@ -235,7 +236,7 @@ def _sign_search(
         if isinstance(result, tuple):
             return result
     closure.rollback()
-    return freegroup.unwind(_extract(words, leaf, result))
+    return freegroup.unwind(_extract(words, leaf, result))[0]
 
 
 def _sign_node(closure, words, choose, petal, path: _Path, branched: _Path) -> Pass:
@@ -250,8 +251,7 @@ def _sign_node(closure, words, choose, petal, path: _Path, branched: _Path) -> P
     for sign in (first, -first):
         signed = ((pivot, sign),)
         added = _grow_unheld(closure, petal(pivot, sign))
-        if added is None:
-            subtrees[sign] = _Closed(branched + signed)
+        if added is None:  # closed: its leaf waits until the branch is kept
             continue
         forced = not added
         above = branched if forced else branched + signed
@@ -260,7 +260,10 @@ def _sign_node(closure, words, choose, petal, path: _Path, branched: _Path) -> P
             return subtree
         closure.rollback()
         subtrees[sign] = subtree
-    return RefutationBranch(pivot, subtrees[1], subtrees[-1])
+    positive, negative = (
+        subtrees.get(sign) or _Closed(branched + ((pivot, sign),)) for sign in (1, -1)
+    )
+    return RefutationBranch(pivot, positive, negative)
 
 
 def _grow_unheld(closure, petal: Iterable[ReducedWord]) -> list[ReducedWord] | None:
@@ -294,25 +297,57 @@ def _in_order(pivots: Sequence[ReducedWord]) -> _Choose:
     return choose
 
 
-def _extract(words, leaf, node) -> Pass:
-    """The refutation tree of a searched tree, each closed leaf replaced by
-    its witness."""
+def _extract(words, leaf, node, depth: int = 0) -> Pass:
+    """The refutation tree of a searched tree whose branches lie at
+    ``depth``, each closed leaf replaced by its witness, and the generator
+    indexes its leaves use.
+
+    A leaf's generators are the words and then the signed pivots of the
+    branches above it, so the pivot of a branch at ``depth`` is generator
+    ``len(words) + depth`` of every leaf below it.  When no leaf below a
+    side uses that generator, the side alone refutes the path above the
+    branch, as in conflict-directed backjumping (Prosser, *Hybrid
+    algorithms for the constraint satisfaction problem*, Computational
+    Intelligence, 1993): the branch becomes that side, with every leaf
+    factor above the pivot's index lowered by one, and a later side is
+    never factored.  The positive side is tried first.
+    """
     if isinstance(node, _Closed):
         generators = words + tuple(freegroup.signed(p, s) for p, s in node.path)
         witness = leaf(generators)
         if witness is None:
             raise AssertionError("closed leaf has no witness")
-        return RefutationLeaf(witness)
-    positive = yield _extract(words, leaf, node.positive)
-    negative = yield _extract(words, leaf, node.negative)
-    return RefutationBranch(node.pivot, positive, negative)
+        return RefutationLeaf(witness), {e.base for e in witness.entries}
+    pivot_index = len(words) + depth
+    sides = []
+    for side in (node.positive, node.negative):
+        tree, used = yield _extract(words, leaf, side, depth + 1)
+        if pivot_index not in used:
+            lowered = yield _lowered(tree, pivot_index)
+            return lowered, {i - (i > pivot_index) for i in used}
+        sides.append((tree, used))
+    (positive, used), (negative, more) = sides
+    return RefutationBranch(node.pivot, positive, negative), used | more
+
+
+def _lowered(node: RefutationTree, index: int) -> Pass:
+    """The tree with every leaf factor index above ``index`` lowered by one."""
+    if isinstance(node, RefutationBranch):
+        positive = yield _lowered(node.positive, index)
+        negative = yield _lowered(node.negative, index)
+        return RefutationBranch(node.pivot, positive, negative)
+    return RefutationLeaf(ConjugateProduct(tuple(
+        ConjugateEntry(e.conjugator, e.base - 1) if e.base > index else e
+        for e in node.witness.entries
+    )))
 
 
 def _conjugating(conjugators: Sequence[ReducedWord]):
     """The petal and the leaf of a sign search whose generators are the
     conjugates of the words and the signed pivots by each conjugator, in
     that order.  A leaf factors the identity over each conjugate at its
-    first occurrence, as a product of conjugates of the signed generators."""
+    first occurrence, as a product of the fewest conjugates of the signed
+    generators."""
 
     def petal(word: ReducedWord, sign: int) -> Iterable[ReducedWord]:
         effective = freegroup.signed(word, sign)
@@ -328,7 +363,12 @@ def _conjugating(conjugators: Sequence[ReducedWord]):
         if factorization is None:
             return None
         firsts = tuple(entries.values())
-        return ConjugateProduct(tuple(firsts[i] for i in factorization.factors))
+        chosen = tuple(firsts[i] for i in factorization.factors)
+        # conjugating the product by q' leaves it e, so factors that are
+        # all conjugates by one q may be the words themselves
+        if len({e.conjugator for e in chosen}) == 1:
+            chosen = tuple(ConjugateEntry(freegroup.IDENTITY, e.base) for e in chosen)
+        return ConjugateProduct(chosen)
 
     return petal, leaf
 

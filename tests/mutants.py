@@ -2,13 +2,15 @@
 
 Run from anywhere, with pytest installed:  python tests/mutants.py
 
-For each mutant, ``src/`` and ``tests/`` are copied to a temporary
-directory, the mutant's old snippet, which must occur exactly once in its
-file, is replaced there, and only the mutant's tests run.  A mutant is
-killed when every one of its tests fails.  Exits 1 when a mutant
-survives, when its old snippet is missing or occurs more than once, or
-when its tests cannot be run.  Pytest does not collect this file, and it
-imports only the standard library.
+First every test that some mutant names runs once on an unmutated copy
+of ``src/`` and ``tests/``.  Then, for each mutant, both are copied to a
+temporary directory, the mutant's old snippet, which must occur exactly
+once in its file, is replaced there, and only the mutant's tests run.  A
+mutant is killed when every one of its tests fails.  Exits 1 when a
+mutant survives, when it names a test that fails unmutated (its failure
+would prove nothing), when its old snippet is missing or occurs more than
+once, or when its tests cannot be run.  Pytest does not collect this
+file, and it imports only the standard library.
 
 Each entry describes its fault in its name; add one here, with the tests
 that kill it, rather than describing a tried mutant in prose.
@@ -165,6 +167,20 @@ MUTANTS = (
         _membership_tests("test_prefix_automaton_factors_on_first_generators"),
     ),
     Mutant(
+        "leaf-cost-misses-the-return-of-a-direct-step-into-the-base",
+        MEMBERSHIP,
+        "file((q == base) + (s == base), sources, s, 2, (_DIRECT, code, q))",
+        "file(q == base, sources, s, 2, (_DIRECT, code, q))",
+        _membership_tests("test_factorizations_have_the_fewest_factors"),
+    ),
+    Mutant(
+        "leaf-cost-misses-the-return-of-a-wrap-step-into-the-base",
+        MEMBERSHIP,
+        "file(level + (q == base) + 1, sources, base, letters + 2, wrap)",
+        "file(level + 1, sources, base, letters + 2, wrap)",
+        _membership_tests("test_factorizations_have_the_fewest_factors"),
+    ),
+    Mutant(
         "germ-sign-puts-the-identity-germ-above",
         BIORDER,
         "    return (b > 0) - (b < 0)\n",
@@ -240,6 +256,36 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "pruning-leaves-factor-indexes-unlowered",
+        RIGHTORDER,
+        "            lowered = yield _lowered(tree, pivot_index)\n",
+        "            lowered = tree\n",
+        _rightorder_tests(
+            "test_hard_search_rg_proofs_are_pinned",
+            "test_pruned_trees_verify_and_check",
+        ),
+    ),
+    Mutant(
+        "pruning-keeps-a-side-that-uses-the-pivot",
+        RIGHTORDER,
+        "        if pivot_index not in used:\n",
+        "        if pivot_index not in used or side is node.negative:\n",
+        _rightorder_tests(
+            "test_hard_search_rg_proofs_are_pinned",
+            "test_pruned_trees_verify_and_check",
+        ),
+    ),
+    Mutant(
+        "leaf-drops-conjugators-that-differ",
+        RIGHTORDER,
+        "        if len({e.conjugator for e in chosen}) == 1:\n",
+        "        if True:\n",
+        _rightorder_tests(
+            "test_hard_search_rg_proofs_are_pinned",
+            "test_pruned_trees_verify_and_check",
+        ),
+    ),
+    Mutant(
         "refutation-walk-reads-negative-factor-indexes-from-the-end",
         WITNESSES,
         "if any(not 0 <= e.base < len(generators) for e in entries):",
@@ -295,34 +341,52 @@ def _failed(stdout: str) -> set[str]:
     }
 
 
-def run(mutant: Mutant, workdir: Path) -> str | None:
-    """Apply one mutant to a fresh copy and run its tests; None when it is
-    killed, else what went wrong."""
+def _copy(workdir: Path) -> None:
+    """Copy ``src/`` and ``tests/`` into workdir."""
     for part in ("src", "tests"):
         shutil.copytree(
             ROOT / part,
             workdir / part,
             ignore=shutil.ignore_patterns("__pycache__", ".pytest_cache"),
         )
-    target = workdir / mutant.path
-    text = target.read_text()
-    count = text.count(mutant.old)
-    if count != 1:
-        return f"old snippet occurs {count} times in {mutant.path}"
-    target.write_text(text.replace(mutant.old, mutant.new))
+
+
+def _pytest(workdir: Path, tests) -> tuple[set[str], str | None]:
+    """Run the tests on the copy in workdir: the ids that fail, and what
+    went wrong when pytest could not run them."""
     paths = [str(workdir / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     result = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
-         *mutant.tests],
+         *tests],
         cwd=workdir,
         env=env,
         capture_output=True,
         text=True,
     )
     if result.returncode not in (0, 1):
-        return f"pytest exited {result.returncode}:\n{result.stdout}{result.stderr}"
-    survived = [test for test in mutant.tests if test not in _failed(result.stdout)]
+        return set(), f"pytest exited {result.returncode}:\n{result.stdout}{result.stderr}"
+    return _failed(result.stdout), None
+
+
+def run(mutant: Mutant, workdir: Path, failing: set[str]) -> str | None:
+    """Apply one mutant to a fresh copy and run its tests; None when it is
+    killed, else what went wrong.  ``failing`` holds the tests that fail
+    unmutated."""
+    unsound = [test for test in mutant.tests if test in failing]
+    if unsound:
+        return "names tests that fail unmutated: " + ", ".join(unsound)
+    _copy(workdir)
+    target = workdir / mutant.path
+    text = target.read_text()
+    count = text.count(mutant.old)
+    if count != 1:
+        return f"old snippet occurs {count} times in {mutant.path}"
+    target.write_text(text.replace(mutant.old, mutant.new))
+    failed, error = _pytest(workdir, mutant.tests)
+    if error:
+        return error
+    survived = [test for test in mutant.tests if test not in failed]
     if survived:
         return "survives " + ", ".join(survived)
     return None
@@ -331,8 +395,15 @@ def run(mutant: Mutant, workdir: Path) -> str | None:
 def main() -> int:
     problems = 0
     with tempfile.TemporaryDirectory() as scratch:
+        baseline = Path(scratch) / "unmutated"
+        _copy(baseline)
+        named = sorted({test for mutant in MUTANTS for test in mutant.tests})
+        failing, error = _pytest(baseline, named)
+        if error:
+            print(f"unmutated copy: {error}", flush=True)
+            return 1
         for i, mutant in enumerate(MUTANTS):
-            problem = run(mutant, Path(scratch) / str(i))
+            problem = run(mutant, Path(scratch) / str(i), failing)
             problems += problem is not None
             print(f"{mutant.name}: {problem or 'killed'}", flush=True)
     print(f"{len(MUTANTS) - problems} of {len(MUTANTS)} mutants killed")

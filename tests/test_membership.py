@@ -27,8 +27,9 @@ def identity_products_upto(gens, max_factors: int) -> Factorization | None:
 
 
 def test_flower_shapes():
-    # the flower folded on shared prefixes: one state per distinct proper
-    # nonempty prefix besides the base, one transition per distinct step
+    # the flower folded on shared prefixes and then on equal right
+    # languages: the generators' minimal automaton, one transition per
+    # distinct step
     single = mb.WordAutomaton(words("x"))
     assert single.n_states == 1
     assert len(single.sources) == 1
@@ -45,7 +46,16 @@ def test_flower_shapes():
     steps = set(zip(shared.sources, shared.letters, shared.targets))
     assert len(steps) == len(shared.sources) == 4
     x, y = w("x").letters[0], w("y").letters[0]
-    assert (0, x, 1) in steps and (1, y, 0) in steps and (1, y, 2) in steps
+    (first,) = [q for p, code, q in steps if (p, code) == (0, x)]
+    assert {q for p, code, q in steps if (p, code) == (first, y)} == {0, 3 - first}
+
+    # [x] and [y] of xy | yy have one right language, {y}: one state, where
+    # the prefix layout has two
+    merged = mb.WordAutomaton(words("xy", "yy"))
+    assert merged.n_states == 2
+    assert set(zip(merged.sources, merged.letters, merged.targets)) == {
+        (0, x, 1), (0, y, 1), (1, y, 0)
+    }
 
     empty = mb.WordAutomaton([])
     assert empty.n_states == 1
@@ -169,6 +179,50 @@ def test_prefix_automaton_factors_on_first_generators(rng):
         rng.shuffle(gens)
         found += _check_leaf(gens)
     assert 80 < found < 300, found
+
+
+def _fewest_factors(gens, max_factors: int) -> int | None:
+    """The fewest generators, at most max_factors, whose product is e, by
+    breadth-first search over the values of the products."""
+    frontier, seen = {fg.IDENTITY}, set()
+    for count in range(1, max_factors + 1):
+        frontier = {fg.mul(value, u) for value in frontier for u in gens} - seen
+        if fg.IDENTITY in frontier:
+            return count
+        seen |= frontier
+    return None
+
+
+def test_factorizations_have_the_fewest_factors(rng):
+    # against a brute-force count: a leaf gets its fewest factors.  Each
+    # pinned list needs 2 or 3; a cost that misses the base return of
+    # either step of a DIRECT pair, or of a WRAP step into the base, takes
+    # more in one of them, as does reading the first walk found, which
+    # takes 6 for the last
+    pinned = {
+        "yx | y | yx'y' | xy' | y'x'": 3,
+        "x'y'x' | y | x | xy | y'": 2,
+        "yyx | x'y'y' | x' | xxxx": 2,
+        "y' | yx' | x | xy'": 2,
+        "x' | xy'xxy'y' | yxy | y'x'y' | xy'": 2,
+    }
+    for text, fewest in pinned.items():
+        gens = words(*text.split(" | "))
+        assert _fewest_factors(gens, 4) == fewest, text
+        assert len(mb.contains_identity(gens)[1].factors) == fewest, text
+    found = 0
+    for _ in range(1_000):
+        count = rng.randint(3, 5)
+        gens = fg.dedupe(_random_word(rng, rng.randint(1, 6)) for _ in range(count))
+        fewest = _fewest_factors(gens, 5)
+        ok, factorization = mb.contains_identity(gens)
+        if fewest is None:
+            assert not ok or len(factorization.factors) > 5, gens
+        else:
+            assert ok and len(factorization.factors) == fewest, gens
+            assert factorization.product(tuple(gens)).is_identity, gens
+            found += fewest > 2
+    assert found > 50, found
 
 
 def test_walk_factors_rejects_garbage():
@@ -435,7 +489,8 @@ def test_identity_closure_agrees_on_hard_sign_assignments():
     # with reaches_identity; on each hard witness, and on it with one
     # signed pivot flipped, both must answer as the provenance-keeping
     # automaton does; merging the prefix states of the same right language
-    # leaves 597 of the witnesses' 1,359 states
+    # leaves 597 of the 1,359 states of the witnesses' prefix layout, which
+    # the closure builds
     answers = {True: 0, False: 0}
     states = merged = 0
     for text in HARD_HM_SETS:
@@ -455,8 +510,12 @@ def test_identity_closure_agrees_on_hard_sign_assignments():
             assert not (found and i == 0), text  # the witness itself holds
             answers[found] += 1
         generators = joins + tuple(signed)
-        states += mb.WordAutomaton(generators).n_states
-        merged += len(witnesses._minimal_automaton([u.letters for u in generators]))
+        closure = mb.IdentityClosure()
+        closure.grow(generators)
+        states += len(closure._succ)
+        minimal = len(witnesses._minimal_automaton([u.letters for u in generators]))
+        assert mb.WordAutomaton(generators).n_states == minimal
+        merged += minimal
     assert min(answers.values()) > 100, answers
     assert (merged, states) == (597, 1_359)
 

@@ -354,8 +354,9 @@ def test_cs_witnesses_and_refutations_are_pinned():
     # truncated_right_order digest was recorded before the cone closure
     # visited only candidate pairs, and again before the cone dropped its
     # provenance; the refutation digest was recorded once leaf
-    # factorizations came from the identity closure, and again once leaves
-    # were factored on the generators' prefix states
+    # factorizations came from the identity closure, again once leaves
+    # were factored on the generators' prefix states, and again once they
+    # took their fewest factors and lost the branches they do not use
     pool = [u for u in fg.ball(2, 2) if not u.is_identity]
     kinds = {"truncated_right_order": 0, "refutation": 0}
     digests = {kind: hashlib.sha256() for kind in kinds}
@@ -374,7 +375,7 @@ def test_cs_witnesses_and_refutations_are_pinned():
             "7f9c3b9a5ddf70f93f7088d2e2488d776635e89c85f4f72512623bd767cd2b2a"
         ),
         "refutation": (
-            "9029e872a6be25552cb361b18aecaa1f8fc64a3dd54c80f06c64bd0b9bb2d583"
+            "928bc5fc48a90e014fc6db441cee01141a6d1614af43b081a4f0628ffa925360"
         ),
     }
 
@@ -387,7 +388,8 @@ def test_hm_proofs_and_rg_refutations_are_pinned():
     # digest again once leaf factors lost their sign and a factor
     # conjugated by e became its base index alone, with every tree
     # unchanged; both again once leaves were factored on the generators'
-    # prefix states, with every tree unchanged
+    # prefix states, with every tree unchanged, and again once they took
+    # their fewest factors, with every searched tree unchanged
     pool = [u for u in fg.ball(2, 2) if not u.is_identity]
     counts = {"proof": 0, "refutation": 0}
     digests = {kind: hashlib.sha256() for kind in counts}
@@ -407,9 +409,9 @@ def test_hm_proofs_and_rg_refutations_are_pinned():
                 digests[doc["kind"]].update(certio.dumps(doc).encode())
     assert counts == {"proof": 236, "refutation": 288}
     assert {kind: d.hexdigest() for kind, d in digests.items()} == {
-        "proof": "d012aca40d7f74aef6c7648046fdae692951172b9bbecdc6628c4aef6c7173f1",
+        "proof": "66554b88260a39064973a25dccc1f47c4468682983e23b560e0cc1a9a44b0946",
         "refutation": (
-            "14a9580f1e21b7c0cbb16096870511b2729c7bff6ac2f898a8c177833be5a9da"
+            "d507bcb61b31532e4ceb896735a2a0284c27ea66c6425a50441b1ef7d3df00b1"
         ),
     }
 
@@ -422,34 +424,56 @@ HARD_RG_VALID_SETS = (
 )
 
 
-def _leaf_factor_counts(tree):
-    """The number of factors of each leaf of a refutation tree."""
-    counts, stack = [], [tree]
+def _searched(joins, choose, petal):
+    """The kernel's searched tree, its leaves closed and not yet factored,
+    or the path of its first open leaf."""
+    closure = membership.IdentityClosure()
+    if closure.grow(u for w in joins for u in petal(w, 1)):
+        return ro._Closed(())
+    return fg.unwind(ro._sign_node(closure, joins, choose, petal, (), ()))
+
+
+def _tree_leaves(tree):
+    """The leaves of a tree in order: the closed leaves of a searched tree,
+    or the leaves of a refutation tree."""
+    leaves, stack = [], [tree]
     while stack:
         node = stack.pop()
-        if isinstance(node, RefutationLeaf):
-            counts.append(len(node.witness.entries))
-        else:
+        if isinstance(node, RefutationBranch):
             stack += [node.negative, node.positive]
-    return counts
+        else:
+            leaves.append(node)
+    return leaves
 
 
 def test_hard_search_rg_proofs_are_pinned(tmp_path):
     # the search does not branch on a pivot whose sign the closure forces,
-    # so these trees have 13 leaves of 67 factors in all, and the proofs
-    # 10,734, 11,992 and 18,924 bytes; branching on every pivot made 36
-    # leaves of 138 factors, and proofs of 27,625, 31,070 and 34,515 bytes
-    factors, sizes = [], []
+    # so the searched trees have 13 leaves, which take 63 factors, the
+    # fewest each can; no leaf below one side of 3 of their branches uses
+    # the branch's pivot, so the proofs keep that side alone, 10 leaves of
+    # 48 factors, and take 8,154, 3,920 and 17,325 bytes.  Branching on
+    # every pivot made 36 leaves of 138 factors and proofs of 27,625,
+    # 31,070 and 34,515 bytes; the first factorization each leaf's
+    # saturation found, 13 leaves of 67 factors and 10,734, 11,992 and
+    # 18,924 bytes
+    searched, factors, sizes = [], [], []
+    petal, leaf = ro._conjugating(fg.ball(2, 1))
     for i, text in enumerate(HARD_RG_VALID_SETS):
-        tree = ro.rg_refute_bounded(words(*text.split(" | ")), 2, 1)
-        factors += _leaf_factor_counts(tree)
+        joins = tuple(words(*text.split(" | ")))
+        choose = ro._in_order(ro.sign_pivots(joins))
+        for closed in _tree_leaves(_searched(joins, choose, petal)):
+            generators = joins + tuple(fg.signed(p, s) for p, s in closed.path)
+            searched.append(len(leaf(generators).entries))
+        tree = ro.rg_refute_bounded(joins, 2, 1)
+        factors += [len(node.witness.entries) for node in _tree_leaves(tree)]
         path = str(tmp_path / f"proof{i}.json")
         argv = ["prove", "--variety", "representable", "--bound-L", "1", text]
         assert cli.main([*argv, "--proof", path]) == 0
         assert cli.main(["check", path]) == 0
         sizes.append(os.path.getsize(path))
-    assert (len(factors), sum(factors)) == (13, 67)
-    assert sizes == [10_734, 11_992, 18_924]
+    assert (len(searched), sum(searched)) == (13, 63)
+    assert (len(factors), sum(factors)) == (10, 48)
+    assert sizes == [8_154, 3_920, 17_325]
 
 
 def _branching_node(closure, words, choose, petal, path):
@@ -485,19 +509,9 @@ def _branching_node(closure, words, choose, petal, path):
     return RefutationBranch(pivot, subtrees[1], subtrees[-1]), shape
 
 
-def _branching_search(words, choose, petal, leaf):
-    """A refutation tree and its cut shape, or an open path and None; see
-    _branching_node."""
-    closure = membership.IdentityClosure()
-    found, shape = fg.unwind(_branching_node(closure, words, choose, petal, ()))
-    if shape is None:
-        return found, None
-    return fg.unwind(ro._extract(words, leaf, found)), shape
-
-
 def _shape(tree):
-    """A refutation tree's pivots and where its leaves are."""
-    if isinstance(tree, RefutationLeaf):
+    """A tree's pivots and where its leaves are."""
+    if not isinstance(tree, RefutationBranch):
         return "leaf"
     return (tree.pivot, _shape(tree.positive), _shape(tree.negative))
 
@@ -507,8 +521,9 @@ def test_forced_signs_agree_with_branching_on_every_pivot(rng):
     # pivots, petals and leaves of hm (conjugator bound 0, which rg's bound
     # 0 shares) and of rg at bound 1, over the hard-search rows and random
     # sets, their roots unsettled: the same open paths, which are the hm
-    # sign assignments, and trees that verify, have no more leaves, and
-    # branch exactly where no sign's petal is held already
+    # sign assignments, and searched trees that have no more leaves and
+    # branch exactly where no sign's petal is held already, whose
+    # refutation trees verify and have no more leaves still
     pool = [words(*text.split(" | ")) for text in HARD_RG_VALID_SETS]
     while len(pool) < 150:
         joins = fg.dedupe(random_reduced_word(rng, 2, 4) for _ in range(3))
@@ -516,30 +531,89 @@ def test_forced_signs_agree_with_branching_on_every_pivot(rng):
             pool.append(joins)
     builders = {0: ro._IDENTITY_ONLY, 1: ro._conjugating(fg.ball(2, 1))}
     opened = {0: 0, 1: 0}
-    leaves = {0: [0, 0], 1: [0, 0]}
+    leaves = {0: [0, 0, 0], 1: [0, 0, 0]}
     for joins in pool:
         joins = tuple(joins)
         choose = ro._in_order(ro.sign_pivots(joins))
         for bound, (petal, leaf) in builders.items():
             closure = membership.IdentityClosure()
             found = ro._sign_search(closure, joins, choose, petal, leaf)
-            oracle, shape = _branching_search(joins, choose, petal, leaf)
+            oracle, shape = fg.unwind(_branching_node(
+                membership.IdentityClosure(), joins, choose, petal, ()
+            ))
             assert isinstance(found, tuple) == (shape is None), joins
             if shape is None:
                 assert found == oracle, joins
                 opened[bound] += 1
                 continue
             assert verify_refutation_tree(joins, found, bound > 0) is None, joins
-            assert _shape(found) == shape, joins
-            ours = len(_leaf_factor_counts(found))
-            theirs = len(_leaf_factor_counts(oracle))
-            assert ours <= theirs, joins
-            leaves[bound][0] += ours
-            leaves[bound][1] += theirs
+            searched = _searched(joins, choose, petal)
+            assert _shape(searched) == shape, joins
+            counts = [len(_tree_leaves(t)) for t in (found, searched, oracle)]
+            assert counts == sorted(counts), joins
+            leaves[bound] = [a + b for a, b in zip(leaves[bound], counts)]
     assert min(opened.values()) > 20, opened
     # the table rows alone drop 23 leaves at bound 1
-    assert leaves[1][1] - leaves[1][0] >= 23, leaves
-    assert leaves[0][0] >= 10, leaves
+    assert leaves[1][2] - leaves[1][1] >= 23, leaves
+    assert leaves[0][1] >= 10, leaves
+
+
+def _kept_unused_pivots(joins, tree) -> int:
+    """The number of branches of a refutation tree one of whose sides has
+    no leaf that uses the branch's pivot as a factor."""
+    unused, stack = 0, [(tree, len(joins))]
+    while stack:
+        node, index = stack.pop()
+        if isinstance(node, RefutationLeaf):
+            continue
+        for side in (node.positive, node.negative):
+            used = {e.base for leaf in _tree_leaves(side) for e in leaf.witness.entries}
+            unused += index not in used
+            stack.append((side, index + 1))
+    return unused
+
+
+def test_pruned_trees_verify_and_check(rng):
+    # every branch one of whose sides never uses its pivot is cut down to
+    # that side: over the corpus sets for cs, hm and rg at bound 1, the
+    # hard-search rows and seeded random sets for hm and rg, each tree
+    # verifies, its derivation checks and no branch is left that a side
+    # does not use; the rg trees of the rows and random sets keep fewer
+    # leaves than their searches closed
+    pool = [u for u in fg.ball(2, 2) if not u.is_identity]
+    corpus = [s for size in (1, 2, 3) for s in itertools.combinations(pool, size)]
+    hard = [tuple(words(*text.split(" | "))) for text in HARD_RG_VALID_SETS]
+    randoms = []
+    while len(randoms) < 60:
+        joins = fg.dedupe(random_reduced_word(rng, 2, 8) for _ in range(3))
+        if len(joins) == 3 and min(map(len, joins)) >= 5:
+            randoms.append(joins)
+    trees = [(s, ro.extend_right_order(s, 2), 0) for s in corpus]
+    trees = [(s, t, 0) for s, t, _ in trees if not isinstance(t, TruncatedRightOrder)]
+    petal = ro._conjugating(fg.ball(2, 1))[0]
+    dropped = 0
+    for joins in corpus + hard + randoms:
+        choose = ro._in_order(ro.sign_pivots(joins))
+        if ro._root_order(joins, 2) is None:
+            closure = membership.IdentityClosure()
+            tree = ro._sign_search(closure, joins, choose, *ro._IDENTITY_ONLY)
+            if not isinstance(tree, tuple):
+                trees.append((joins, tree, 0))
+        tree = ro.rg_refute_bounded(joins, 2, 1)
+        if tree is not None:
+            trees.append((joins, tree, 1))
+            if joins not in corpus:
+                searched = _searched(joins, choose, petal)
+                dropped += len(_tree_leaves(searched)) - len(_tree_leaves(tree))
+    for joins, tree, bound in trees:
+        assert verify_refutation_tree(joins, tree, bound > 0) is None, joins
+        calculus = ca.CalculusId.GRGSTAR if bound else ca.CalculusId.GLGSTAR
+        derive = ca.derive_grgstar if bound else ca.derive_glgstar
+        goal = ca.hypersequent_of_words(joins)
+        assert ca.check(calculus, derive(joins, tree), goal).ok, joins
+        assert _kept_unused_pivots(joins, tree) == 0, joins
+    assert len(trees) > 500, len(trees)
+    assert dropped > 20, dropped
 
 
 def _naive_cone(words, level):
