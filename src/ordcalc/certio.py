@@ -234,12 +234,17 @@ def load_proof(doc: dict) -> tuple[CalculusId, list[tuple[Hypersequent, Derivati
 
 
 def truncated_order_doc(witness: TruncatedRightOrder, words) -> dict:
+    """A listed order writes its elements, a generated one its generators."""
+    if witness.elements is None:
+        cone = {"generators": _word_list(witness.generators)}
+    else:
+        cone = {"elements": sorted(_word_list(witness.elements))}
     return _doc(
         "truncated_right_order",
         arity=witness.arity,
         level=witness.level,
-        elements=sorted(_word_list(witness.elements)),
         words=_word_list(words),
+        **cone,
     )
 
 
@@ -361,6 +366,15 @@ def verify_witness_doc(doc: dict) -> list[str]:
         level = _require(doc, "level", int)
         if arity < 1 or level < 1:
             raise CertificateFormatError("arity and level must be >= 1")
+        if "elements" not in doc:
+            words = tuple(_parse_word(text, arity) for text in _word_texts(doc))
+            generators = tuple(
+                _parse_word(text, arity) for text in _require(doc, "generators", list)
+            )
+            cone = TruncatedRightOrder(arity, level, words=words, generators=generators)
+            return cone.violations()
+        if "generators" in doc:
+            raise CertificateFormatError("a cone lists elements or generators")
         elements = frozenset(
             _parse_word(w, arity) for w in _require(doc, "elements", list)
         )

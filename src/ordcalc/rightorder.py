@@ -124,7 +124,9 @@ def extend_right_order(
     The truncation level is the maximal input length, which is already
     decisive.  The search signs the first word of the shorter ball, in
     ShortLex order, that neither is nor inverts an element of the cone,
-    positive sign first.
+    positive sign first.  The order is given by the words and the signed
+    pivots of the open path, whose closure within the level is the cone
+    the search ends with; its elements are never listed.
     """
     words = freegroup.dedupe(words)
     if not words:
@@ -148,9 +150,9 @@ def extend_right_order(
         return None
 
     tree = _sign_search(cone, words, choose, *_IDENTITY_ONLY)
-    if isinstance(tree, tuple):  # the cone stands as at the open leaf
-        elements = frozenset(map(ReducedWord, cone.elements))
-        return TruncatedRightOrder(arity, level, elements)
+    if isinstance(tree, tuple):  # the open path, whose closure is the cone
+        signed = tuple(freegroup.signed(p, s) for p, s in tree)
+        return TruncatedRightOrder(arity, level, words=words, generators=signed)
     return tree
 
 

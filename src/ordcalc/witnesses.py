@@ -163,15 +163,52 @@ def _ball_exceeds(arity: int, radius: int, limit: int) -> bool:
     return False
 
 
+def close_within(
+    level: int, generators: Iterable[tuple[int, ...]]
+) -> list[tuple[int, ...]] | None:
+    """The least set of letter tuples that holds the generators, all within
+    the level, and is closed under the products within it; None when a
+    product reaches the identity.  Each word is indexed when it is taken
+    from the queue and multiplied then, on either side, by itself and by
+    every word taken before it, so each product is formed once.  It
+    shares no code with the search's cone."""
+    queue = list(dict.fromkeys(generators))
+    present = set(queue)
+    index = freegroup.CancellationIndex(level)
+    taken, splice = index.words, freegroup.splice
+    while queue:
+        w = queue.pop()
+        products = [splice(taken[i], w) for i in index.left_factors(w)]
+        index.add(w)
+        products += [splice(w, taken[i]) for i in index.right_factors(w)]
+        for p in products:
+            if not p:
+                return None
+            if len(p) <= level and p not in present:
+                present.add(p)
+                queue.append(p)
+    return taken
+
+
 @dataclass(frozen=True)
 class TruncatedRightOrder:
-    """Positive-cone fragment: product-closed within the ball and total below it."""
+    """Positive-cone fragment: product-closed within the ball and total below it.
+
+    It is listed by its ``elements``, or, as the search writes it, left as
+    None and generated: the cone is then the closure within the level of
+    the ``words`` it orders positive and of ``generators``, the signed
+    pivots of the search's open path.
+    """
 
     arity: int
     level: int
-    elements: frozenset[ReducedWord]
+    elements: frozenset[ReducedWord] | None = None
+    words: tuple[ReducedWord, ...] = ()
+    generators: tuple[ReducedWord, ...] = ()
 
     def violations(self) -> list[str]:
+        if self.elements is None:
+            return self._generated_violations()
         issues = []
         elems = self.elements
         if freegroup.IDENTITY in elems:
@@ -204,6 +241,35 @@ class TruncatedRightOrder:
             if w.letters not in present and freegroup.bar(w.letters) not in present:
                 issues.append(f"undetermined element {freegroup.word_to_text(w)}")
         return issues
+
+    def _generated_violations(self) -> list[str]:
+        issues = []
+        for name, group in (("word", self.words), ("generator", self.generators)):
+            for w in group:
+                text = freegroup.word_to_text(w)
+                if w.is_identity:
+                    issues.append(f"{name} e is the identity")
+                if len(w) > self.level:
+                    issues.append(f"{name} {text} exceeds level")
+                if w.max_generator() > self.arity:
+                    issues.append(f"{name} {text} exceeds arity")
+        # the search truncates at the longest word, and a higher level
+        # would have the check close and count a larger ball than it did
+        if self.level != max(map(len, self.words), default=0):
+            issues.append("level is not the length of the longest word")
+        if issues:
+            return issues
+        generators = self.words + self.generators
+        cone = close_within(self.level, (w.letters for w in generators))
+        if cone is None:
+            return ["the generators reach the identity within the level"]
+        # a cone that misses e holds no word with its inverse, since their
+        # product e is formed, so it signs every word below the level
+        # exactly when it holds half of them
+        below = sum(len(u) < self.level for u in cone)
+        if _ball_exceeds(self.arity, self.level - 1, 2 * below):
+            return ["the cone leaves words below the level unsigned"]
+        return []
 
     def verify(self) -> bool:
         return not self.violations()

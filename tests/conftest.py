@@ -3,8 +3,13 @@ import random
 
 import pytest
 
-from ordcalc import freegroup
-from ordcalc.witnesses import ConjugateEntry, ConjugateProduct, RefutationLeaf
+from ordcalc import freegroup, rightorder
+from ordcalc.witnesses import (
+    ConjugateEntry,
+    ConjugateProduct,
+    RefutationLeaf,
+    TruncatedRightOrder,
+)
 
 SEED = int(os.environ.get("ORDCALC_SEED", "271828"))
 
@@ -16,6 +21,13 @@ def w(text: str) -> freegroup.ReducedWord:
 
 def words(*texts: str):
     return [w(t) for t in texts]
+
+
+def listed(order: TruncatedRightOrder) -> TruncatedRightOrder:
+    """The order that lists the cone a generated order stands for: the
+    closure, by the search's cone, of its words and generators."""
+    cone = rightorder.close_truncated(order.words + order.generators, order.level)
+    return TruncatedRightOrder(order.arity, order.level, cone)
 
 
 def product_leaf(indices) -> RefutationLeaf:

@@ -51,6 +51,10 @@ def _certio_tests(*names: str) -> tuple[str, ...]:
     return tuple(f"tests/test_certio.py::{name}" for name in names)
 
 
+def _robustness_tests(*names: str) -> tuple[str, ...]:
+    return tuple(f"tests/test_witness_robustness.py::{name}" for name in names)
+
+
 def _calculus_tests(*names: str) -> tuple[str, ...]:
     return tuple(f"tests/test_calculus.py::{name}" for name in names)
 
@@ -301,6 +305,52 @@ MUTANTS = (
             "test_pivot_lists_missing_any_pivot_are_rejected",
             "test_forged_pivot_lists_are_rejected_at_the_first_missing_pivot",
             "test_forged_sign_assignment_rejected",
+        ),
+    ),
+    Mutant(
+        "cone-check-skips-left-products",
+        WITNESSES,
+        "        products = [splice(taken[i], w) for i in index.left_factors(w)]\n",
+        "        products = []\n",
+        _rightorder_tests("test_witness_closure_is_the_searched_cone")
+        + _robustness_tests("test_path_mutants_are_judged_as_the_oracle_judges_them"),
+    ),
+    Mutant(
+        "cone-check-signs-only-below-the-level-minus-one",
+        WITNESSES,
+        "_ball_exceeds(self.arity, self.level - 1, 2 * below)",
+        "_ball_exceeds(self.arity, self.level - 2, 2 * below)",
+        _robustness_tests(
+            "test_path_mutants_are_judged_as_the_oracle_judges_them",
+            "test_witness_mutants_are_judged_as_the_oracles_judge_them",
+        ),
+    ),
+    Mutant(
+        "cone-check-closes-past-the-identity",
+        WITNESSES,
+        "            if not p:\n                return None\n",
+        "",
+        _robustness_tests(
+            "test_path_mutants_are_judged_as_the_oracle_judges_them",
+            "test_witness_mutants_are_judged_as_the_oracles_judge_them",
+        ),
+    ),
+    Mutant(
+        "cone-check-accepts-a-generator-beyond-the-level",
+        WITNESSES,
+        "                if len(w) > self.level:\n"
+        "                    issues.append(f\"{name} {text} exceeds level\")\n",
+        "",
+        _robustness_tests("test_generated_cone_bounds_its_generators"),
+    ),
+    Mutant(
+        "cone-check-takes-any-level",
+        WITNESSES,
+        "        if self.level != max(map(len, self.words), default=0):\n",
+        "        if False:\n",
+        _robustness_tests(
+            "test_a_forged_level_is_rejected_before_any_ball_or_cone",
+            "test_generated_cone_bounds_its_generators",
         ),
     ),
     Mutant(

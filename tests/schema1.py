@@ -5,6 +5,8 @@ Schema 1 nested each derivation and refutation tree as JSON objects.
 Schema 2 stores each as a post-order table, children before their parent
 and the root last, with children named by their table index; a
 ``truncated_right_order`` also records the words it orders positive.
+The ``truncated_right_order`` golden lists the generators of its cone,
+as the search writes it in schema 2, rather than the cone's elements.
 """
 
 import json

@@ -109,7 +109,11 @@ def test_criterion_2_branching_example_invalid(tmp_path, capsys):
     assert cli.main(["check", str(witness_path)]) == 0
     doc = json.loads(witness_path.read_text())
     assert doc["kind"] == "truncated_right_order" and doc["level"] == 2
-    elements = frozenset(fg.word_from_text(t) for t in doc["elements"])
+    # the file lists the open path's one signed pivot; with the words it
+    # generates the seven-element cone
+    assert doc["generators"] == ["x"]
+    generators = [fg.word_from_text(t) for t in doc["words"] + doc["generators"]]
+    elements = ro.close_truncated(generators, doc["level"])
     assert elements == frozenset(words("xx", "xy", "yx'", "yx", "yy", "x", "y"))
     witness = TruncatedRightOrder(doc["arity"], doc["level"], elements)
     assert witness.verify()

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from conftest import product_leaf, w, words
+from conftest import listed, product_leaf, w, words
 from schema1 import convert
 from test_membership import HARD_HM_SETS
 from ordcalc import abelian, certio, freegroup, membership, witnesses
@@ -131,13 +131,14 @@ def test_witness_documents_verify():
     doc = certio.truncated_order_doc(verdict.certificate, words(*T_WORDS))
     assert certio.verify_witness_doc(doc) == []
 
-    doc["elements"].remove("x")
+    doc["generators"].remove("x")
     assert certio.verify_witness_doc(doc)  # totality gap reported
 
 
 def test_truncated_order_must_hold_its_words():
     joins = words(*T_WORDS)
-    genuine = certio.truncated_order_doc(ro.decide_lg_cs(joins, 2).certificate, joins)
+    cone = listed(ro.decide_lg_cs(joins, 2).certificate)
+    genuine = certio.truncated_order_doc(cone, joins)
     assert certio.verify_witness_doc(genuine) == []
     elements = {w(t) for t in genuine["elements"]}
     # y' is in no positive cone that holds y, and x'x' none that holds xx
@@ -158,13 +159,21 @@ def test_truncated_order_must_hold_its_words():
 def test_truncated_order_elements_stay_within_arity():
     joins = words("x", "z")
     verdict = ro.decide_lg_cs(joins, 3)
-    doc = certio.truncated_order_doc(verdict.certificate, joins)
+    doc = certio.truncated_order_doc(listed(verdict.certificate), joins)
     assert (doc["arity"], doc["level"], doc["elements"]) == (3, 1, ["x", "z"])
     assert certio.verify_witness_doc(doc) == []
     doc["arity"] = 2
     _rejected(doc, "generator index 3 exceeds arity 2")
     # the element z alone, with every word within the arity
     _rejected({**doc, "words": ["x"]}, "generator index 3 exceeds arity 2")
+    # the file the search writes: the words alone generate the cone
+    doc = certio.truncated_order_doc(verdict.certificate, joins)
+    assert (doc["arity"], doc["level"], doc["generators"]) == (3, 1, [])
+    assert certio.verify_witness_doc(doc) == []
+    _rejected({**doc, "arity": 2}, "generator index 3 exceeds arity 2")
+    # a generator beyond the arity, with every word within it
+    forged = {**doc, "arity": 2, "generators": ["z'"], "words": ["x"]}
+    _rejected(forged, "generator index 3 exceeds arity 2")
 
 
 def test_separator_document_verification():

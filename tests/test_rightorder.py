@@ -2,16 +2,18 @@ import gc
 import hashlib
 import itertools
 import os
+import random
 import signal
 import weakref
 
 import pytest
 
-from conftest import random_reduced_word, w, words
+from conftest import listed, random_reduced_word, w, words
+from test_witness_robustness import HARD_CS_SETS
 from ordcalc import calculus as ca
 from ordcalc import biorder, certio, cli
 from ordcalc import freegroup as fg
-from ordcalc import membership
+from ordcalc import membership, witnesses
 from ordcalc import rightorder as ro
 from ordcalc.witnesses import (
     ConjugateEntry,
@@ -51,19 +53,24 @@ def test_extend_right_order_refutes_first_set():
 def test_extend_right_order_witnesses_second_set():
     outcome = ro.extend_right_order(words(*T_WORDS), 2)
     assert isinstance(outcome, TruncatedRightOrder)
-    assert outcome.level == 2
+    assert outcome.level == 2 and outcome.elements is None
+    # the open path signs x alone, whose closure with the words holds
+    # y = yx' * x and so signs every word below the level
+    assert outcome.words == tuple(words(*T_WORDS))
+    assert outcome.generators == tuple(words("x"))
     expected = frozenset(words("xx", "xy", "yx'", "yx", "yy", "x", "y"))
-    assert expected <= outcome.elements
-    assert outcome.elements == expected
-    assert outcome.verify()
+    cone = listed(outcome).elements
+    assert cone == expected
+    assert outcome.verify() and listed(outcome).verify()
     # no element together with its inverse
-    assert not any(fg.inv(u) in outcome.elements for u in outcome.elements)
+    assert not any(fg.inv(u) in cone for u in cone)
 
 
 def test_extend_right_order_trivial_and_identity_cases():
     outcome = ro.extend_right_order(words("x"), 2)
     assert isinstance(outcome, TruncatedRightOrder)
-    assert outcome.level == 1 and outcome.elements == frozenset(words("x"))
+    assert outcome.level == 1 and outcome.generators == ()
+    assert listed(outcome).elements == frozenset(words("x"))
 
     outcome = ro.extend_right_order([fg.IDENTITY, w("x")], 2)
     assert isinstance(outcome, RefutationLeaf)
@@ -350,21 +357,25 @@ def test_decide_rg_settles_a_formerly_cut_row():
 
 def test_cs_witnesses_and_refutations_are_pinned():
     # the truncated_right_order and right_order refutation files of every
-    # set of the crosscheck corpus, hashed by kind in corpus order.  The
-    # truncated_right_order digest was recorded before the cone closure
-    # visited only candidate pairs, and again before the cone dropped its
-    # provenance; the refutation digest was recorded once leaf
-    # factorizations came from the identity closure, again once leaves
-    # were factored on the generators' prefix states, and again once they
-    # took their fewest factors and lost the branches they do not use
+    # set of the crosscheck corpus, hashed by kind in corpus order, and
+    # the files that list the cone each truncated_right_order generates.
+    # The listed digest was recorded before the cone closure visited only
+    # candidate pairs, again before the cone dropped its provenance, and
+    # kept once the files listed generators instead; the refutation
+    # digest was recorded once leaf factorizations came from the identity
+    # closure, again once leaves were factored on the generators' prefix
+    # states, and again once they took their fewest factors and lost the
+    # branches they do not use
     pool = [u for u in fg.ball(2, 2) if not u.is_identity]
     kinds = {"truncated_right_order": 0, "refutation": 0}
-    digests = {kind: hashlib.sha256() for kind in kinds}
+    digests = {kind: hashlib.sha256() for kind in (*kinds, "listed")}
     for size in (1, 2, 3):
         for subset in itertools.combinations(pool, size):
             outcome = ro.extend_right_order(subset, 2)
             if isinstance(outcome, TruncatedRightOrder):
                 doc = certio.truncated_order_doc(outcome, subset)
+                cone = certio.truncated_order_doc(listed(outcome), subset)
+                digests["listed"].update(certio.dumps(cone).encode())
             else:
                 doc = certio.refutation_doc(subset, 2, outcome, "right_order")
             kinds[doc["kind"]] += 1
@@ -372,6 +383,9 @@ def test_cs_witnesses_and_refutations_are_pinned():
     assert kinds == {"truncated_right_order": 460, "refutation": 236}
     assert {kind: d.hexdigest() for kind, d in digests.items()} == {
         "truncated_right_order": (
+            "81f5ebfcf62bb279f57767d9aabf285f23917e36b8faf739cd9a484fd4b00472"
+        ),
+        "listed": (
             "7f9c3b9a5ddf70f93f7088d2e2488d776635e89c85f4f72512623bd767cd2b2a"
         ),
         "refutation": (
@@ -666,6 +680,56 @@ def test_cone_agrees_through_grow_and_rollback(rng):
             assert set(cone.index.words) == cone.elements
             assert not any(fg.bar(u) in cone.elements for u in cone.elements)
     assert reached > 100
+
+
+def _drawn_sets(rng, count: int, arity: int, shortest: int, longest: int):
+    """``count`` sets of three reduced words over the arity, each of a
+    length drawn from shortest to longest."""
+    alphabet = [c for g in range(1, arity + 1) for c in (g, -g)]
+    sets = []
+    for _ in range(count):
+        joins = []
+        for _ in range(3):
+            letters = []
+            length = rng.randint(shortest, longest)
+            while len(letters) < length:
+                code = rng.choice(alphabet)
+                if not letters or letters[-1] != -code:
+                    letters.append(code)
+            joins.append(fg.ReducedWord(tuple(letters)))
+        sets.append((joins, arity))
+    return sets
+
+
+def test_witness_closure_is_the_searched_cone(monkeypatch):
+    # a cs witness lists the words and the signed open path; the check's
+    # closure of them must be exactly the cone the search stood at, on the
+    # corpus, the hard rows and drawn sets over two and three generators
+    cones = []
+
+    class Recorded(ro._Cone):
+        def __init__(self, bound):
+            super().__init__(bound)
+            cones.append(self)
+
+    monkeypatch.setattr(ro, "_Cone", Recorded)
+    pool = [u for u in fg.ball(2, 2) if not u.is_identity]
+    sets = [(s, 2) for k in (1, 2, 3) for s in itertools.combinations(pool, k)]
+    sets += [(words(*text.split(" | ")), 2) for text in HARD_CS_SETS]
+    rng = random.Random(6)
+    sets += _drawn_sets(rng, 40, 2, 3, 6) + _drawn_sets(rng, 20, 3, 2, 4)
+    found = 0
+    for joins, arity in sets:
+        order = ro.extend_right_order(joins, arity)
+        if not isinstance(order, TruncatedRightOrder):
+            continue
+        generators = [u.letters for u in order.words + order.generators]
+        closure = witnesses.close_within(order.level, generators)
+        assert set(closure) == cones[-1].elements, joins
+        assert len(closure) == len(cones[-1].elements), joins
+        assert order.verify(), joins
+        found += 1
+    assert found == 460 + len(HARD_CS_SETS) + 39 + 19, found
 
 
 def test_representable_queries_solve_one_system(monkeypatch, tmp_path):

@@ -12,7 +12,7 @@ import resource
 import subprocess
 import sys
 
-from conftest import SEED, random_reduced_word, words
+from conftest import SEED, listed, random_reduced_word, words
 from ordcalc import abelian, certio, cli, witnesses
 from ordcalc import calculus as ca
 from ordcalc import freegroup as fg
@@ -269,6 +269,12 @@ def _cone_holds(arity: int, level: int, elements) -> bool:
         st = _reduce(s + t)
         if len(st) <= level and st not in cone:
             return False
+    return _signs_below(arity, level, cone)
+
+
+def _signs_below(arity: int, level: int, cone) -> bool:
+    """Whether the cone holds every nonidentity reduced word shorter than
+    the level, or its inverse."""
     alphabet = [c for g in range(1, arity + 1) for c in (g, -g)]
     for length in range(1, level):
         for w in itertools.product(alphabet, repeat=length):
@@ -276,6 +282,50 @@ def _cone_holds(arity: int, level: int, elements) -> bool:
             if _reduce(w) == w and w not in cone and inverse not in cone:
                 return False
     return True
+
+
+def _naive_closure(level: int, generators):
+    """The least set of letter tuples holding the generators and closed
+    under products within the level, one round of new words at a time;
+    None when a product is the identity."""
+
+    def product(a, b):
+        k = 0
+        while k < len(a) and k < len(b) and a[-1 - k] == -b[k]:
+            k += 1
+        return a[: len(a) - k] + b[k:]
+
+    cone, frontier = set(generators), set(generators)
+    while frontier:
+        products = set()
+        for a in frontier:
+            for b in cone:
+                # factors longer together than the level must cancel
+                short = len(a) + len(b) <= level
+                if short or a[-1] == -b[0]:
+                    products.add(product(a, b))
+                if short or b[-1] == -a[0]:
+                    products.add(product(b, a))
+        if () in products:
+            return None
+        frontier = {p for p in products if len(p) <= level} - cone
+        cone |= frontier
+    return cone
+
+
+def _generated_cone_holds(arity: int, level: int, words_, generators) -> bool:
+    """Whether the words and generators, nonidentity words within the arity
+    and the level, whose longest word sets the level, generate a positive
+    cone truncated at the level."""
+    words_ = [_reduce(u) for u in words_]
+    generators = words_ + [_reduce(u) for u in generators]
+    for u in generators:
+        if not u or len(u) > level or max(map(abs, u)) > arity:
+            return False
+    if level != max(map(len, words_)):
+        return False
+    cone = _naive_closure(level, generators)
+    return cone is not None and _signs_below(arity, level, cone)
 
 
 def _functional_holds(side: int, arity: int, functional, words_) -> bool:
@@ -290,6 +340,10 @@ def _functional_holds(side: int, arity: int, functional, words_) -> bool:
 
 
 def _claim_holds(doc: dict) -> bool:
+    if "generators" in doc:
+        word_list = [fg.scan_literals(t) for t in doc["words"]]
+        generators = [fg.scan_literals(t) for t in doc["generators"]]
+        return _generated_cone_holds(doc["arity"], doc["level"], word_list, generators)
     if doc["kind"] == "truncated_right_order":
         elements = [fg.scan_literals(t) for t in doc["elements"]]
         # the cone holds the words it is written for
@@ -302,39 +356,57 @@ def _claim_holds(doc: dict) -> bool:
     return _functional_holds(side, doc["arity"], doc["functional"], word_list)
 
 
+def _clone(doc: dict) -> dict:
+    return json.loads(json.dumps(doc))
+
+
+def _path_mutants(doc: dict):
+    """A generated cone file with each generator dropped, each generator's
+    sign flipped, and its level moved by one either way."""
+    for i, text in enumerate(doc["generators"]):
+        flipped = fg.word_to_text(fg.bar(fg.scan_literals(text)))
+        for replacement in ([], [flipped]):
+            mutant = _clone(doc)
+            mutant["generators"][i : i + 1] = replacement
+            yield mutant
+    for delta in (1, -1):
+        mutant = _clone(doc)
+        mutant["level"] += delta
+        yield mutant
+
+
 def _witness_mutants(doc: dict):
     """Each element dropped, each functional coefficient negated, each
-    integer raised by one, and each word literal flipped to the next
-    literal of the alphabet."""
+    integer raised by one, each word literal flipped to the next literal
+    of the alphabet, and a generated cone's path mutants."""
     lists = [k for k in ("elements", "words", "functional") if k in doc]
     integers = [k for k in ("arity", "level") if k in doc]
     alphabet = [c for g in range(1, doc["arity"] + 1) for c in (g, -g)]
 
-    def clone():
-        return json.loads(json.dumps(doc))
-
     for key in lists:
         for i in range(len(doc[key])):
-            mutant = clone()
+            mutant = _clone(doc)
             del mutant[key][i]
             yield mutant
     for i, c in enumerate(doc.get("functional", ())):
         for value in (-c, c + 1):
-            mutant = clone()
+            mutant = _clone(doc)
             mutant["functional"][i] = value
             yield mutant
     for key in integers:
-        mutant = clone()
+        mutant = _clone(doc)
         mutant[key] += 1
         yield mutant
-    for key in ("elements", "words"):
+    for key in ("elements", "words", "generators"):
         for i, text in enumerate(doc.get(key, ())):
             raw = fg.scan_literals(text)
             for j, code in enumerate(raw):
                 flipped = alphabet[(alphabet.index(code) + 1) % len(alphabet)]
-                mutant = clone()
+                mutant = _clone(doc)
                 mutant[key][i] = fg.word_to_text(raw[:j] + (flipped,) + raw[j + 1 :])
                 yield mutant
+    if "generators" in doc:
+        yield from _path_mutants(doc)
 
 
 def _corpus_witnesses(per_kind: int) -> list[dict]:
@@ -379,6 +451,90 @@ def test_witness_mutants_are_judged_as_the_oracles_judge_them():
             judged[holds] += 1
     # both directions are exercised
     assert min(judged.values()) > 50, judged
+
+
+def _generated_documents() -> list[dict]:
+    """The cone files cs writes on the corpus and on the hard rows."""
+    pool = [u for u in fg.ball(2, 2) if not u.is_identity]
+    corpus = [s for k in (1, 2, 3) for s in itertools.combinations(pool, k)]
+    corpus += [words(*text.split(" | ")) for text in HARD_CS_SETS]
+    docs = []
+    for subset in corpus:
+        verdict = ro.decide_lg_cs(subset, 2)
+        if verdict.status == "INVALID":
+            docs.append(certio.truncated_order_doc(verdict.certificate, subset))
+    assert len(docs) == 460 + len(HARD_CS_SETS)
+    return docs
+
+
+def test_path_mutants_are_judged_as_the_oracle_judges_them():
+    # each generator dropped, each sign flipped and the level moved: the
+    # check re-closes each file and must agree with a naive fixpoint.  A
+    # flipped sign need not be rejected: on xy'x'y' | yx'y'y'x | x'x'y,
+    # flipping either of the last two of its eight signs gives another cone
+    judged = {True: 0, False: 0}
+    for doc in _generated_documents():
+        assert _claim_holds(doc), doc
+        assert certio.verify_witness_doc(doc) == [], doc
+        for mutant in _path_mutants(doc):
+            try:
+                accepted = certio.verify_witness_doc(mutant) == []
+            except certio.CertificateFormatError:
+                accepted = False
+            holds = _claim_holds(mutant)
+            assert accepted == holds, (holds, mutant)
+            judged[holds] += 1
+    assert min(judged.values()) > 50, judged
+
+
+def _generated(arity: int, level: int, word_texts, generator_texts) -> dict:
+    return {
+        "schema_version": certio.SCHEMA_VERSION,
+        "kind": "truncated_right_order",
+        "arity": arity,
+        "level": level,
+        "words": list(word_texts),
+        "generators": list(generator_texts),
+    }
+
+
+def test_a_forged_level_is_rejected_before_any_ball_or_cone(monkeypatch):
+    # the level must be the longest word's, so a file cannot make the
+    # check close or count a ball larger than its query's
+    def refuse(*args, **kwargs):
+        raise AssertionError("the check built a ball or a cone")
+
+    monkeypatch.setattr(fg, "ball", refuse)
+    monkeypatch.setattr(fg, "CancellationIndex", refuse)
+    doc = _generated(2, 40, ["x"], ["x", "y"])
+    assert certio.verify_witness_doc(doc) == [
+        "level is not the length of the longest word"
+    ]
+
+
+def test_generated_cone_bounds_its_generators():
+    # at level 1 nothing lies below the level, so x alone is a cone
+    assert certio.verify_witness_doc(_generated(2, 1, ["x"], [])) == []
+    for generators, issue in (
+        (["y x"], "generator y x exceeds level"),
+        (["e"], "generator e is the identity"),
+        (["y y'"], "generator e is the identity"),
+    ):
+        doc = _generated(2, 1, ["x"], generators)
+        assert certio.verify_witness_doc(doc) == [issue], generators
+        assert not _claim_holds(doc)
+    doc = _generated(2, 2, ["x", "y"], ["x x"])
+    assert certio.verify_witness_doc(doc) == [
+        "level is not the length of the longest word"
+    ]
+    # a file lists its cone one way
+    doc = {**_generated(2, 1, ["x"], []), "elements": ["x"]}
+    try:
+        certio.verify_witness_doc(doc)
+    except certio.CertificateFormatError as error:
+        assert "elements or generators" in str(error)
+    else:
+        raise AssertionError("a file with elements and generators was read")
 
 
 def _all_pairs_violations(order: TruncatedRightOrder) -> list[str]:
@@ -436,13 +592,14 @@ def test_cone_closure_issues_match_the_all_pairs_oracle():
     for subset in corpus:
         cone = ro.extend_right_order(subset, 2)
         if isinstance(cone, TruncatedRightOrder):
-            docs.append(certio.truncated_order_doc(cone, subset))
+            docs.append(certio.truncated_order_doc(listed(cone), subset))
     assert len(docs) == 460
     rng = random.Random(SEED)
     hard = []
     for text in HARD_CS_SETS:
         joins = words(*text.split(" | "))
-        doc = certio.truncated_order_doc(ro.decide_lg_cs(joins, 2).certificate, joins)
+        cone = listed(ro.decide_lg_cs(joins, 2).certificate)
+        doc = certio.truncated_order_doc(cone, joins)
         mutants = list(_cone_mutants(doc))
         raised = [m for m in mutants if m["level"] != doc["level"]]
         others = [m for m in mutants if m["level"] == doc["level"]]
@@ -517,7 +674,7 @@ def test_cone_issues_match_the_reduced_word_oracle():
     corpus = [s for k in (1, 2, 3) for s in itertools.combinations(pool, k)]
     corpus += [words(*text.split(" | ")) for text in HARD_CS_SETS]
     genuine = [ro.extend_right_order(subset, 2) for subset in corpus]
-    genuine = [order for order in genuine if isinstance(order, TruncatedRightOrder)]
+    genuine = [listed(o) for o in genuine if isinstance(o, TruncatedRightOrder)]
     assert len(genuine) == 460 + len(HARD_CS_SETS)
     rng = random.Random(SEED)
     rejected = 0
