@@ -233,18 +233,14 @@ def load_proof(doc: dict) -> tuple[CalculusId, list[tuple[Hypersequent, Derivati
 # witnesses
 
 
-def truncated_order_doc(witness: TruncatedRightOrder, words) -> dict:
-    """A listed order writes its elements, a generated one its generators."""
-    if witness.elements is None:
-        cone = {"generators": _word_list(witness.generators)}
-    else:
-        cone = {"elements": sorted(_word_list(witness.elements))}
+def truncated_order_doc(witness: TruncatedRightOrder) -> dict:
+    """The words, level and generators of an order the search generated."""
     return _doc(
         "truncated_right_order",
         arity=witness.arity,
         level=witness.level,
-        words=_word_list(words),
-        **cone,
+        words=_word_list(witness.words),
+        generators=_word_list(witness.generators),
     )
 
 

@@ -117,7 +117,7 @@ def _witness_doc(words, arity: int, verdict: Verdict) -> dict:
 
     certificate = verdict.certificate
     if isinstance(certificate, TruncatedRightOrder):
-        return certio.truncated_order_doc(certificate, words)
+        return certio.truncated_order_doc(certificate)
     if isinstance(certificate, Separator):
         return certio.separator_doc(words, arity, certificate.functional)
     if isinstance(certificate, SignAssignment):
@@ -171,7 +171,7 @@ def _order_witness_doc(words, arity: int, outcome, flavor: str) -> dict:
     from .abelian import Separator
 
     if isinstance(outcome, TruncatedRightOrder):
-        return certio.truncated_order_doc(outcome, words)
+        return certio.truncated_order_doc(outcome)
     if isinstance(outcome, Separator):
         functional = tuple(-c for c in outcome.functional)
         return certio.abelian_order_doc(words, arity, functional)

@@ -163,6 +163,18 @@ def _ball_exceeds(arity: int, radius: int, limit: int) -> bool:
     return False
 
 
+# the work close_within may do for a check, so that a short file cannot
+# make it build a large ball: a product formed costs a unit per letter and
+# one more, and a word kept KEEP_COST more, for the memory it holds.  The
+# search's cones at level 8 over two generators cost some 4,300,000
+CLOSURE_BUDGET = 1 << 23
+KEEP_COST = 32
+
+
+class BudgetExceeded(Exception):
+    """A closure needs more work than its budget."""
+
+
 def close_within(
     level: int, generators: Iterable[tuple[int, ...]]
 ) -> list[tuple[int, ...]] | None:
@@ -170,8 +182,10 @@ def close_within(
     the level, and is closed under the products within it; None when a
     product reaches the identity.  Each word is indexed when it is taken
     from the queue and multiplied then, on either side, by itself and by
-    every word taken before it, so each product is formed once.  It
-    shares no code with the search's cone."""
+    every word taken before it, so each product is formed once.  Raises
+    BudgetExceeded once the products formed and the words kept cost more
+    than CLOSURE_BUDGET.  It shares no code with the search's cone."""
+    budget = CLOSURE_BUDGET
     queue = list(dict.fromkeys(generators))
     present = set(queue)
     index = freegroup.CancellationIndex(level)
@@ -181,12 +195,16 @@ def close_within(
         products = [splice(taken[i], w) for i in index.left_factors(w)]
         index.add(w)
         products += [splice(w, taken[i]) for i in index.right_factors(w)]
+        budget -= len(products) + sum(map(len, products))
         for p in products:
             if not p:
                 return None
             if len(p) <= level and p not in present:
+                budget -= KEEP_COST
                 present.add(p)
                 queue.append(p)
+        if budget < 0:
+            raise BudgetExceeded
     return taken
 
 
@@ -260,7 +278,10 @@ class TruncatedRightOrder:
         if issues:
             return issues
         generators = self.words + self.generators
-        cone = close_within(self.level, (w.letters for w in generators))
+        try:
+            cone = close_within(self.level, (w.letters for w in generators))
+        except BudgetExceeded:
+            return ["the cone costs more than the check's budget to close"]
         if cone is None:
             return ["the generators reach the identity within the level"]
         # a cone that misses e holds no word with its inverse, since their

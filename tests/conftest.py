@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ordcalc import freegroup, rightorder
+from ordcalc import certio, freegroup, rightorder
 from ordcalc.witnesses import (
     ConjugateEntry,
     ConjugateProduct,
@@ -28,6 +28,15 @@ def listed(order: TruncatedRightOrder) -> TruncatedRightOrder:
     closure, by the search's cone, of its words and generators."""
     cone = rightorder.close_truncated(order.words + order.generators, order.level)
     return TruncatedRightOrder(order.arity, order.level, cone)
+
+
+def listed_doc(order: TruncatedRightOrder) -> dict:
+    """The file that lists the cone of a generated order as ``elements``,
+    a form the checker still reads, where the search writes generators."""
+    doc = certio.truncated_order_doc(order)
+    del doc["generators"]
+    doc["elements"] = sorted(freegroup.word_to_text(u) for u in listed(order).elements)
+    return doc
 
 
 def product_leaf(indices) -> RefutationLeaf:

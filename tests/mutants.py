@@ -354,6 +354,13 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "cone-check-closes-past-its-budget",
+        WITNESSES,
+        "        if budget < 0:\n            raise BudgetExceeded\n",
+        "",
+        _robustness_tests("test_closure_stops_at_its_budget"),
+    ),
+    Mutant(
         "star-rule-accepts-the-identity-as-pivot",
         CALCULUS,
         "        if pivot.is_identity:\n"

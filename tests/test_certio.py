@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from conftest import listed, product_leaf, w, words
+from conftest import listed_doc, product_leaf, w, words
 from schema1 import convert
 from test_membership import HARD_HM_SETS
 from ordcalc import abelian, certio, freegroup, membership, witnesses
@@ -111,7 +111,7 @@ def test_golden_proof_is_bit_exact():
 def test_golden_witness_is_bit_exact():
     joins = words(*T_WORDS)
     texts = [freegroup.word_to_text(u) for u in joins]
-    cs = certio.truncated_order_doc(ro.decide_lg_cs(joins, 2).certificate, joins)
+    cs = certio.truncated_order_doc(ro.decide_lg_cs(joins, 2).certificate)
     hm = certio.sign_assignment_doc(joins, 2, ro.decide_lg_hm(joins, 2).certificate)
     for name, doc in (("branch_example_invalid", cs), ("hm_example_invalid", hm)):
         assert certio.dumps(doc) == _golden(f"{name}.witness.json", texts), name
@@ -128,7 +128,7 @@ def test_schema_1_files_are_rejected_as_unsupported():
 
 def test_witness_documents_verify():
     verdict = ro.decide_lg_cs(words(*T_WORDS), 2)
-    doc = certio.truncated_order_doc(verdict.certificate, words(*T_WORDS))
+    doc = certio.truncated_order_doc(verdict.certificate)
     assert certio.verify_witness_doc(doc) == []
 
     doc["generators"].remove("x")
@@ -137,8 +137,7 @@ def test_witness_documents_verify():
 
 def test_truncated_order_must_hold_its_words():
     joins = words(*T_WORDS)
-    cone = listed(ro.decide_lg_cs(joins, 2).certificate)
-    genuine = certio.truncated_order_doc(cone, joins)
+    genuine = listed_doc(ro.decide_lg_cs(joins, 2).certificate)
     assert certio.verify_witness_doc(genuine) == []
     elements = {w(t) for t in genuine["elements"]}
     # y' is in no positive cone that holds y, and x'x' none that holds xx
@@ -159,7 +158,7 @@ def test_truncated_order_must_hold_its_words():
 def test_truncated_order_elements_stay_within_arity():
     joins = words("x", "z")
     verdict = ro.decide_lg_cs(joins, 3)
-    doc = certio.truncated_order_doc(listed(verdict.certificate), joins)
+    doc = listed_doc(verdict.certificate)
     assert (doc["arity"], doc["level"], doc["elements"]) == (3, 1, ["x", "z"])
     assert certio.verify_witness_doc(doc) == []
     doc["arity"] = 2
@@ -167,7 +166,7 @@ def test_truncated_order_elements_stay_within_arity():
     # the element z alone, with every word within the arity
     _rejected({**doc, "words": ["x"]}, "generator index 3 exceeds arity 2")
     # the file the search writes: the words alone generate the cone
-    doc = certio.truncated_order_doc(verdict.certificate, joins)
+    doc = certio.truncated_order_doc(verdict.certificate)
     assert (doc["arity"], doc["level"], doc["generators"]) == (3, 1, [])
     assert certio.verify_witness_doc(doc) == []
     _rejected({**doc, "arity": 2}, "generator index 3 exceeds arity 2")

@@ -8,7 +8,7 @@ import weakref
 
 import pytest
 
-from conftest import listed, random_reduced_word, w, words
+from conftest import listed, listed_doc, random_reduced_word, w, words
 from test_witness_robustness import HARD_CS_SETS
 from ordcalc import calculus as ca
 from ordcalc import biorder, certio, cli
@@ -224,7 +224,14 @@ def test_cs_rejects_generators_beyond_the_arity():
     # or as a file
     beyond = TruncatedRightOrder(1, 1, frozenset(words("y")))
     assert any("exceeds arity" in issue for issue in beyond.violations())
-    doc = certio.truncated_order_doc(beyond, words("y"))
+    doc = {
+        "schema_version": certio.SCHEMA_VERSION,
+        "kind": "truncated_right_order",
+        "arity": 1,
+        "level": 1,
+        "words": ["y"],
+        "elements": ["y"],
+    }
     with pytest.raises(certio.CertificateFormatError):
         certio.verify_witness_doc(doc)
 
@@ -373,8 +380,8 @@ def test_cs_witnesses_and_refutations_are_pinned():
         for subset in itertools.combinations(pool, size):
             outcome = ro.extend_right_order(subset, 2)
             if isinstance(outcome, TruncatedRightOrder):
-                doc = certio.truncated_order_doc(outcome, subset)
-                cone = certio.truncated_order_doc(listed(outcome), subset)
+                doc = certio.truncated_order_doc(outcome)
+                cone = listed_doc(outcome)
                 digests["listed"].update(certio.dumps(cone).encode())
             else:
                 doc = certio.refutation_doc(subset, 2, outcome, "right_order")

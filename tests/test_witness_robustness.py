@@ -12,7 +12,7 @@ import resource
 import subprocess
 import sys
 
-from conftest import SEED, listed, random_reduced_word, words
+from conftest import SEED, listed, listed_doc, random_reduced_word, words
 from ordcalc import abelian, certio, cli, witnesses
 from ordcalc import calculus as ca
 from ordcalc import freegroup as fg
@@ -65,11 +65,14 @@ def test_tiny_witness_with_a_deep_level_is_rejected_under_a_cap():
 
 
 def genuine_documents() -> list[dict]:
-    """One genuine document of every witness kind."""
+    """One genuine document of every witness kind, and a cone both as the
+    search writes it and listed."""
     s_words, t_words = words("xx", "yy", "x'y'"), words("xx", "xy", "yx'")
     conj = words("x y x'", "y'")
+    cone = ro.decide_lg_cs(t_words, 2).certificate
     return [
-        certio.truncated_order_doc(ro.decide_lg_cs(t_words, 2).certificate, t_words),
+        certio.truncated_order_doc(cone),
+        listed_doc(cone),
         certio.separator_doc(words("x", "xy"), 2, (-1, -1)),
         certio.abelian_order_doc(words("x", "xy"), 2, (1, 1)),
         certio.sign_assignment_doc(
@@ -316,7 +319,8 @@ def _naive_closure(level: int, generators):
 def _generated_cone_holds(arity: int, level: int, words_, generators) -> bool:
     """Whether the words and generators, nonidentity words within the arity
     and the level, whose longest word sets the level, generate a positive
-    cone truncated at the level."""
+    cone truncated at the level.  The files it judges close far within
+    the check's budget."""
     words_ = [_reduce(u) for u in words_]
     generators = words_ + [_reduce(u) for u in generators]
     for u in generators:
@@ -412,18 +416,22 @@ def _witness_mutants(doc: dict):
 def _corpus_witnesses(per_kind: int) -> list[dict]:
     """Genuine witnesses of the first corpus instances, in a seeded order,
     that yield one: all sets of one to three nonidentity words of length at
-    most two over two generators."""
+    most two over two generators.  Each cone comes as the search writes it
+    and listed."""
     pool = [u for u in fg.ball(2, 2) if not u.is_identity]
     corpus = [s for k in (1, 2, 3) for s in itertools.combinations(pool, k)]
     random.Random(SEED).shuffle(corpus)
     found: dict[str, list[dict]] = {
-        "truncated_right_order": [], "separator": [], "abelian_order_witness": []
+        "truncated_right_order": [],
+        "listed": [],
+        "separator": [],
+        "abelian_order_witness": [],
     }
     for subset in corpus:
         cone = ro.extend_right_order(subset, 2)
         if isinstance(cone, TruncatedRightOrder):
-            doc = certio.truncated_order_doc(cone, subset)
-            found["truncated_right_order"].append(doc)
+            found["truncated_right_order"].append(certio.truncated_order_doc(cone))
+            found["listed"].append(listed_doc(cone))
         verdict = abelian.validity_abelian(subset, 2)
         if isinstance(verdict.certificate, abelian.Separator):
             functional = verdict.certificate.functional
@@ -462,7 +470,7 @@ def _generated_documents() -> list[dict]:
     for subset in corpus:
         verdict = ro.decide_lg_cs(subset, 2)
         if verdict.status == "INVALID":
-            docs.append(certio.truncated_order_doc(verdict.certificate, subset))
+            docs.append(certio.truncated_order_doc(verdict.certificate))
     assert len(docs) == 460 + len(HARD_CS_SETS)
     return docs
 
@@ -510,6 +518,48 @@ def test_a_forged_level_is_rejected_before_any_ball_or_cone(monkeypatch):
     assert certio.verify_witness_doc(doc) == [
         "level is not the length of the longest word"
     ]
+
+
+def test_deep_generated_files_are_rejected_within_the_budget_under_a_cap():
+    # one long word sets the level, and x and y close to every positive
+    # word within it: 2^23 - 2 of them at level 22.  The closure stops at
+    # its budget, and no ball is built
+    code = (
+        "import json\n"
+        "from ordcalc import certio, freegroup\n"
+        "def refuse(*args):\n"
+        "    raise AssertionError('the check built a ball')\n"
+        "freegroup.ball = refuse\n"
+        "docs = [{**%r, 'level': n, 'words': ['x' * n]} for n in (22, 40)]\n"
+        "print(json.dumps([certio.verify_witness_doc(doc) for doc in docs]))\n"
+    ) % _generated(2, 1, ["x"], ["x", "y"])
+    result = _run_capped(code)
+    assert result.returncode == 0, result.stderr[-2000:]
+    budget = ["the cone costs more than the check's budget to close"]
+    assert json.loads(result.stdout) == [budget, budget]
+
+
+def test_closure_stops_at_its_budget(monkeypatch):
+    # x^10, x and y close to the 2,046 positive words within level 10
+    generators = [(1,) * 10, (1,), (2,)]
+    assert len(witnesses.close_within(10, generators)) == 2046
+    monkeypatch.setattr(witnesses, "CLOSURE_BUDGET", 1000)
+    try:
+        witnesses.close_within(10, generators)
+    except witnesses.BudgetExceeded:
+        pass
+    else:
+        raise AssertionError("the closure ran past its budget")
+
+
+def test_level_eight_cones_close_within_the_budget():
+    # the budget leaves room for the cones the search writes at level 8
+    joins = words("x y x y x' y y x", "x' y' y' x' y y x", "x y' y' x y' x y")
+    verdict = ro.decide_lg_cs(joins, 2)
+    assert verdict.status == "INVALID"
+    doc = certio.truncated_order_doc(verdict.certificate)
+    assert doc["level"] == 8
+    assert certio.verify_witness_doc(doc) == []
 
 
 def test_generated_cone_bounds_its_generators():
@@ -592,14 +642,13 @@ def test_cone_closure_issues_match_the_all_pairs_oracle():
     for subset in corpus:
         cone = ro.extend_right_order(subset, 2)
         if isinstance(cone, TruncatedRightOrder):
-            docs.append(certio.truncated_order_doc(listed(cone), subset))
+            docs.append(listed_doc(cone))
     assert len(docs) == 460
     rng = random.Random(SEED)
     hard = []
     for text in HARD_CS_SETS:
         joins = words(*text.split(" | "))
-        cone = listed(ro.decide_lg_cs(joins, 2).certificate)
-        doc = certio.truncated_order_doc(cone, joins)
+        doc = listed_doc(ro.decide_lg_cs(joins, 2).certificate)
         mutants = list(_cone_mutants(doc))
         raised = [m for m in mutants if m["level"] != doc["level"]]
         others = [m for m in mutants if m["level"] == doc["level"]]
