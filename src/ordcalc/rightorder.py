@@ -469,7 +469,7 @@ def extend_order(
     tree = rg_refute_bounded(words, arity, conjugator_bound)
     if tree is not None:
         return tree
-    return BoundsReport(conjugator_bound, sign_pivots(words))
+    return BoundsReport(conjugator_bound)
 
 
 def decide_rg(

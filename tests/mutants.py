@@ -225,9 +225,32 @@ MUTANTS = (
     Mutant(
         "sign-assignment-check-accepts-any-nonzero-sign",
         WITNESSES,
-        "if any(s not in (1, -1) for _, s in signs):",
-        "if any(s == 0 for _, s in signs):",
-        _certio_tests("test_forged_sign_assignment_rejected"),
+        '    if not set(signs) <= {"+", "-"}:\n',
+        '    if "0" in signs:\n',
+        _certio_tests("test_sign_strings_of_the_wrong_length_or_alphabet_are_rejected"),
+    ),
+    Mutant(
+        "sign-assignment-check-pairs-signs-by-a-truncating-zip",
+        WITNESSES,
+        "    if len(pivots) != len(signs):\n"
+        '        return "there must be one sign for each pivot of cis(words)"\n',
+        "",
+        _certio_tests(
+            "test_sign_strings_of_the_wrong_length_or_alphabet_are_rejected",
+            "test_forged_pivot_lists_are_rejected_at_the_first_missing_pivot",
+            "test_forged_sign_assignment_rejected",
+        ),
+    ),
+    Mutant(
+        "pivot-walk-runs-past-its-budget",
+        WITNESSES,
+        "        budget -= 2 * len(pair[0])\n"
+        "        if budget < 0:\n            raise BudgetExceeded\n",
+        "        budget -= 2 * len(pair[0])\n",
+        _robustness_tests(
+            "test_pivot_walk_stops_at_its_budget",
+            "test_a_long_word_signed_in_full_is_rejected_within_the_budget_under_a_cap",
+        ),
     ),
     Mutant(
         "sign-search-inverse-test-reverses-without-inverting",
@@ -297,17 +320,6 @@ MUTANTS = (
         _certio_tests("test_leaf_factor_indexes_out_of_range_are_rejected"),
     ),
     Mutant(
-        "pivot-list-check-passes-over-a-missing-pivot",
-        WITNESSES,
-        "        if rep not in listed:\n            return False\n",
-        "        if rep not in listed:\n            continue\n",
-        _certio_tests(
-            "test_pivot_lists_missing_any_pivot_are_rejected",
-            "test_forged_pivot_lists_are_rejected_at_the_first_missing_pivot",
-            "test_forged_sign_assignment_rejected",
-        ),
-    ),
-    Mutant(
         "cone-check-skips-left-products",
         WITNESSES,
         "        products = [splice(taken[i], w) for i in index.left_factors(w)]\n",
@@ -356,8 +368,8 @@ MUTANTS = (
     Mutant(
         "cone-check-closes-past-its-budget",
         WITNESSES,
-        "        if budget < 0:\n            raise BudgetExceeded\n",
-        "",
+        "        if budget < 0:\n            raise BudgetExceeded\n    return taken\n",
+        "    return taken\n",
         _robustness_tests("test_closure_stops_at_its_budget"),
     ),
     Mutant(

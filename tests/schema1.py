@@ -7,9 +7,14 @@ and the root last, with children named by their table index; a
 ``truncated_right_order`` also records the words it orders positive.
 The ``truncated_right_order`` golden lists the generators of its cone,
 as the search writes it in schema 2, rather than the cone's elements.
+The ``sign_assignment`` golden lists each pivot with its sign, 1 or -1;
+the current form writes only the signs, as a string of + and -, one for
+each pivot of ``witnesses.sign_pivots(words)``, in that order.
 """
 
 import json
+
+from ordcalc import freegroup, witnesses
 
 
 def _table(root, children, relink) -> list:
@@ -58,4 +63,9 @@ def convert(doc: dict, words=None) -> dict:
         doc["tree"] = _table(doc["tree"], _tree_children, _tree_entry)
     elif doc["kind"] == "truncated_right_order":
         doc["words"] = list(words)
+    elif doc["kind"] == "sign_assignment":
+        words = [freegroup.word_from_text(t, doc["arity"]) for t in doc["words"]]
+        pivots = [freegroup.word_to_text(p) for p in witnesses.sign_pivots(words)]
+        assert [item["pivot"] for item in doc["signs"]] == pivots
+        doc["signs"] = "".join({1: "+", -1: "-"}[item["sign"]] for item in doc["signs"])
     return doc

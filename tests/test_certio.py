@@ -15,6 +15,7 @@ from ordcalc.calculus import CalculusId
 from ordcalc.witnesses import (
     RefutationBranch,
     RefutationLeaf,
+    SignAssignment,
     TruncatedRightOrder,
     verify_refutation_tree,
 )
@@ -204,9 +205,16 @@ def test_sign_assignment_document():
     verdict = ro.decide_lg_hm(words(*T_WORDS), 2)
     doc = certio.sign_assignment_doc(words(*T_WORDS), 2, verdict.certificate)
     assert certio.verify_witness_doc(doc) == []
+    # one sign for each of the 11 pivots, and no pivot text
+    assert doc["signs"] == "++++-+-++++" and "pivot" not in certio.dumps(doc)
     # flipping the first sign makes the signed set reach the identity
-    doc["signs"][0]["sign"] = -doc["signs"][0]["sign"]
+    doc["signs"] = _flipped(doc["signs"], 0)
     assert certio.verify_witness_doc(doc)
+
+
+def _flipped(signs: str, i: int) -> str:
+    """The sign string with its sign at i flipped."""
+    return signs[:i] + {"+": "-", "-": "+"}[signs[i]] + signs[i + 1 :]
 
 
 def test_sign_assignment_check_builds_no_identity_closure(monkeypatch):
@@ -226,7 +234,7 @@ def test_sign_assignment_check_builds_no_identity_closure(monkeypatch):
     monkeypatch.setattr(membership, "IdentityClosure", Forbidden)
     for doc in docs:
         assert certio.verify_witness_doc(doc) == [], doc["words"]
-        doc["signs"][0]["sign"] = -doc["signs"][0]["sign"]
+        doc["signs"] = _flipped(doc["signs"], 0)
         assert certio.verify_witness_doc(doc) == [
             "signed generators reach the identity"
         ], doc["words"]
@@ -239,7 +247,7 @@ def test_forged_sign_assignment_rejected():
         "kind": "sign_assignment",
         "arity": 2,
         "words": ["x x", "y y", "x' y'"],
-        "signs": [],
+        "signs": "",
     }
     assert certio.verify_witness_doc(forged)
 
@@ -247,29 +255,55 @@ def test_forged_sign_assignment_rejected():
         words(*T_WORDS), 2, ro.decide_lg_hm(words(*T_WORDS), 2).certificate
     )
     assert certio.verify_witness_doc(genuine) == []
-    for forge in (
-        lambda doc: doc["signs"].pop(),  # a pivot left unsigned
-        lambda doc: doc["signs"].reverse(),  # pivots out of search order
-        lambda doc: doc["signs"][0].update(sign=2),  # a sign outside 1, -1
+    signs = genuine["signs"]
+    for forged_signs in (
+        signs[:-1],  # a pivot left unsigned
+        signs + "-",  # a sign for no pivot
+        signs.replace("-", "0", 1),  # a sign outside + and -
     ):
-        doc = certio.loads(certio.dumps(genuine))
-        forge(doc)
+        doc = dict(genuine, signs=forged_signs)
         assert certio.verify_witness_doc(doc)
     # e among the words: its one pivot x is signed, and e alone is a product
     # of the generators that reaches the identity
-    doc = dict(forged, words=["e", "x"], signs=[{"pivot": "x", "sign": 1}])
+    doc = dict(forged, words=["e", "x"], signs="+")
     assert certio.verify_witness_doc(doc) == ["signed generators reach the identity"]
 
 
-def test_pivot_lists_missing_any_pivot_are_rejected():
-    # the whole list is accepted, and every list that drops one pivot is not
+WRONG_LENGTH = "there must be one sign for each pivot of cis(words)"
+
+
+def test_sign_strings_of_the_wrong_length_or_alphabet_are_rejected():
+    # S_WORDS is l-group valid, so its all-positive string of the right
+    # length is rejected for reaching the identity; T_WORDS and the
+    # hard-search rg VALID row are l-group INVALID, and the search's
+    # string is accepted.  A string one sign short or one sign long is
+    # rejected for its length, whatever its signs, and so is any character
+    # other than + and -, wherever it stands
     for texts in (S_WORDS, T_WORDS, ("yxyxx", "xy'x", "x'y'y'x'y")):
         joins = words(*texts)
         pivots = ro.sign_pivots(joins)
-        assert witnesses.lists_sign_pivots(pivots, joins)
-        for i in range(len(pivots)):
-            missing = pivots[:i] + pivots[i + 1 :]
-            assert not witnesses.lists_sign_pivots(missing, joins), (texts, i)
+        n = len(pivots)
+        verdict = ro.decide_lg_hm(joins, 2)
+        if verdict.status == "INVALID":
+            base = certio.sign_assignment_doc(joins, 2, verdict.certificate)
+            assert certio.verify_witness_doc(base) == []
+        else:
+            positive = SignAssignment(tuple((p, 1) for p in pivots))
+            base = certio.sign_assignment_doc(joins, 2, positive)
+            assert certio.verify_witness_doc(base) == [
+                "signed generators reach the identity"
+            ]
+        genuine = base["signs"]
+        assert len(genuine) == n
+        for signs in ("+" * (n - 1), "-" * (n - 1), genuine[:-1], genuine[1:],
+                      genuine + "+", genuine + "-", "+" + genuine):
+            doc = {**base, "signs": signs}
+            assert certio.verify_witness_doc(doc) == [WRONG_LENGTH], (texts, signs)
+        for i, bad in itertools.product(range(n), ("0", "1", "x", " ", "\u2212")):
+            doc = {**base, "signs": genuine[:i] + bad + genuine[i + 1 :]}
+            assert certio.verify_witness_doc(doc) == [
+                "every sign must be + or -"
+            ], (texts, i, bad)
 
 
 def test_leaf_factor_indexes_out_of_range_are_rejected():
@@ -292,7 +326,7 @@ def test_leaf_factor_indexes_out_of_range_are_rejected():
 
 def test_forged_pivot_lists_are_rejected_at_the_first_missing_pivot(monkeypatch):
     # one 300-letter word has 45,150 quotients of initial subterms; a file
-    # that lists none of their representatives is rejected after the first
+    # that signs none of their representatives is rejected after the first
     formed = 0
     inverse_pairs = witnesses._inverse_pairs
 
@@ -305,15 +339,9 @@ def test_forged_pivot_lists_are_rejected_at_the_first_missing_pivot(monkeypatch)
     monkeypatch.setattr(witnesses, "_inverse_pairs", counted)
     long_word = " ".join(["x", "y"] * 150)
     base = {"schema_version": certio.SCHEMA_VERSION, "arity": 2, "words": [long_word]}
-    for doc in (
-        {**base, "kind": "sign_assignment", "signs": []},
-        {**base, "kind": "bounds_exhausted", "conjugator_bound": 1, "pivots": []},
-    ):
-        formed = 0
-        assert certio.verify_witness_doc(doc) == [
-            "pivots are not the representatives of cis(words)"
-        ]
-        assert formed == 1, (doc["kind"], formed)
+    doc = {**base, "kind": "sign_assignment", "signs": ""}
+    assert certio.verify_witness_doc(doc) == [WRONG_LENGTH]
+    assert formed == 1, formed
 
 
 def test_out_of_range_witness_fields_are_format_errors():
@@ -342,8 +370,8 @@ def test_out_of_range_witness_fields_are_format_errors():
             ({**doc, "arity": 1, "functional": [sign], "words": ["x", "x y"]},
              "generator index 2 exceeds arity 1"),
         ]
-    # a sign assignment and both refutation flavors parse their words, sign
-    # pivots, branch pivots and conjugators against their arity
+    # a sign assignment and both refutation flavors parse their words,
+    # branch pivots and conjugators against their arity
     hm_words, right_words = words(*T_WORDS), words(*S_WORDS)
     conj = words("x y x'", "y'")
     hm = certio.sign_assignment_doc(
@@ -365,9 +393,9 @@ def test_out_of_range_witness_fields_are_format_errors():
             # every one of them names y, generator 2
             ({**genuine, "arity": 1}, "generator index 2 exceeds arity 1"),
         ]
-    # z is generator 3: a sign pivot, a branch pivot and a conjugator
+    # z is generator 3: a word, a branch pivot and a conjugator
     for genuine, path in (
-        (hm, ("signs", 0, "pivot")),
+        (hm, ("words", 0)),
         (right, ("tree", 2, "pivot")),
         (order, ("tree", 0, "factors", 0, "conjugator")),
     ):
@@ -401,7 +429,10 @@ def test_malformed_documents_rejected():
     _rejected({"schema_version": version, "kind": "mystery"}, "unknown witness kind")
     header = {"schema_version": version, "arity": 2, "words": ["x"]}
     for doc, message in (
-        ({**header, "kind": "sign_assignment", "signs": [1]}, "sign entries must be"),
+        # the sign string is the only form of signs schema 2 reads
+        ({**header, "kind": "sign_assignment", "signs": [1]}, "'signs' has the wrong"),
+        ({**header, "kind": "sign_assignment", "signs": [{"pivot": "x", "sign": 1}]},
+         "'signs' has the wrong type"),
         ({**header, "kind": "separator", "functional": ["a"]}, "one integer per"),
         ({**header, "kind": "abelian_order_witness", "functional": ["a", 1]},
          "one integer per"),
@@ -437,15 +468,15 @@ def test_malformed_documents_rejected():
     # bounds reports: a forged file, then one bad field per check
     _rejected(
         {"schema_version": version, "kind": "bounds_exhausted",
-         "conjugator_bound": "banana", "pivots": 7},
+         "conjugator_bound": "banana"},
         "missing field 'arity'",
     )
     commutator = words("x'y'xy")
     report = ro.extend_order(commutator, 2, 1)
     bounds = certio.bounds_doc(commutator, 2, report)
     assert certio.verify_witness_doc(bounds) == []
-    assert bounds["words"] == ["x' y' x y"] and bounds["arity"] == 2
-    assert bounds["pivots"][:4] == ["x", "y", "x y", "x' y"]
+    assert bounds == {"schema_version": version, "kind": "bounds_exhausted",
+                      "arity": 2, "conjugator_bound": 1, "words": ["x' y' x y"]}
     for key, value, message in (
         ("arity", "2", "'arity' has the wrong type"),
         ("arity", 0, "arity must be >= 1"),
@@ -453,16 +484,10 @@ def test_malformed_documents_rejected():
         ("conjugator_bound", -1, "conjugator bound must be >= 0"),
         ("words", 7, "'words' has the wrong type"),
         ("words", ["x'y'xz"], "generator index 3 exceeds arity 2"),
-        ("pivots", 7, "'pivots' has the wrong type"),
-        ("pivots", ["x", 1], "literal sequences must be strings"),
-        ("pivots", ["x", "z"], "generator index 3 exceeds arity 2"),
+        ("words", ["x", 1], "literal sequences must be strings"),
+        ("words", [], "a witness needs at least one word"),
     ):
         _rejected({**bounds, key: value}, message)
-    # [] and ["x"] are canonical pivot lists, but not the one cis(x'y'xy) gives
-    for pivots in (["", "x"], ["x'", "y"], ["y", "x"], ["x", "x"], ["x"], []):
-        assert certio.verify_witness_doc({**bounds, "pivots": pivots}) == [
-            "pivots are not the representatives of cis(words)"
-        ]
 
 
 def _table_mutants(table: list, slots, bool_message: str) -> list:

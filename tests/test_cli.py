@@ -240,8 +240,8 @@ def test_check_rejects_forged_witnesses_with_exit_one(capsys, tmp_path):
     # signing the pivot x negative lets x' x' x x reach the identity
     signs = _write_witness(tmp_path, WITNESS_QUERIES[3])
     doc = json.loads(signs.read_text())
-    assert doc["signs"][0] == {"pivot": "x", "sign": 1} and "x x" in doc["words"]
-    doc["signs"][0]["sign"] = -1
+    assert doc["signs"][0] == "+" and "x x" in doc["words"]
+    doc["signs"] = "-" + doc["signs"][1:]
     signs.write_text(certio.dumps(doc))
     capsys.readouterr()
     for path, issue in (
@@ -252,6 +252,21 @@ def test_check_rejects_forged_witnesses_with_exit_one(capsys, tmp_path):
         captured = capsys.readouterr()
         assert captured.out == f"REJECTED: {issue}\n"
         assert "internal error" not in captured.err
+
+
+def test_check_rejects_listed_signs_with_exit_three(capsys, tmp_path):
+    # a schema-2 file that lists each pivot with its sign, as schema 1 did,
+    # is malformed: signs are one string of + and -
+    path = _write_witness(tmp_path, WITNESS_QUERIES[3])
+    doc = json.loads(path.read_text())
+    doc["signs"] = [{"pivot": "x", "sign": 1 if c == "+" else -1} for c in doc["signs"]]
+    path.write_text(certio.dumps(doc))
+    capsys.readouterr()
+    assert run("check", str(path)) == 3
+    captured = capsys.readouterr()
+    message = "certificate file rejected: field 'signs' has the wrong type\n"
+    assert captured.err == message
+    assert captured.out == ""
 
 
 def test_check_rejects_conjugators_in_right_order_refutations(capsys, tmp_path):

@@ -321,17 +321,38 @@ def test_excluded_roots_build_no_closure(monkeypatch):
     assert verdict.status == "UNKNOWN"
     doc = certio.bounds_doc(by_germ, 2, verdict.certificate)
     assert certio.verify_witness_doc(doc) == []
-    assert hashlib.sha256(certio.dumps(doc).encode()).hexdigest() == (
+    assert _sha256(doc) == (
+        "360247030f65058602dfae10d66c3bca149a14f3ce78b60580c1cdb7f0e3249d"
+    )
+    assert _sha256(_with_pivots(doc)) == (
         "4920f8563bfe6408e2d4f9d0a6de9fba3ad10bf647180b5cd33b70ba9f98a3bd"
     )
 
 
+def _sha256(doc: dict) -> str:
+    return hashlib.sha256(certio.dumps(doc).encode()).hexdigest()
+
+
+def _with_pivots(doc: dict) -> dict:
+    """A sign_assignment or bounds_exhausted document in the layout that
+    named the pivots of sign_pivots(words): each with its sign, or listed."""
+    arity = doc["arity"]
+    pivots = ro.sign_pivots([fg.word_from_text(t, arity) for t in doc["words"]])
+    texts = [fg.word_to_text(p) for p in pivots]
+    if doc["kind"] == "bounds_exhausted":
+        return {**doc, "pivots": texts}
+    assert len(doc["signs"]) == len(texts)
+    signs = [1 if c == "+" else -1 for c in doc["signs"]]
+    return {**doc, "signs": [{"pivot": p, "sign": c} for p, c in zip(texts, signs)]}
+
+
 def test_hm_invalid_assignments_are_pinned():
     # the sign-assignment files of every hm INVALID set of the crosscheck
-    # corpus, hashed in corpus order; the digest was recorded before the
-    # root settlement replaced the per-node pre-filter
+    # corpus, hashed in corpus order, as written and with each pivot named;
+    # the second digest was recorded before the root settlement replaced
+    # the per-node pre-filter, when the files named their pivots
     pool = [u for u in fg.ball(2, 2) if not u.is_identity]
-    digest = hashlib.sha256()
+    digest, named = hashlib.sha256(), hashlib.sha256()
     count = 0
     for size in (1, 2, 3):
         for subset in itertools.combinations(pool, size):
@@ -339,9 +360,13 @@ def test_hm_invalid_assignments_are_pinned():
             if verdict.status == "INVALID":
                 doc = certio.sign_assignment_doc(subset, 2, verdict.certificate)
                 digest.update(certio.dumps(doc).encode())
+                named.update(certio.dumps(_with_pivots(doc)).encode())
                 count += 1
     assert count == 460
     assert digest.hexdigest() == (
+        "77a1abce3da8a4972ce9745a13597951577b79fea654ae361dc5fb430f224bf4"
+    )
+    assert named.hexdigest() == (
         "ba6dd39734ab2de2ab0a3d4634bf5198d5946a90e8cd9fb3d9bd9d4d738cc3c1"
     )
 

@@ -13,7 +13,8 @@ import subprocess
 import sys
 
 from conftest import SEED, listed, listed_doc, random_reduced_word, words
-from ordcalc import abelian, certio, cli, witnesses
+from test_membership import HARD_HM_SETS
+from ordcalc import abelian, certio, cli, membership, witnesses
 from ordcalc import calculus as ca
 from ordcalc import freegroup as fg
 from ordcalc import rightorder as ro
@@ -82,11 +83,11 @@ def genuine_documents() -> list[dict]:
             s_words, 2, ro.extend_right_order(s_words, 2), "right_order"
         ),
         certio.refutation_doc(conj, 2, ro.rg_refute_bounded(conj, 2, 1), "order"),
-        certio.bounds_doc(t_words, 2, BoundsReport(1, ro.sign_pivots(t_words))),
+        certio.bounds_doc(t_words, 2, BoundsReport(1)),
     ]
 
 
-_WORD_TEXTS = ("x", "x'", "y", "xy", "y'x'", "xxy'", "z", "xzy'", "", "q", "x''")
+_WORD_TEXTS = ("x", "x'", "y", "xy", "y'x'", "xxy'", "z", "xzy'", "", "q", "x''", "+-")
 _INTEGERS = (0, 1, -1, 2, 3, 40, -7, 10**6, -(10**6))
 
 
@@ -152,10 +153,10 @@ def test_genuine_documents_verify():
 
 
 def _emptied(doc: dict) -> dict:
-    """The document with no words, and no signs or pivots where it lists
-    them, so that nothing but the missing words is wrong with it."""
-    cleared = {key: [] for key in ("words", "signs", "pivots") if key in doc}
-    return {**doc, **cleared}
+    """The document with no words, and no signs where it has them, so that
+    nothing but the missing words is wrong with it."""
+    cleared = {"words": [], "signs": ""}
+    return {**doc, **{key: value for key, value in cleared.items() if key in doc}}
 
 
 def test_witnesses_of_no_words_are_malformed(tmp_path):
@@ -343,7 +344,38 @@ def _functional_holds(side: int, arity: int, functional, words_) -> bool:
     return True
 
 
+def _signs_hold(arity: int, word_texts, signs) -> bool:
+    """Whether the signs, one + or - for each pivot, generate with the
+    words, nonempty and within the arity, a semigroup that misses e.  The
+    pivots are found from their definition: of each inverse pair of
+    nonidentity quotients s' * t of prefixes of the words, the ShortLex
+    smaller, in ShortLex order.  e is looked for by the search's
+    membership.contains_identity, which shares no code with the check."""
+    word_list = [_reduce(fg.scan_literals(t)) for t in word_texts]
+    if not word_list or any(abs(c) > arity for u in word_list for c in u):
+        return False
+    prefixes = {u[:i] for u in word_list for i in range(len(u) + 1)}
+    quotients = {_reduce(_inverse(s) + t) for s in prefixes for t in prefixes}
+
+    def shortlex(u):
+        return len(u), [fg.literal_rank(c) for c in u]
+
+    pivots = {min(u, _inverse(u), key=shortlex) for u in quotients if u}
+    pivots = sorted(pivots, key=shortlex)
+    if len(pivots) != len(signs) or set(signs) - {"+", "-"}:
+        return False
+    signed = [p if c == "+" else _inverse(p) for p, c in zip(pivots, signs)]
+    generators = [fg.ReducedWord(u) for u in word_list + signed]
+    return not membership.contains_identity(generators)[0]
+
+
+def _inverse(letters) -> tuple:
+    return tuple(-c for c in reversed(letters))
+
+
 def _claim_holds(doc: dict) -> bool:
+    if doc["kind"] == "sign_assignment":
+        return _signs_hold(doc["arity"], doc["words"], doc["signs"])
     if "generators" in doc:
         word_list = [fg.scan_literals(t) for t in doc["words"]]
         generators = [fg.scan_literals(t) for t in doc["generators"]]
@@ -379,10 +411,21 @@ def _path_mutants(doc: dict):
         yield mutant
 
 
+def _sign_mutants(doc: dict):
+    """A sign assignment with each sign flipped, its last sign dropped, and
+    a sign appended."""
+    signs = doc["signs"]
+    for i, c in enumerate(signs):
+        yield {**doc, "signs": signs[:i] + {"+": "-", "-": "+"}[c] + signs[i + 1 :]}
+    for changed in (signs[:-1], signs + "+"):
+        yield {**doc, "signs": changed}
+
+
 def _witness_mutants(doc: dict):
     """Each element dropped, each functional coefficient negated, each
     integer raised by one, each word literal flipped to the next literal
-    of the alphabet, and a generated cone's path mutants."""
+    of the alphabet, a generated cone's path mutants and a sign
+    assignment's sign mutants."""
     lists = [k for k in ("elements", "words", "functional") if k in doc]
     integers = [k for k in ("arity", "level") if k in doc]
     alphabet = [c for g in range(1, doc["arity"] + 1) for c in (g, -g)]
@@ -411,13 +454,15 @@ def _witness_mutants(doc: dict):
                 yield mutant
     if "generators" in doc:
         yield from _path_mutants(doc)
+    if "signs" in doc:
+        yield from _sign_mutants(doc)
 
 
 def _corpus_witnesses(per_kind: int) -> list[dict]:
     """Genuine witnesses of the first corpus instances, in a seeded order,
     that yield one: all sets of one to three nonidentity words of length at
     most two over two generators.  Each cone comes as the search writes it
-    and listed."""
+    and listed; sign assignments come from hm."""
     pool = [u for u in fg.ball(2, 2) if not u.is_identity]
     corpus = [s for k in (1, 2, 3) for s in itertools.combinations(pool, k)]
     random.Random(SEED).shuffle(corpus)
@@ -426,6 +471,7 @@ def _corpus_witnesses(per_kind: int) -> list[dict]:
         "listed": [],
         "separator": [],
         "abelian_order_witness": [],
+        "sign_assignment": [],
     }
     for subset in corpus:
         cone = ro.extend_right_order(subset, 2)
@@ -440,6 +486,10 @@ def _corpus_witnesses(per_kind: int) -> list[dict]:
             found["abelian_order_witness"].append(
                 certio.abelian_order_doc(subset, 2, positive)
             )
+        verdict = ro.decide_lg_hm(subset, 2)
+        if verdict.status == "INVALID":
+            doc = certio.sign_assignment_doc(subset, 2, verdict.certificate)
+            found["sign_assignment"].append(doc)
         if min(map(len, found.values())) >= per_kind:
             break
     return [doc for docs in found.values() for doc in docs[:per_kind]]
@@ -459,6 +509,76 @@ def test_witness_mutants_are_judged_as_the_oracles_judge_them():
             judged[holds] += 1
     # both directions are exercised
     assert min(judged.values()) > 50, judged
+
+
+def test_sign_flips_are_judged_as_the_oracle_judges_them():
+    # every hm INVALID witness of the corpus and of hard-search is
+    # accepted, and each with one sign flipped exactly when the words and
+    # the flipped signed pivots miss e
+    pool = [u for u in fg.ball(2, 2) if not u.is_identity]
+    corpus = [s for k in (1, 2, 3) for s in itertools.combinations(pool, k)]
+    corpus += [words(*text.split(" | ")) for text in HARD_HM_SETS]
+    judged, witnessed = {True: 0, False: 0}, 0
+    for subset in corpus:
+        verdict = ro.decide_lg_hm(subset, 2)
+        if verdict.status != "INVALID":
+            continue
+        witnessed += 1
+        doc = certio.sign_assignment_doc(subset, 2, verdict.certificate)
+        assert certio.verify_witness_doc(doc) == [], doc
+        assert _claim_holds(doc), doc
+        for mutant in _sign_mutants(doc):
+            accepted = certio.verify_witness_doc(mutant) == []
+            holds = _claim_holds(mutant)
+            assert accepted == holds, (holds, mutant)
+            judged[holds] += 1
+    assert witnessed == 460 + len(HARD_HM_SETS)
+    # about one mutant in six still misses e
+    assert min(judged.values()) > 900, judged
+
+
+def test_a_long_word_signed_in_full_is_rejected_within_the_budget_under_a_cap():
+    # one random 200-letter word has about 19,000 pivots of some 1.3
+    # million letters, which a file of about 20 KB signs in full: walking
+    # them out stops at the budget, before any generator is signed or the
+    # identity is looked for
+    code = (
+        "import json, random\n"
+        "from ordcalc import certio, freegroup, witnesses\n"
+        "def refuse(*args):\n"
+        "    raise AssertionError('the check looked for the identity')\n"
+        "witnesses.reaches_identity = refuse\n"
+        f"rng = random.Random({SEED})\n"
+        "letters = []\n"
+        "while len(letters) < 200:\n"
+        "    code = rng.choice((1, -1, 2, -2))\n"
+        "    if not letters or letters[-1] != -code:\n"
+        "        letters.append(code)\n"
+        "word = freegroup.ReducedWord(tuple(letters))\n"
+        "n = len(witnesses.sign_pivots([word]))\n"
+        "doc = {'schema_version': 2, 'kind': 'sign_assignment', 'arity': 2,\n"
+        "       'words': [freegroup.word_to_text(word)], 'signs': '+' * n}\n"
+        "print(json.dumps([n, certio.verify_witness_doc(doc)]))\n"
+    )
+    result = _run_capped(code)
+    assert result.returncode == 0, result.stderr[-2000:]
+    n, issues = json.loads(result.stdout)
+    assert n > 15_000, n
+    assert issues == ["the pivots cost more than the check's budget to form"]
+
+
+def test_pivot_walk_stops_at_its_budget():
+    # xx | xy | yx' cost 73 letters to walk: 9 for their initial subterms
+    # and 64 for the pairs they form
+    joins = words("xx", "xy", "yx'")
+    assert len(witnesses.sign_pivots(joins, budget=73)) == 11
+    for budget in (72, 8):
+        try:
+            witnesses.sign_pivots(joins, budget=budget)
+        except witnesses.BudgetExceeded:
+            pass
+        else:
+            raise AssertionError(f"the walk ran past its budget {budget}")
 
 
 def _generated_documents() -> list[dict]:
