@@ -349,70 +349,63 @@ def refutation_doc(words, arity: int, tree: RefutationTree, flavor: str) -> dict
 
 _FUNCTIONAL_SIDE = {"separator": -1, "abelian_order_witness": 1}
 
+# the fields of each witness kind besides schema_version and kind: a file
+# holds exactly these, so that it carries no claim the check leaves unread
+_FIELDS = {
+    "truncated_right_order": {"arity", "level", "words", "generators"},
+    "separator": {"arity", "functional", "words"},
+    "abelian_order_witness": {"arity", "functional", "words"},
+    "sign_assignment": {"arity", "words", "signs"},
+    "refutation": {"flavor", "arity", "words", "tree"},
+    "bounds_exhausted": {"arity", "conjugator_bound", "words"},
+}
+
 
 def verify_witness_doc(doc: dict) -> list[str]:
     """Re-assert the invariants a witness file claims; empty list means good."""
     kind = _require(doc, "kind", str)
     _check_schema(doc, kind)
+    if kind not in _FIELDS:
+        raise CertificateFormatError(f"unknown witness kind {kind!r}")
+    unknown = set(doc) - _FIELDS[kind] - {"schema_version", "kind"}
+    if unknown:
+        raise CertificateFormatError(f"unknown field {min(unknown)!r}")
+    arity = _arity(doc)
+    texts = _word_texts(doc)
+    words = tuple(_parse_word(text, arity) for text in texts)
     if kind == "truncated_right_order":
-        arity = _require(doc, "arity", int)
         level = _require(doc, "level", int)
-        if arity < 1 or level < 1:
-            raise CertificateFormatError("arity and level must be >= 1")
-        if "elements" not in doc:
-            words = tuple(_parse_word(text, arity) for text in _word_texts(doc))
-            generators = tuple(
-                _parse_word(text, arity) for text in _require(doc, "generators", list)
-            )
-            cone = TruncatedRightOrder(arity, level, words=words, generators=generators)
-            return cone.violations()
-        if "generators" in doc:
-            raise CertificateFormatError("a cone lists elements or generators")
-        elements = frozenset(
-            _parse_word(w, arity) for w in _require(doc, "elements", list)
+        if level < 1:
+            raise CertificateFormatError("level must be >= 1")
+        generators = tuple(
+            _parse_word(text, arity) for text in _require(doc, "generators", list)
         )
-        # the cone must hold the words it claims to order positive
-        issues = [
-            f"word {text!r} is not an element"
-            for text in _word_texts(doc)
-            if _parse_word(text, arity) not in elements
-        ]
-        return issues + TruncatedRightOrder(arity, level, elements).violations()
+        return TruncatedRightOrder(arity, level, words, generators).violations()
     if kind in _FUNCTIONAL_SIDE:
         # a separator is negative on every word, an order witness positive
-        arity = _arity(doc)
         y = _require(doc, "functional", list)
         if len(y) != arity or not all(type(c) is int for c in y):
             raise CertificateFormatError("functional needs one integer per generator")
         side = _FUNCTIONAL_SIDE[kind]
         issues = []
-        for text in _word_texts(doc):
-            vector = freegroup.abelianize(_parse_word(text, arity), arity)
+        for text, word in zip(texts, words):
+            vector = freegroup.abelianize(word, arity)
             if side * sum(a * b for a, b in zip(y, vector)) <= 0:
                 name = "positive" if side > 0 else "negative"
                 issues.append(f"functional is not {name} on {text!r}")
         return issues
     if kind == "sign_assignment":
-        arity = _arity(doc)
-        words = tuple(_parse_word(w, arity) for w in _word_texts(doc))
         error = verify_sign_assignment(words, _require(doc, "signs", str))
         return [error] if error else []
     if kind == "refutation":
         flavor = _require(doc, "flavor", str)
         if flavor not in ("right_order", "order"):
             raise CertificateFormatError(f"unknown refutation flavor {flavor!r}")
-        arity = _arity(doc)
-        words = tuple(_parse_word(w, arity) for w in _word_texts(doc))
         tree = _node_to_tree(_require(doc, "tree", list), arity)
         error = verify_refutation_tree(words, tree, conjugate=flavor == "order")
         return [error] if error else []
-    if kind == "bounds_exhausted":
-        # the search is not re-run; the file must state the search that
-        # ran: its bound and the words, each within the arity
-        arity = _arity(doc)
-        if _require(doc, "conjugator_bound", int) < 0:
-            raise CertificateFormatError("conjugator bound must be >= 0")
-        for text in _word_texts(doc):
-            _parse_word(text, arity)
-        return []
-    raise CertificateFormatError(f"unknown witness kind {kind!r}")
+    # bounds_exhausted: the search is not re-run; the file must state the
+    # search that ran: its bound and the words, each within the arity
+    if _require(doc, "conjugator_bound", int) < 0:
+        raise CertificateFormatError("conjugator bound must be >= 0")
+    return []

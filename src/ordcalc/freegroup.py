@@ -191,7 +191,7 @@ class CancellationIndex:
     word costs one entry per indexed letter.
     """
 
-    def __init__(self, level: int, words: Iterable[tuple[int, ...]] = ()):
+    def __init__(self, level: int):
         self.level = level
         self.words: list[tuple[int, ...]] = []
         self._depth = (level + 1) // 2
@@ -200,8 +200,6 @@ class CancellationIndex:
         self._starts: dict[tuple[int, int], list[int]] = {}
         self._ends: dict[tuple[int, int], list[int]] = {}
         self._lengths: set[int] = set()  # every length a word has had
-        for w in words:
-            self.add(w)
 
     def _keys(self, word: tuple[int, ...]):
         """The (table, key) entries of the word's prefixes and suffixes."""

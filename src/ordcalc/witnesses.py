@@ -217,55 +217,17 @@ def close_within(
 class TruncatedRightOrder:
     """Positive-cone fragment: product-closed within the ball and total below it.
 
-    It is listed by its ``elements``, or, as the search writes it, left as
-    None and generated: the cone is then the closure within the level of
-    the ``words`` it orders positive and of ``generators``, the signed
-    pivots of the search's open path.
+    The cone is generated: the closure within the level of the ``words``
+    it orders positive and of ``generators``, the signed pivots of the
+    search's open path.
     """
 
     arity: int
     level: int
-    elements: frozenset[ReducedWord] | None = None
-    words: tuple[ReducedWord, ...] = ()
-    generators: tuple[ReducedWord, ...] = ()
+    words: tuple[ReducedWord, ...]
+    generators: tuple[ReducedWord, ...]
 
     def violations(self) -> list[str]:
-        if self.elements is None:
-            return self._generated_violations()
-        issues = []
-        elems = self.elements
-        if freegroup.IDENTITY in elems:
-            issues.append("identity is in the cone")
-        for w in elems:
-            if len(w) > self.level:
-                issues.append(f"element {freegroup.word_to_text(w)} exceeds level")
-            if w.max_generator() > self.arity:
-                issues.append(f"element {freegroup.word_to_text(w)} exceeds arity")
-        # only the pairs the index finds can multiply to a word within the
-        # level; they are visited in the order of the elements, as letters
-        words = [w.letters for w in elems]
-        present, index = set(words), freegroup.CancellationIndex(self.level, words)
-        for s in words:
-            for position in index.right_factors(s):
-                t = words[position]
-                st = freegroup.splice(s, t)
-                if len(st) <= self.level and st not in present:
-                    issues.append(
-                        "closure gap: %s * %s"
-                        % (freegroup.word_to_text(s), freegroup.word_to_text(t))
-                    )
-        # a genuine witness signs every nonidentity word of the ball below
-        # the level, so it lists at least half of them; count before building
-        if _ball_exceeds(self.arity, self.level - 1, 2 * len(elems)):
-            issues.append("too few elements to sign every word below the level")
-            return issues
-        # the identity leads the ball and takes no sign
-        for w in freegroup.ball(self.arity, self.level - 1)[1:]:
-            if w.letters not in present and freegroup.bar(w.letters) not in present:
-                issues.append(f"undetermined element {freegroup.word_to_text(w)}")
-        return issues
-
-    def _generated_violations(self) -> list[str]:
         issues = []
         for name, group in (("word", self.words), ("generator", self.generators)):
             for w in group:

@@ -3,13 +3,8 @@ import random
 
 import pytest
 
-from ordcalc import certio, freegroup, rightorder
-from ordcalc.witnesses import (
-    ConjugateEntry,
-    ConjugateProduct,
-    RefutationLeaf,
-    TruncatedRightOrder,
-)
+from ordcalc import freegroup
+from ordcalc.witnesses import ConjugateEntry, ConjugateProduct, RefutationLeaf
 
 SEED = int(os.environ.get("ORDCALC_SEED", "271828"))
 
@@ -21,22 +16,6 @@ def w(text: str) -> freegroup.ReducedWord:
 
 def words(*texts: str):
     return [w(t) for t in texts]
-
-
-def listed(order: TruncatedRightOrder) -> TruncatedRightOrder:
-    """The order that lists the cone a generated order stands for: the
-    closure, by the search's cone, of its words and generators."""
-    cone = rightorder.close_truncated(order.words + order.generators, order.level)
-    return TruncatedRightOrder(order.arity, order.level, cone)
-
-
-def listed_doc(order: TruncatedRightOrder) -> dict:
-    """The file that lists the cone of a generated order as ``elements``,
-    a form the checker still reads, where the search writes generators."""
-    doc = certio.truncated_order_doc(order)
-    del doc["generators"]
-    doc["elements"] = sorted(freegroup.word_to_text(u) for u in listed(order).elements)
-    return doc
 
 
 def product_leaf(indices) -> RefutationLeaf:

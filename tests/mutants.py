@@ -398,6 +398,13 @@ MUTANTS = (
             "test_refutation_tables_must_be_trees",
         ),
     ),
+    Mutant(
+        "witness-check-reads-unknown-fields",
+        CERTIO,
+        "    if unknown:\n        raise CertificateFormatError",
+        "    if False:\n        raise CertificateFormatError",
+        _robustness_tests("test_fields_no_check_reads_are_malformed"),
+    ),
 )
 
 

@@ -115,8 +115,6 @@ def test_criterion_2_branching_example_invalid(tmp_path, capsys):
     generators = [fg.word_from_text(t) for t in doc["words"] + doc["generators"]]
     elements = ro.close_truncated(generators, doc["level"])
     assert elements == frozenset(words("xx", "xy", "yx'", "yx", "yy", "x", "y"))
-    witness = TruncatedRightOrder(doc["arity"], doc["level"], elements)
-    assert witness.verify()
     elapsed = time.monotonic() - start
     assert elapsed < 1.0
     capsys.readouterr()

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from conftest import listed_doc, product_leaf, w, words
+from conftest import product_leaf, w, words
 from schema1 import convert
 from test_membership import HARD_HM_SETS
 from ordcalc import abelian, certio, freegroup, membership, witnesses
@@ -137,38 +137,29 @@ def test_witness_documents_verify():
 
 
 def test_truncated_order_must_hold_its_words():
+    # the words generate the cone, with the open path's signed pivots, so
+    # a file holds them; y' is in no positive cone that holds y, and x'x'
+    # in none that holds xx, so either in place of a word closes to e
     joins = words(*T_WORDS)
-    genuine = listed_doc(ro.decide_lg_cs(joins, 2).certificate)
+    genuine = certio.truncated_order_doc(ro.decide_lg_cs(joins, 2).certificate)
     assert certio.verify_witness_doc(genuine) == []
-    elements = {w(t) for t in genuine["elements"]}
-    # y' is in no positive cone that holds y, and x'x' none that holds xx
+    cone = ro.close_truncated(joins + words(*genuine["generators"]), 2)
     for outside in ("y'", "x' x'"):
-        assert w(outside) not in elements
+        assert w(outside) not in cone
         doc = certio.loads(certio.dumps(genuine))
         doc["words"][1] = outside
-        assert certio.verify_witness_doc(doc) == [f"word {outside!r} is not an element"]
-    doc = certio.loads(certio.dumps(genuine))
-    doc["words"] = ["y'", "x x", "x' x'"]
-    issues = certio.verify_witness_doc(doc)
-    assert issues == [
-        "word \"y'\" is not an element",
-        "word \"x' x'\" is not an element",
-    ]
+        assert certio.verify_witness_doc(doc) == [
+            "the generators reach the identity within the level"
+        ]
 
 
 def test_truncated_order_elements_stay_within_arity():
     joins = words("x", "z")
     verdict = ro.decide_lg_cs(joins, 3)
-    doc = listed_doc(verdict.certificate)
-    assert (doc["arity"], doc["level"], doc["elements"]) == (3, 1, ["x", "z"])
-    assert certio.verify_witness_doc(doc) == []
-    doc["arity"] = 2
-    _rejected(doc, "generator index 3 exceeds arity 2")
-    # the element z alone, with every word within the arity
-    _rejected({**doc, "words": ["x"]}, "generator index 3 exceeds arity 2")
-    # the file the search writes: the words alone generate the cone
+    # the file the search writes: the words alone generate the cone x, z
     doc = certio.truncated_order_doc(verdict.certificate)
     assert (doc["arity"], doc["level"], doc["generators"]) == (3, 1, [])
+    assert ro.close_truncated(joins, 1) == frozenset(joins)
     assert certio.verify_witness_doc(doc) == []
     _rejected({**doc, "arity": 2}, "generator index 3 exceeds arity 2")
     # a generator beyond the arity, with every word within it
@@ -348,14 +339,14 @@ def test_out_of_range_witness_fields_are_format_errors():
     truncated = {
         "schema_version": certio.SCHEMA_VERSION,
         "kind": "truncated_right_order",
-        "elements": ["x"],
         "words": ["x"],
+        "generators": [],
     }
     cases = [
-        ({**truncated, "arity": 0, "level": 1}, "arity and level must be >= 1"),
-        ({**truncated, "arity": -1, "level": 2}, "arity and level must be >= 1"),
-        ({**truncated, "arity": 2, "level": 0}, "arity and level must be >= 1"),
-        ({**truncated, "arity": 1, "level": 2, "elements": ["x", "x y"]},
+        ({**truncated, "arity": 0, "level": 1}, "arity must be >= 1"),
+        ({**truncated, "arity": -1, "level": 2}, "arity must be >= 1"),
+        ({**truncated, "arity": 2, "level": 0}, "level must be >= 1"),
+        ({**truncated, "arity": 1, "level": 2, "generators": ["x y"]},
          "generator index 2 exceeds arity 1"),
         ({**truncated, "arity": 1, "level": 2, "words": ["y"]},
          "generator index 2 exceeds arity 1"),

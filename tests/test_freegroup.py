@@ -268,11 +268,12 @@ def test_cancellation_index_lists_the_short_products(rng):
             random_reduced_word(rng, 2, rng.choice((level, 8)))
             for _ in range(rng.randint(0, 20))
         ))
-        letters = [u.letters for u in pool]
-        index = fg.CancellationIndex(level, letters)
+        index, rebuilt = fg.CancellationIndex(level), fg.CancellationIndex(level)
+        for u in pool:
+            index.add(u.letters)
+            rebuilt.add(u.letters)
         kept = rng.randint(0, len(pool))
         index.truncate(kept)
-        rebuilt = fg.CancellationIndex(level, letters)
         for held, idx in ((pool[:kept], index), (pool, rebuilt)):
             assert idx.words == [v.letters for v in held]
             for u in pool:

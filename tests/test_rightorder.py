@@ -8,7 +8,7 @@ import weakref
 
 import pytest
 
-from conftest import listed, listed_doc, random_reduced_word, w, words
+from conftest import random_reduced_word, w, words
 from test_witness_robustness import HARD_CS_SETS
 from ordcalc import calculus as ca
 from ordcalc import biorder, certio, cli
@@ -53,15 +53,15 @@ def test_extend_right_order_refutes_first_set():
 def test_extend_right_order_witnesses_second_set():
     outcome = ro.extend_right_order(words(*T_WORDS), 2)
     assert isinstance(outcome, TruncatedRightOrder)
-    assert outcome.level == 2 and outcome.elements is None
+    assert outcome.level == 2
     # the open path signs x alone, whose closure with the words holds
     # y = yx' * x and so signs every word below the level
     assert outcome.words == tuple(words(*T_WORDS))
     assert outcome.generators == tuple(words("x"))
     expected = frozenset(words("xx", "xy", "yx'", "yx", "yy", "x", "y"))
-    cone = listed(outcome).elements
+    cone = ro.close_truncated(outcome.words + outcome.generators, outcome.level)
     assert cone == expected
-    assert outcome.verify() and listed(outcome).verify()
+    assert outcome.verify()
     # no element together with its inverse
     assert not any(fg.inv(u) in cone for u in cone)
 
@@ -70,7 +70,7 @@ def test_extend_right_order_trivial_and_identity_cases():
     outcome = ro.extend_right_order(words("x"), 2)
     assert isinstance(outcome, TruncatedRightOrder)
     assert outcome.level == 1 and outcome.generators == ()
-    assert listed(outcome).elements == frozenset(words("x"))
+    assert ro.close_truncated(outcome.words, 1) == frozenset(words("x"))
 
     outcome = ro.extend_right_order([fg.IDENTITY, w("x")], 2)
     assert isinstance(outcome, RefutationLeaf)
@@ -204,9 +204,9 @@ def test_sign_search_runs_deeper_than_the_recursion_limit():
 
 
 def test_truncated_order_violations_detected():
-    bad = TruncatedRightOrder(2, 2, frozenset(words("x", "x'")))
+    bad = TruncatedRightOrder(2, 1, tuple(words("x")), tuple(words("x'")))
     assert bad.violations()
-    good = TruncatedRightOrder(2, 1, frozenset(words("x", "y")))
+    good = TruncatedRightOrder(2, 1, tuple(words("x", "y")), ())
     assert good.verify()
 
 
@@ -222,7 +222,7 @@ def test_cs_rejects_generators_beyond_the_arity():
         ro.extend_right_order(joins, 1)
     # a cone over a generator beyond its arity is no witness, in memory
     # or as a file
-    beyond = TruncatedRightOrder(1, 1, frozenset(words("y")))
+    beyond = TruncatedRightOrder(1, 1, tuple(words("y")), ())
     assert any("exceeds arity" in issue for issue in beyond.violations())
     doc = {
         "schema_version": certio.SCHEMA_VERSION,
@@ -230,7 +230,7 @@ def test_cs_rejects_generators_beyond_the_arity():
         "arity": 1,
         "level": 1,
         "words": ["y"],
-        "elements": ["y"],
+        "generators": [],
     }
     with pytest.raises(certio.CertificateFormatError):
         certio.verify_witness_doc(doc)
@@ -390,14 +390,15 @@ def test_decide_rg_settles_a_formerly_cut_row():
 def test_cs_witnesses_and_refutations_are_pinned():
     # the truncated_right_order and right_order refutation files of every
     # set of the crosscheck corpus, hashed by kind in corpus order, and
-    # the files that list the cone each truncated_right_order generates.
-    # The listed digest was recorded before the cone closure visited only
-    # candidate pairs, again before the cone dropped its provenance, and
-    # kept once the files listed generators instead; the refutation
-    # digest was recorded once leaf factorizations came from the identity
-    # closure, again once leaves were factored on the generators' prefix
-    # states, and again once they took their fewest factors and lost the
-    # branches they do not use
+    # the cone each truncated_right_order generates, hashed in the layout
+    # of the files that once listed it as elements.  The listed digest was
+    # recorded before the cone closure visited only candidate pairs, again
+    # before the cone dropped its provenance, and kept once the files
+    # listed generators instead and once no file listed elements; the
+    # refutation digest was recorded once leaf factorizations came from the
+    # identity closure, again once leaves were factored on the generators'
+    # prefix states, and again once they took their fewest factors and lost
+    # the branches they do not use
     pool = [u for u in fg.ball(2, 2) if not u.is_identity]
     kinds = {"truncated_right_order": 0, "refutation": 0}
     digests = {kind: hashlib.sha256() for kind in (*kinds, "listed")}
@@ -406,8 +407,12 @@ def test_cs_witnesses_and_refutations_are_pinned():
             outcome = ro.extend_right_order(subset, 2)
             if isinstance(outcome, TruncatedRightOrder):
                 doc = certio.truncated_order_doc(outcome)
-                cone = listed_doc(outcome)
-                digests["listed"].update(certio.dumps(cone).encode())
+                cone = ro.close_truncated(
+                    outcome.words + outcome.generators, outcome.level
+                )
+                listed = {k: v for k, v in doc.items() if k != "generators"}
+                listed["elements"] = sorted(map(fg.word_to_text, cone))
+                digests["listed"].update(certio.dumps(listed).encode())
             else:
                 doc = certio.refutation_doc(subset, 2, outcome, "right_order")
             kinds[doc["kind"]] += 1

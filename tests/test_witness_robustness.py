@@ -12,7 +12,7 @@ import resource
 import subprocess
 import sys
 
-from conftest import SEED, listed, listed_doc, random_reduced_word, words
+from conftest import SEED, words
 from test_membership import HARD_HM_SETS
 from ordcalc import abelian, certio, cli, membership, witnesses
 from ordcalc import calculus as ca
@@ -46,6 +46,8 @@ def _run_capped(code: str) -> subprocess.CompletedProcess:
 
 
 def test_tiny_witness_with_a_deep_level_is_rejected_under_a_cap():
+    # a file that lists its cone as elements, in place of the generators
+    # of the search's open path, is malformed before any ball is built
     doc = {
         "schema_version": certio.SCHEMA_VERSION,
         "kind": "truncated_right_order",
@@ -55,25 +57,27 @@ def test_tiny_witness_with_a_deep_level_is_rejected_under_a_cap():
         "words": ["x"],
     }
     code = (
-        "import json\n"
-        "from ordcalc import certio\n"
-        f"print(json.dumps(certio.verify_witness_doc({doc!r})))\n"
+        "from ordcalc import certio, freegroup\n"
+        "def refuse(*args):\n"
+        "    raise AssertionError('the check built a ball')\n"
+        "freegroup.ball = refuse\n"
+        "try:\n"
+        f"    certio.verify_witness_doc({doc!r})\n"
+        "except certio.CertificateFormatError as error:\n"
+        "    print(error)\n"
     )
     result = _run_capped(code)
     assert result.returncode == 0, result.stderr[-2000:]
-    issues = json.loads(result.stdout)
-    assert any("below the level" in issue for issue in issues)
+    assert result.stdout == "unknown field 'elements'\n"
 
 
 def genuine_documents() -> list[dict]:
-    """One genuine document of every witness kind, and a cone both as the
-    search writes it and listed."""
+    """One genuine document of every witness kind."""
     s_words, t_words = words("xx", "yy", "x'y'"), words("xx", "xy", "yx'")
     conj = words("x y x'", "y'")
     cone = ro.decide_lg_cs(t_words, 2).certificate
     return [
         certio.truncated_order_doc(cone),
-        listed_doc(cone),
         certio.separator_doc(words("x", "xy"), 2, (-1, -1)),
         certio.abelian_order_doc(words("x", "xy"), 2, (1, 1)),
         certio.sign_assignment_doc(
@@ -184,6 +188,39 @@ def test_witnesses_of_no_words_are_malformed(tmp_path):
     }
 
 
+def test_fields_no_check_reads_are_malformed(tmp_path):
+    # each witness kind has one exact field set, so a file carries no
+    # claim that nothing checks: a bounds report with the pivot list files
+    # once had, a sign assignment with fields of other kinds, a cone with
+    # stray fields, and a cone listed as elements, as files once were
+    t_words = words("xx", "xy", "yx'")
+    bounds = certio.bounds_doc(t_words, 2, BoundsReport(1))
+    signs = certio.sign_assignment_doc(
+        t_words, 2, ro.decide_lg_hm(t_words, 2).certificate
+    )
+    cone = certio.truncated_order_doc(ro.decide_lg_cs(t_words, 2).certificate)
+    listed = {k: v for k, v in cone.items() if k != "generators"}
+    generated = ro.close_truncated(t_words + words(*cone["generators"]), 2)
+    listed["elements"] = sorted(map(fg.word_to_text, generated))
+    forged = [
+        ({**bounds, "pivots": ["z", "banana"]}, "pivots"),
+        ({**signs, "pivots": 7, "level": "x"}, "level"),
+        ({**cone, "junk": 1, "functional": [9]}, "functional"),
+        (listed, "elements"),
+    ]
+    forged += [({**doc, "junk": 1}, "junk") for doc in genuine_documents()]
+    for i, (doc, field) in enumerate(forged):
+        try:
+            certio.verify_witness_doc(doc)
+        except certio.CertificateFormatError as error:
+            assert str(error) == f"unknown field {field!r}", doc
+        else:
+            raise AssertionError(f"{doc['kind']} file with a {field} field accepted")
+        path = tmp_path / f"{i}.json"
+        path.write_text(certio.dumps(doc))
+        assert cli.main(["check", str(path)]) == 3, doc
+
+
 # the search, query parsing, verdicts and the command line: no check needs them
 SEARCH_MODULES = (
     "membership",
@@ -260,20 +297,6 @@ def _reduce(letters) -> tuple:
         else:
             out.append(code)
     return tuple(out)
-
-
-def _cone_holds(arity: int, level: int, elements) -> bool:
-    """Whether the elements are a positive cone truncated at the level: no
-    identity, nothing longer than the level, closed under products within
-    it, and a sign for every nonidentity word shorter than it."""
-    cone = {_reduce(e) for e in elements}
-    if () in cone or any(len(p) > level for p in cone):
-        return False
-    for s, t in itertools.product(cone, repeat=2):
-        st = _reduce(s + t)
-        if len(st) <= level and st not in cone:
-            return False
-    return _signs_below(arity, level, cone)
 
 
 def _signs_below(arity: int, level: int, cone) -> bool:
@@ -376,17 +399,10 @@ def _inverse(letters) -> tuple:
 def _claim_holds(doc: dict) -> bool:
     if doc["kind"] == "sign_assignment":
         return _signs_hold(doc["arity"], doc["words"], doc["signs"])
-    if "generators" in doc:
+    if doc["kind"] == "truncated_right_order":
         word_list = [fg.scan_literals(t) for t in doc["words"]]
         generators = [fg.scan_literals(t) for t in doc["generators"]]
         return _generated_cone_holds(doc["arity"], doc["level"], word_list, generators)
-    if doc["kind"] == "truncated_right_order":
-        elements = [fg.scan_literals(t) for t in doc["elements"]]
-        # the cone holds the words it is written for
-        cone = {_reduce(e) for e in elements}
-        if any(_reduce(fg.scan_literals(t)) not in cone for t in doc["words"]):
-            return False
-        return _cone_holds(doc["arity"], doc["level"], elements)
     side = -1 if doc["kind"] == "separator" else 1
     word_list = [fg.scan_literals(t) for t in doc["words"]]
     return _functional_holds(side, doc["arity"], doc["functional"], word_list)
@@ -422,11 +438,11 @@ def _sign_mutants(doc: dict):
 
 
 def _witness_mutants(doc: dict):
-    """Each element dropped, each functional coefficient negated, each
+    """Each word dropped, each functional coefficient negated, each
     integer raised by one, each word literal flipped to the next literal
-    of the alphabet, a generated cone's path mutants and a sign
-    assignment's sign mutants."""
-    lists = [k for k in ("elements", "words", "functional") if k in doc]
+    of the alphabet, a cone's path mutants and a sign assignment's sign
+    mutants."""
+    lists = [k for k in ("words", "functional") if k in doc]
     integers = [k for k in ("arity", "level") if k in doc]
     alphabet = [c for g in range(1, doc["arity"] + 1) for c in (g, -g)]
 
@@ -444,7 +460,7 @@ def _witness_mutants(doc: dict):
         mutant = _clone(doc)
         mutant[key] += 1
         yield mutant
-    for key in ("elements", "words", "generators"):
+    for key in ("words", "generators"):
         for i, text in enumerate(doc.get(key, ())):
             raw = fg.scan_literals(text)
             for j, code in enumerate(raw):
@@ -461,14 +477,12 @@ def _witness_mutants(doc: dict):
 def _corpus_witnesses(per_kind: int) -> list[dict]:
     """Genuine witnesses of the first corpus instances, in a seeded order,
     that yield one: all sets of one to three nonidentity words of length at
-    most two over two generators.  Each cone comes as the search writes it
-    and listed; sign assignments come from hm."""
+    most two over two generators; sign assignments come from hm."""
     pool = [u for u in fg.ball(2, 2) if not u.is_identity]
     corpus = [s for k in (1, 2, 3) for s in itertools.combinations(pool, k)]
     random.Random(SEED).shuffle(corpus)
     found: dict[str, list[dict]] = {
         "truncated_right_order": [],
-        "listed": [],
         "separator": [],
         "abelian_order_witness": [],
         "sign_assignment": [],
@@ -477,7 +491,6 @@ def _corpus_witnesses(per_kind: int) -> list[dict]:
         cone = ro.extend_right_order(subset, 2)
         if isinstance(cone, TruncatedRightOrder):
             found["truncated_right_order"].append(certio.truncated_order_doc(cone))
-            found["listed"].append(listed_doc(cone))
         verdict = abelian.validity_abelian(subset, 2)
         if isinstance(verdict.certificate, abelian.Separator):
             functional = verdict.certificate.functional
@@ -697,41 +710,6 @@ def test_generated_cone_bounds_its_generators():
     assert certio.verify_witness_doc(doc) == [
         "level is not the length of the longest word"
     ]
-    # a file lists its cone one way
-    doc = {**_generated(2, 1, ["x"], []), "elements": ["x"]}
-    try:
-        certio.verify_witness_doc(doc)
-    except certio.CertificateFormatError as error:
-        assert "elements or generators" in str(error)
-    else:
-        raise AssertionError("a file with elements and generators was read")
-
-
-def _all_pairs_violations(order: TruncatedRightOrder) -> list[str]:
-    """TruncatedRightOrder.violations as it was before the cancellation
-    index: every ordered pair of elements is multiplied, in the order of
-    the elements."""
-    issues = []
-    elems = order.elements
-    if fg.IDENTITY in elems:
-        issues.append("identity is in the cone")
-    for w in elems:
-        if len(w) > order.level:
-            issues.append(f"element {fg.word_to_text(w)} exceeds level")
-    for s in elems:
-        for t in elems:
-            st = fg.mul(s, t)
-            if len(st) <= order.level and st not in elems:
-                issues.append(
-                    "closure gap: %s * %s" % (fg.word_to_text(s), fg.word_to_text(t))
-                )
-    if witnesses._ball_exceeds(order.arity, order.level - 1, 2 * len(elems)):
-        issues.append("too few elements to sign every word below the level")
-        return issues
-    for w in fg.ball(order.arity, order.level - 1):
-        if not w.is_identity and w not in elems and fg.inv(w) not in elems:
-            issues.append(f"undetermined element {fg.word_to_text(w)}")
-    return issues
 
 
 # the six cs rows of the hard-search benchmark table, whose cones hold
@@ -744,115 +722,3 @@ HARD_CS_SETS = (
     "yyxy' | y'xyx'x' | x'yy",
     "yxy'x | x'x'yx | x'x'yyy",
 )
-
-
-def _cone_mutants(doc: dict):
-    """The mutants of a cone file that change its elements or its level."""
-    for mutant in _witness_mutants(doc):
-        if (mutant["elements"], mutant["level"]) != (doc["elements"], doc["level"]):
-            yield mutant
-
-
-def test_cone_closure_issues_match_the_all_pairs_oracle():
-    # the index visits only the pairs whose product can stay within the
-    # level, in the old order, so every issue list is the same, in order
-    pool = [u for u in fg.ball(2, 2) if not u.is_identity]
-    corpus = [s for k in (1, 2, 3) for s in itertools.combinations(pool, k)]
-    docs = []
-    for subset in corpus:
-        cone = ro.extend_right_order(subset, 2)
-        if isinstance(cone, TruncatedRightOrder):
-            docs.append(listed_doc(cone))
-    assert len(docs) == 460
-    rng = random.Random(SEED)
-    hard = []
-    for text in HARD_CS_SETS:
-        joins = words(*text.split(" | "))
-        doc = listed_doc(ro.decide_lg_cs(joins, 2).certificate)
-        mutants = list(_cone_mutants(doc))
-        raised = [m for m in mutants if m["level"] != doc["level"]]
-        others = [m for m in mutants if m["level"] == doc["level"]]
-        # the raised level, and a sample of the rest: each costs the oracle
-        # some 50,000 products
-        hard += [doc, *raised, *rng.sample(others, 4)]
-    compared = {True: 0, False: 0}
-    for doc in docs + [m for d in docs for m in _cone_mutants(d)] + hard:
-        arity, level = doc["arity"], doc["level"]
-        elements = frozenset(fg.word_from_text(t, arity) for t in doc["elements"])
-        order = TruncatedRightOrder(arity, level, elements)
-        issues = order.violations()
-        assert issues == _all_pairs_violations(order), doc
-        compared[not issues] += 1
-    assert min(compared.values()) > 400, compared
-
-
-def _reduced_word_violations(order: TruncatedRightOrder) -> list[str]:
-    """TruncatedRightOrder.violations as it was over ReducedWord: products
-    by fg.mul, looked up among the elements, and the ball's words inverted
-    by fg.inv.  The cancellation index, which holds letter tuples, lists
-    the factors of each element's letters."""
-    issues = []
-    elems = order.elements
-    if fg.IDENTITY in elems:
-        issues.append("identity is in the cone")
-    for w in elems:
-        if len(w) > order.level:
-            issues.append(f"element {fg.word_to_text(w)} exceeds level")
-        if w.max_generator() > order.arity:
-            issues.append(f"element {fg.word_to_text(w)} exceeds arity")
-    listed = list(elems)
-    index = fg.CancellationIndex(order.level, [u.letters for u in listed])
-    for s in listed:
-        for position in index.right_factors(s.letters):
-            t = listed[position]
-            st = fg.mul(s, t)
-            if len(st) <= order.level and st not in elems:
-                issues.append(
-                    "closure gap: %s * %s" % (fg.word_to_text(s), fg.word_to_text(t))
-                )
-    if witnesses._ball_exceeds(order.arity, order.level - 1, 2 * len(elems)):
-        issues.append("too few elements to sign every word below the level")
-        return issues
-    for w in fg.ball(order.arity, order.level - 1):
-        if w.is_identity:
-            continue
-        if w not in elems and fg.inv(w) not in elems:
-            issues.append(f"undetermined element {fg.word_to_text(w)}")
-    return issues
-
-
-def _order_mutants(order: TruncatedRightOrder, rng: random.Random):
-    """The order with an element dropped, with an element inverted, and
-    with a word added that may exceed the level or the arity; three of
-    each, chosen by rng."""
-    elements = order.elements
-    for u in rng.sample(sorted(elements), min(3, len(elements))):
-        yield elements - {u}
-        yield elements - {u} | {fg.inv(u)}
-    for _ in range(3):
-        u = random_reduced_word(rng, order.arity + 1, order.level + 1)
-        while u.is_identity or u in elements:
-            u = random_reduced_word(rng, order.arity + 1, order.level + 1)
-        yield elements | {u}
-
-
-def test_cone_issues_match_the_reduced_word_oracle():
-    # the check runs on letter tuples and must list the same issues, in
-    # the same order, as it did over ReducedWord
-    pool = [u for u in fg.ball(2, 2) if not u.is_identity]
-    corpus = [s for k in (1, 2, 3) for s in itertools.combinations(pool, k)]
-    corpus += [words(*text.split(" | ")) for text in HARD_CS_SETS]
-    genuine = [ro.extend_right_order(subset, 2) for subset in corpus]
-    genuine = [listed(o) for o in genuine if isinstance(o, TruncatedRightOrder)]
-    assert len(genuine) == 460 + len(HARD_CS_SETS)
-    rng = random.Random(SEED)
-    rejected = 0
-    for order in genuine:
-        assert order.violations() == _reduced_word_violations(order) == [], order
-        for elements in _order_mutants(order, rng):
-            mutant = TruncatedRightOrder(order.arity, order.level, elements)
-            issues = mutant.violations()
-            assert issues == _reduced_word_violations(mutant), mutant
-            rejected += bool(issues)
-    # of the up to nine mutants of each order, most are rejected
-    assert rejected > 7 * len(genuine), rejected
